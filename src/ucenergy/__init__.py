@@ -7,7 +7,7 @@ polynomial inequalities, and an isomorphism-free exhaustive search over
 unicyclic graphs.
 """
 
-from .charpoly import charpoly, charpoly_reference, matching_count
+from .charpoly import charpoly, charpoly_reference
 from .closedforms import (
     ClosedFormSample,
     check_modulus_forms,
@@ -85,7 +85,6 @@ __all__ = [
     "make_cycle_with_pendants",
     "make_lollipop",
     "make_path",
-    "matching_count",
     "max_energy_search",
     "modulus_sq_p6",
     "modulus_sq_pt",

@@ -2,13 +2,23 @@
 
 A certificate for "p keeps sign S on domain D" consists of an exact Sturm
 root count of the square-free part of p over D (zero for strict signs)
-together with one exactly evaluated sample sign.  Expressions of the shape
-a(x) + b(x) * sqrt(x**2 + 4) are certified through one of two reduction
-rules, each of which delegates to plain polynomial certificates:
+together with one exactly evaluated sample sign.
 
-* domination: if b > 0 and a**2 - (x**2+4) b**2 < 0 on D, the radical term
-  decides the sign, so a + b*sqrt > 0 and a - b*sqrt < 0 on D;
-* same sign: if a and b share a strict sign on D, the sum inherits it.
+Expressions a(x) + b(x) * sqrt(x**2 + 4) become plain polynomials under the
+substitution x = z - 1/z.  It maps z in (0, inf) increasingly onto the real
+line, with sqrt(x**2 + 4) = z + 1/z and the closed-form roots z1 = z,
+z2 = -1/z, so that
+
+    P(z) = z**d * (a + b * (z + 1/z)),    d = max(deg a, deg b + 1),
+
+is an integer polynomial with the sign of the expression.  Each x-domain is
+then mapped onto w in (0, inf), where one Sturm certificate of a polynomial
+in w decides the sign exactly:
+
+    x-domain    z            polynomial in w
+    R           w            P(w)
+    (0,inf)     1 + w        P(1 + w)
+    (-inf,0)    1 / (1 + w)  (1 + w)**deg P * P(1 / (1 + w))
 
 ``run_claim_suite`` certifies the inequality backbone of the lollipop
 comparison: positivity of the growth coefficients, the degree-18 inequality
@@ -16,8 +26,8 @@ behind the beta/gamma signs, the three radical-pair inequalities driving the
 d-coefficient signs, the exact factorisation identity of the fourth pair,
 positivity of the factored-bound cofactors for t in {3, 5}, the tail
 positivity used in the even-order subcases, and an exact cross-check that
-the assembled comparison bound f(5, x) collapses to its factored polynomial
-form in the field Q(x)[sqrt(x**2+4)].
+the assembled comparison bound f(5, x) equals its factored polynomial form,
+as an identity of integer polynomials in z.
 """
 
 from __future__ import annotations
@@ -38,22 +48,29 @@ from .closedforms import (
     T3_QUADRATIC,
 )
 from .polynomials import (
+    ONE,
+    X,
     IntPolynomial,
     cauchy_bound,
-    q_divmod,
-    q_trim,
+    reverse,
     squarefree_decomposition,
     squarefree_part,
     sturm_chain,
     variations_at,
 )
-from .roots import RootEnclosure, _bisect_once, _isolate_squarefree
+from .roots import _bisect_once, _isolate_squarefree
 
 DOMAINS = ("R", "R\\{0}", "(0,inf)", "(-inf,0)")
 SIGNS = ("positive", "negative", "nonnegative", "nonpositive")
 
-# sqrt(x**2 + 4) squared, the only radical the reduction rules handle.
+# sqrt(x**2 + 4) squared; t**2 - 1 and t**2 + 1 (t = x or z); 1 + w.
 RADICAL_SQ = IntPolynomial((4, 0, 1))
+_SQ_MINUS_1 = IntPolynomial((-1, 0, 1))
+_SQ_PLUS_1 = IntPolynomial((1, 0, 1))
+_ONE_PLUS_W = IntPolynomial((1, 1))
+
+# Version of the certificate JSON; certificate_from_json accepts no other.
+CERT_FORMAT = 2
 
 
 @dataclass(frozen=True)
@@ -63,8 +80,9 @@ class SignCertificate:
     For ``rule == "sturm"`` the evidence is a root count of the square-free
     part on the domain plus one exact sample sign; the stored chain supports
     re-verification by evaluation (the chain's remainder structure itself is
-    trusted, everything else is re-checked).  Radical rules carry their two
-    sub-certificates instead.
+    trusted, everything else is re-checked).  For ``rule == "z-substitution"``
+    the evidence is one Sturm sub-certificate of the polynomial in w (module
+    docstring), and the sample point is the image of its sample in x.
     """
 
     claim_id: str
@@ -151,7 +169,6 @@ def _witness_interval(core: IntPolynomial, domain: str) -> tuple[Fraction, Fract
     for enc in _isolate_squarefree(core):
         cand = enc
         for _ in range(256):
-            mid = (cand.lo + cand.hi) / 2
             if _in_domain(cand.lo, domain) and _in_domain(cand.hi, domain):
                 return cand.lo, cand.hi
             cand = _bisect_once(core, cand)
@@ -220,6 +237,47 @@ def certify_poly_sign(
     return Refutation(claim_id, asserted_sign, domain, p, lo, hi, reason)
 
 
+def _in_z(p: IntPolynomial, d: int) -> IntPolynomial:
+    """z**d * p(z - 1/z) as a polynomial in z; needs d >= deg p."""
+    out = IntPolynomial(())
+    for k, c in enumerate(p.coeffs):
+        out = out + IntPolynomial.x_power(d - k, c) * _SQ_MINUS_1 ** k
+    return out
+
+
+def _shift_one(p: IntPolynomial) -> IntPolynomial:
+    """p(1 + w), by Horner's rule."""
+    out = IntPolynomial(())
+    for c in reversed(p.coeffs):
+        out = out * _ONE_PLUS_W + IntPolynomial.constant(c)
+    return out
+
+
+# z as a function of w for each x-domain a radical certificate accepts
+_Z_OF_W = {
+    "R": lambda w: w,
+    "(0,inf)": lambda w: 1 + w,
+    "(-inf,0)": lambda w: 1 / (1 + w),
+}
+
+
+def _x_of_w(w: Fraction, domain: str) -> Fraction:
+    z = _Z_OF_W[domain](w)
+    return z - 1 / z
+
+
+def _radical_in_w(a: IntPolynomial, b: IntPolynomial, domain: str) -> IntPolynomial:
+    """The polynomial in w whose sign on (0,inf) is that of a + b*sqrt(x**2+4)
+    on the x-domain (the table in the module docstring)."""
+    d = max(a.degree, b.degree + 1)
+    p = _in_z(a, d) + _in_z(b, d - 1) * _SQ_PLUS_1
+    if domain == "R":
+        return p
+    if domain == "(0,inf)":
+        return _shift_one(p)
+    return _shift_one(reverse(p, p.degree))
+
+
 def certify_radical_sign(
     a: IntPolynomial,
     b: IntPolynomial,
@@ -227,69 +285,41 @@ def certify_radical_sign(
     asserted_sign: str,
     claim_id: str = "",
 ) -> SignCertificate | Refutation:
-    """Certify the sign of a(x) + b(x) * sqrt(x**2 + 4) on a domain.
+    """Certify (or refute) the sign of a(x) + b(x) * sqrt(x**2 + 4) on a domain.
 
-    Tries the domination rule first (the radical term outweighs a), then the
-    same-sign composition rule.  Only strict signs are supported.
+    The substitution x = z - 1/z followed by the map of the domain onto
+    w in (0, inf) turns the expression into one polynomial in w with the same
+    sign (table in the module docstring).  Its Sturm certificate on (0,inf)
+    decides the claim exactly, for every sign; a refutation carries the
+    witness mapped back to x.  The domain is R, (0,inf) or (-inf,0); R\\{0}
+    is rejected, because z in (0,1) u (1,inf) is not one half-line in w.
     """
     if b.is_zero:
         raise ValueError("radical part must be nonzero; use certify_poly_sign")
-    if not _strict(asserted_sign):
-        raise ValueError("radical certificates support strict signs only")
-    want = _sign_target(asserted_sign)
-    b_sign = "positive" if want > 0 else "negative"
-
-    # Rule 1: |a| < sqrt(x^2+4) |b| everywhere on the domain, b decides.
-    b_cert = certify_poly_sign(b, domain, b_sign, claim_id + "/radical-part")
-    if isinstance(b_cert, SignCertificate):
-        norm = a * a - RADICAL_SQ * b * b
-        norm_cert = certify_poly_sign(
-            norm, domain, "negative", claim_id + "/norm"
+    if domain not in _Z_OF_W:
+        raise ValueError(
+            "radical certificates need domain R, (0,inf) or (-inf,0), got %r" % domain
         )
-        if isinstance(norm_cert, SignCertificate):
-            return SignCertificate(
-                claim_id=claim_id,
-                asserted_sign=asserted_sign,
-                domain=domain,
-                polynomial=a,
-                radical_part=b,
-                rule="radical-domination",
-                root_count=0,
-                bound=max(b_cert.bound, norm_cert.bound),
-                sample_point=b_cert.sample_point,
-                sample_sign=want,
-                variation_counts=(),
-                chain=(),
-                sub_certificates=(b_cert, norm_cert),
-            )
-
-    # Rule 2: a and b share the asserted strict sign.
-    a_cert = certify_poly_sign(a, domain, b_sign, claim_id + "/poly-part")
-    b_cert2 = certify_poly_sign(b, domain, b_sign, claim_id + "/radical-part")
-    if isinstance(a_cert, SignCertificate) and isinstance(b_cert2, SignCertificate):
-        return SignCertificate(
-            claim_id=claim_id,
-            asserted_sign=asserted_sign,
-            domain=domain,
-            polynomial=a,
-            radical_part=b,
-            rule="radical-same-sign",
-            root_count=0,
-            bound=max(a_cert.bound, b_cert2.bound),
-            sample_point=a_cert.sample_point,
-            sample_sign=want,
-            variation_counts=(),
-            chain=(),
-            sub_certificates=(a_cert, b_cert2),
-        )
-    return Refutation(
-        claim_id,
-        asserted_sign,
-        domain,
-        a,
-        Fraction(0),
-        Fraction(0),
-        "neither radical reduction rule applies",
+    sub = certify_poly_sign(
+        _radical_in_w(a, b, domain), "(0,inf)", asserted_sign, claim_id + "/w"
+    )
+    if isinstance(sub, Refutation):
+        lo, hi = sorted(_x_of_w(w, domain) for w in (sub.witness_lo, sub.witness_hi))
+        return Refutation(claim_id, asserted_sign, domain, a, lo, hi, sub.reason)
+    return SignCertificate(
+        claim_id=claim_id,
+        asserted_sign=asserted_sign,
+        domain=domain,
+        polynomial=a,
+        radical_part=b,
+        rule="z-substitution",
+        root_count=sub.root_count,
+        bound=sub.bound,
+        sample_point=_x_of_w(sub.sample_point, domain),
+        sample_sign=sub.sample_sign,
+        variation_counts=(),
+        chain=(),
+        sub_certificates=(sub,),
     )
 
 
@@ -327,36 +357,31 @@ def verify_certificate(cert: SignCertificate) -> bool:
             if count != cert.root_count:
                 return False
         return True
-    if cert.rule in ("radical-domination", "radical-same-sign"):
-        if len(cert.sub_certificates) != 2 or cert.radical_part is None:
+    if cert.rule == "z-substitution":
+        if (
+            cert.radical_part is None
+            or cert.domain not in _Z_OF_W
+            or len(cert.sub_certificates) != 1
+        ):
             return False
-        first, second = cert.sub_certificates
-        if not (verify_certificate(first) and verify_certificate(second)):
-            return False
-        want = _sign_target(cert.asserted_sign)
-        b_sign = "positive" if want > 0 else "negative"
-        if cert.rule == "radical-domination":
-            norm = (
-                cert.polynomial * cert.polynomial
-                - RADICAL_SQ * cert.radical_part * cert.radical_part
-            )
-            return (
-                first.polynomial == cert.radical_part
-                and first.asserted_sign == b_sign
-                and second.polynomial == norm
-                and second.asserted_sign == "negative"
-            )
+        (sub,) = cert.sub_certificates
+        # the polynomial in w is recomputed, never taken from the certificate
         return (
-            first.polynomial == cert.polynomial
-            and second.polynomial == cert.radical_part
-            and first.asserted_sign == b_sign
-            and second.asserted_sign == b_sign
+            sub.rule == "sturm"
+            and sub.domain == "(0,inf)"
+            and sub.asserted_sign == cert.asserted_sign
+            and sub.polynomial
+            == _radical_in_w(cert.polynomial, cert.radical_part, cert.domain)
+            and sub.root_count == cert.root_count
+            and sub.sample_sign == cert.sample_sign
+            and _x_of_w(sub.sample_point, cert.domain) == cert.sample_point
+            and verify_certificate(sub)
         )
     return False
 
 
 def certificate_to_json(cert: SignCertificate) -> str:
-    return json.dumps(_cert_dict(cert), indent=2)
+    return json.dumps({"format": CERT_FORMAT, **_cert_dict(cert)}, indent=2)
 
 
 def _cert_dict(cert: SignCertificate) -> dict:
@@ -380,7 +405,12 @@ def _cert_dict(cert: SignCertificate) -> dict:
 
 
 def certificate_from_json(text: str) -> SignCertificate:
-    return _cert_from_dict(json.loads(text))
+    data = json.loads(text)
+    if data.get("format") != CERT_FORMAT:
+        raise ValueError(
+            "certificate format %r, expected %d" % (data.get("format"), CERT_FORMAT)
+        )
+    return _cert_from_dict(data)
 
 
 def _cert_from_dict(data: dict) -> SignCertificate:
@@ -412,193 +442,65 @@ def _cert_from_dict(data: dict) -> SignCertificate:
 
 
 # ---------------------------------------------------------------------------
-# Exact arithmetic in Q(x)[sqrt(x**2+4)] for the cross-assembly identity.
+# The cross-assembly identity in z.
 # ---------------------------------------------------------------------------
 
 
-def _qp_mul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return q_trim(out)
+@dataclass(frozen=True)
+class ZTerm:
+    """z**e * p(z) / (z**2 + 1)**k, the shape of every f(5, x) quantity in z."""
 
-
-def _qp_add(a, b):
-    out = list(a) if len(a) >= len(b) else list(b)
-    small = b if len(a) >= len(b) else a
-    for i, c in enumerate(small):
-        out[i] += c
-    return q_trim(out)
-
-
-def _qp_neg(a):
-    return [-c for c in a]
-
-
-def _qp_gcd(a, b):
-    a, b = q_trim(list(a)), q_trim(list(b))
-    while b:
-        a, b = b, q_divmod(a, b)[1]
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
-
-
-def _qp_div(a, b):
-    quo, rem = q_divmod(list(a), list(b))
-    if q_trim(list(rem)):
-        raise ValueError("inexact rational-polynomial division")
-    return quo
-
-
-class RationalFunc:
-    """Reduced fraction of Fraction-coefficient polynomials, monic bottom."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=None, reduce: bool = True):
-        num = q_trim([Fraction(c) for c in num])
-        den = q_trim([Fraction(c) for c in (den if den is not None else [1])])
-        if not den:
-            raise ZeroDivisionError("rational function with zero denominator")
-        if reduce and num:
-            g = _qp_gcd(num, den)
-            if len(g) > 1:
-                num = _qp_div(num, g)
-                den = _qp_div(den, g)
-        if not num:
-            den = [Fraction(1)]
-        else:
-            lead = den[-1]
-            if lead != 1:
-                num = [c / lead for c in num]
-                den = [c / lead for c in den]
-        self.num = tuple(num)
-        self.den = tuple(den)
+    p: IntPolynomial
+    e: int = 0
+    k: int = 0
 
     @classmethod
-    def from_int_poly(cls, p: IntPolynomial) -> "RationalFunc":
-        return cls([Fraction(c) for c in p.coeffs])
+    def from_x(cls, p: IntPolynomial) -> "ZTerm":
+        """p(x) at x = z - 1/z."""
+        return cls(_in_z(p, p.degree), -p.degree)
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.num
+    def over(self, e: int, k: int) -> IntPolynomial:
+        """Numerator of self over z**e / (z**2 + 1)**k; e <= self.e, k >= self.k."""
+        return self.p * IntPolynomial.x_power(self.e - e) * _SQ_PLUS_1 ** (k - self.k)
 
-    def __add__(self, other):
-        return RationalFunc(
-            _qp_add(_qp_mul(self.num, other.den), _qp_mul(other.num, self.den)),
-            _qp_mul(self.den, other.den),
-        )
+    def __add__(self, other: "ZTerm") -> "ZTerm":
+        e, k = min(self.e, other.e), max(self.k, other.k)
+        return ZTerm(self.over(e, k) + other.over(e, k), e, k)
 
-    def __sub__(self, other):
-        return RationalFunc(
-            _qp_add(_qp_mul(self.num, other.den), _qp_neg(_qp_mul(other.num, self.den))),
-            _qp_mul(self.den, other.den),
-        )
+    def __neg__(self) -> "ZTerm":
+        return ZTerm(-self.p, self.e, self.k)
 
-    def __mul__(self, other):
-        return RationalFunc(_qp_mul(self.num, other.num), _qp_mul(self.den, other.den))
+    def __sub__(self, other: "ZTerm") -> "ZTerm":
+        return self + (-other)
 
-    def __truediv__(self, other):
-        if other.is_zero:
-            raise ZeroDivisionError
-        return RationalFunc(_qp_mul(self.num, other.den), _qp_mul(self.den, other.num))
+    def __mul__(self, other: "ZTerm") -> "ZTerm":
+        return ZTerm(self.p * other.p, self.e + other.e, self.k + other.k)
 
-    def __neg__(self):
-        return RationalFunc(_qp_neg(list(self.num)), list(self.den), reduce=False)
-
-    def __eq__(self, other):
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
+    def __pow__(self, n: int) -> "ZTerm":
+        return ZTerm(self.p ** n, self.e * n, self.k * n)
 
 
-def _rf_const(c) -> RationalFunc:
-    return RationalFunc([Fraction(c)])
+def assembled_f5_exact() -> ZTerm:
+    """The assembled bound f(5, x) at x = z - 1/z, exactly.
 
+    Follows ``closedforms.closed_form_sample`` with z1 = z, z2 = -1/z,
+    1/(z1**2 + 1) = 1/(z**2 + 1), 1/(z2**2 + 1) = z**2/(z**2 + 1) and
+    1/(x**2 + 4) = z**2/(z**2 + 1)**2.
+    """
+    one, two = ZTerm(ONE), ZTerm(IntPolynomial.constant(2))
+    z1, z2 = ZTerm(X), ZTerm(-ONE, -1)
+    inv1, inv2 = ZTerm(ONE, 0, 1), ZTerm(ONE, 2, 1)
+    h = ZTerm(ONE, 2, 2)
+    f8, f7 = ZTerm.from_x(F8), ZTerm.from_x(F7)
+    a1 = -((z1 * f8 + f7) * inv1) * z2 ** 7
+    a2 = -((z2 * f8 + f7) * inv2) * z1 ** 7
 
-class SqrtExtension:
-    """Element u + v * s of Q(x)[s] with s**2 = x**2 + 4."""
-
-    __slots__ = ("u", "v")
-
-    _D = RationalFunc([Fraction(4), Fraction(0), Fraction(1)])
-
-    def __init__(self, u: RationalFunc, v: RationalFunc):
-        self.u = u
-        self.v = v
-
-    @classmethod
-    def from_poly(cls, p: IntPolynomial) -> "SqrtExtension":
-        return cls(RationalFunc.from_int_poly(p), _rf_const(0))
-
-    @classmethod
-    def constant(cls, c) -> "SqrtExtension":
-        return cls(_rf_const(c), _rf_const(0))
-
-    def __add__(self, other):
-        return SqrtExtension(self.u + other.u, self.v + other.v)
-
-    def __sub__(self, other):
-        return SqrtExtension(self.u - other.u, self.v - other.v)
-
-    def __mul__(self, other):
-        return SqrtExtension(
-            self.u * other.u + self._D * self.v * other.v,
-            self.u * other.v + self.v * other.u,
-        )
-
-    def __neg__(self):
-        return SqrtExtension(-self.u, -self.v)
-
-    def inverse(self) -> "SqrtExtension":
-        norm = self.u * self.u - self._D * self.v * self.v
-        if norm.is_zero:
-            raise ZeroDivisionError("non-invertible extension element")
-        return SqrtExtension(self.u / norm, -(self.v / norm))
-
-    def __truediv__(self, other):
-        return self * other.inverse()
-
-    def __pow__(self, k: int) -> "SqrtExtension":
-        result = SqrtExtension.constant(1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
-
-def assembled_f5_exact() -> tuple[RationalFunc, RationalFunc]:
-    """(rational part, radical part) of the assembled bound f(5, x)."""
-    x = SqrtExtension(RationalFunc([0, 1]), _rf_const(0))
-    s = SqrtExtension(_rf_const(0), _rf_const(1))
-    half = SqrtExtension.constant(Fraction(1, 2))
-    one = SqrtExtension.constant(1)
-    two = SqrtExtension.constant(2)
-
-    z1 = (x + s) * half
-    z2 = (x - s) * half
-    f8 = SqrtExtension.from_poly(F8)
-    f7 = SqrtExtension.from_poly(F7)
-    a1 = -((z1 * f8 + f7) / (z1 * z1 + one)) * z2 ** 7
-    a2 = -((z2 * f8 + f7) / (z2 * z2 + one)) * z1 ** 7
-
-    h = SqrtExtension.from_poly(RADICAL_SQ).inverse()
     t = 5
     z1sq, z2sq = z1 * z1, z2 * z2
-    b11 = z1sq * (z1sq + two) / ((z1sq + one) ** 2) - z2 ** (2 * t - 2) * h
-    b12 = -(two * z2 ** (t - 2)) / (z1sq + one)
-    b21 = z2sq * (z2sq + two) / ((z2sq + one) ** 2) - z1 ** (2 * t - 2) * h
-    b22 = -(two * z1 ** (t - 2)) / (z2sq + one)
+    b11 = z1sq * (z1sq + two) * inv1 ** 2 - z2 ** (2 * t - 2) * h
+    b12 = -(two * z2 ** (t - 2) * inv1)
+    b21 = z2sq * (z2sq + two) * inv2 ** 2 - z1 ** (2 * t - 2) * h
+    b22 = -(two * z1 ** (t - 2) * inv2)
 
     b1sq = b11 * b11 + b12 * b12
     b2sq = b21 * b21 + b22 * b22
@@ -609,18 +511,16 @@ def assembled_f5_exact() -> tuple[RationalFunc, RationalFunc]:
 
     z1_4 = z1sq * z1sq
     z2_4 = z2sq * z2sq
-    f5 = (
+    return (
         alpha * (z1_4 - z2_4)
         + beta * z1 ** (2 * t) * (z1_4 - one)
         + gamma * z2 ** (2 * t) * (one - z2_4)
     )
-    return f5.u, f5.v
 
 
 def f5_factored_poly() -> IntPolynomial:
     """The factored polynomial form of f(5, x)."""
-    x2p1 = IntPolynomial((1, 0, 1))
-    return -1 * IntPolynomial((0, 0, 1)) * x2p1 * x2p1 * F5_QUARTIC * F5_DEG12
+    return -1 * X * X * _SQ_PLUS_1 * _SQ_PLUS_1 * F5_QUARTIC * F5_DEG12
 
 
 # ---------------------------------------------------------------------------
@@ -693,13 +593,23 @@ def _poly_claim(
 ) -> ClaimResult:
     outcome = certify_poly_sign(p, domain, sign, claim_id)
     grid_points, grid_ok = _grid_check(p, domain, sign)
+    return _claim(claim_id, description, outcome, grid_points, grid_ok)
+
+
+def _claim(
+    claim_id: str,
+    description: str,
+    outcome: SignCertificate | Refutation,
+    grid_points: int = 0,
+    grid_ok: bool = True,
+) -> ClaimResult:
     if isinstance(outcome, SignCertificate):
         return ClaimResult(
             claim_id,
             description,
             ok=grid_ok,
-            evidence="sturm-certificate",
-            root_counts=((domain, outcome.root_count),),
+            evidence="sturm-certificate" if outcome.rule == "sturm" else outcome.rule,
+            root_counts=((outcome.domain, outcome.root_count),),
             grid_points=grid_points,
             grid_ok=grid_ok,
             detail="sample p(%s) sign %+d" % (outcome.sample_point, outcome.sample_sign),
@@ -764,7 +674,7 @@ def run_claim_suite(pq_polys=None) -> ClaimSuiteReport:
     # C4: exact factorisation identity plus positivity of the cofactor.
     p4, q4 = pq_polys[4]
     lhs = p4 * p4 - RADICAL_SQ * q4 * q4
-    rhs = 4 * (IntPolynomial((1, 0, 1)) ** 2) * C4_COFACTOR
+    rhs = 4 * (_SQ_PLUS_1 ** 2) * C4_COFACTOR
     identity_ok = lhs == rhs
     cof = _poly_claim(
         "C4",
@@ -796,48 +706,18 @@ def run_claim_suite(pq_polys=None) -> ClaimSuiteReport:
     ):
         results.append(_poly_claim(claim_id, desc, poly, "R", "positive"))
 
-    # C7: tail positivity for the even-order subcases through the radical rule.
+    # C7: tail positivity for the even-order subcases, in z.
     p0, q0 = pq_polys[0]
-    for claim_id, desc, a, b, domain in (
-        ("C7/pos", "p_0 + q_0 > 0 on (0,inf)", p0, q0, "(0,inf)"),
-        ("C7/neg", "p_0 - q_0 > 0 on (-inf,0)", p0, -1 * q0, "(-inf,0)"),
+    for claim_id, desc, b, domain in (
+        ("C7/pos", "p_0 + q_0 > 0 on (0,inf)", q0, "(0,inf)"),
+        ("C7/neg", "p_0 - q_0 > 0 on (-inf,0)", -q0, "(-inf,0)"),
     ):
-        outcome = certify_radical_sign(a, b, domain, "positive", claim_id)
-        grid_ok = True
-        if isinstance(outcome, SignCertificate):
-            results.append(
-                ClaimResult(
-                    claim_id,
-                    desc,
-                    ok=True,
-                    evidence=outcome.rule,
-                    root_counts=tuple(
-                        (c.claim_id, c.root_count) for c in outcome.sub_certificates
-                    ),
-                    grid_points=0,
-                    grid_ok=grid_ok,
-                    certificates=(outcome,),
-                )
-            )
-        else:
-            results.append(
-                ClaimResult(
-                    claim_id,
-                    desc,
-                    ok=False,
-                    evidence="refuted",
-                    root_counts=(),
-                    grid_points=0,
-                    grid_ok=False,
-                    detail=outcome.reason,
-                    refutations=(outcome,),
-                )
-            )
+        outcome = certify_radical_sign(p0, b, domain, "positive", claim_id)
+        results.append(_claim(claim_id, desc, outcome))
 
     # C8: assembled f(5, x) equals its factored polynomial form, exactly.
-    rational_part, radical_part = assembled_f5_exact()
-    expected = RationalFunc.from_int_poly(f5_factored_poly())
-    exact_ok = radical_part.is_zero and rational_part == expected
+    difference = assembled_f5_exact() - ZTerm.from_x(f5_factored_poly())
+    exact_ok = difference.p.is_zero
     grid_points, grid_ok = _c8_grid()
     results.append(
         ClaimResult(
@@ -848,7 +728,7 @@ def run_claim_suite(pq_polys=None) -> ClaimSuiteReport:
             root_counts=(),
             grid_points=grid_points,
             grid_ok=grid_ok,
-            detail="radical part zero: %s" % radical_part.is_zero,
+            detail="identity in z over (z^2+1)^%d: %s" % (difference.k, exact_ok),
         )
     )
 

@@ -164,65 +164,3 @@ def _matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
                 for j in range(n):
                     row_out[j] += aik * row_b[j]
     return out
-
-
-# ---------------------------------------------------------------------------
-# Matchings of forests (independent of the coefficient identity).
-# ---------------------------------------------------------------------------
-
-
-def matching_count(g: Graph, k: int) -> int:
-    """Number of k-edge matchings of a forest, by direct tree DP."""
-    if k < 0:
-        raise ValueError("negative matching size")
-    comps = connected_components(g)
-    if g.edge_count != g.n - len(comps):
-        raise ValueError("matching_count expects a forest")
-    total = [1]
-    for comp in comps:
-        sub = induced_subgraph(g, comp)
-        free, matched = _matchings_rooted(sub, 0, None)
-        comp_counts = _add_lists(free, matched)
-        total = _convolve(total, comp_counts)
-    return total[k] if k < len(total) else 0
-
-
-def _matchings_rooted(g: Graph, v: int, parent) -> tuple[list[int], list[int]]:
-    """Counts by matching size: (root unmatched, root matched to a child)."""
-    free = [1]
-    matched = [0]
-    for w in g.neighbors(v):
-        if w == parent:
-            continue
-        w_free, w_matched = _matchings_rooted(g, w, v)
-        w_any = _add_lists(w_free, w_matched)
-        new_free = _convolve(free, w_any)
-        # either v was already matched deeper in, or v matches w now
-        new_matched = _add_lists(
-            _convolve(matched, w_any),
-            _shift(_convolve(free, w_free), 1),
-        )
-        free, matched = new_free, new_matched
-    return free, matched
-
-
-def _convolve(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _add_lists(a: list[int], b: list[int]) -> list[int]:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] += c
-    return out
-
-
-def _shift(a: list[int], k: int) -> list[int]:
-    return [0] * k + a

@@ -127,7 +127,7 @@ def _cmd_energy(args) -> int:
             row["exact"] = e.value
             row["exact_radius"] = e.radius
         if args.method in ("eig", "all"):
-            e = energy_eigensolver(g, max(args.tol, 1e-8))
+            e = energy_eigensolver(g, args.tol)
             row["eig"] = e.value
         if args.method in ("coulson", "all"):
             e = energy_coulson(g, args.tol)
@@ -272,10 +272,18 @@ def _cmd_closed_form_check(args) -> int:
     return EXIT_OK if worst <= 1e-9 else EXIT_GOLDEN
 
 
+def positive_float(text: str) -> float:
+    """argparse type for --tol: a float > 0, else a usage error (exit 2)."""
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError("must be positive, got %r" % text)
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    common.add_argument("--tol", type=float, default=1e-7)
+    common.add_argument("--tol", type=positive_float, default=1e-7)
 
     parser = argparse.ArgumentParser(
         prog="ucenergy",

@@ -21,7 +21,7 @@ from heapq import heappush, heappop
 
 from .charpoly import charpoly
 from .graphs import Graph
-from .polynomials import IntPolynomial
+from .polynomials import IntPolynomial, reverse
 from .roots import ConvergenceError, EnergyValue
 
 # Gauss-Kronrod 7-15 nodes and weights on [-1, 1] (QUADPACK constants).
@@ -127,30 +127,10 @@ def modulus_sq_at_ix(p: IntPolynomial) -> IntPolynomial:
 def coulson_bracket(p: IntPolynomial) -> IntPolynomial:
     """Bracket of the explicit energy formula, an even positive polynomial.
 
-    With p monic of degree n and descending coefficients a_0..a_n, this is
-    (sum (-1)^k a_{2k} x^{2k})**2 + (sum (-1)^k a_{2k+1} x^{2k+1})**2,
-    which equals |x**n p(i/x)|**2 and is 1 at x = 0.
+    This is |x**n p(i/x)|**2 for p of degree n, that is the reversal of
+    |p(ix)|**2 at degree 2n; it is 1 at x = 0 when p is monic.
     """
-    n = p.degree
-    even = [0] * (n + 2)
-    odd = [0] * (n + 2)
-    for k in range(n + 1):
-        a_k = p.coeff(n - k)  # a_k multiplies x**(n-k)
-        if k % 2 == 0:
-            even[k] = (-1) ** (k // 2) * a_k
-        else:
-            odd[k] = (-1) ** ((k - 1) // 2) * a_k
-    e = IntPolynomial.from_coeffs(even)
-    o = IntPolynomial.from_coeffs(odd)
-    return e * e + o * o
-
-
-def _reverse(p: IntPolynomial, degree: int) -> IntPolynomial:
-    """x**degree * p(1/x) as a polynomial (degree >= deg p)."""
-    coeffs = [0] * (degree + 1)
-    for j, c in enumerate(p.coeffs):
-        coeffs[degree - j] = c
-    return IntPolynomial.from_coeffs(coeffs)
+    return reverse(modulus_sq_at_ix(p), 2 * p.degree)
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +148,7 @@ def energy_coulson(g: Graph, tol: float = 1e-7) -> EnergyValue:
     bracket = coulson_bracket(p)
     half_deg = bracket.degree // 2
     stripped = (bracket - IntPolynomial((1,))).shift_down(2)
-    tail_poly = _reverse(bracket, bracket.degree)
+    tail_poly = reverse(bracket, bracket.degree)
 
     def integrand_near(x: float) -> float:
         if x == 0.0:
@@ -206,8 +186,8 @@ def energy_diff_coulson(g1: Graph, g2: Graph, tol: float = 1e-7) -> float:
         return math.log(core1(x)) - math.log(core2(x))
 
     n2 = 2 * g1.n
-    tail1 = (_reverse(m1, n2) - IntPolynomial((1,))).shift_down(2)
-    tail2 = (_reverse(m2, n2) - IntPolynomial((1,))).shift_down(2)
+    tail1 = (reverse(m1, n2) - IntPolynomial((1,))).shift_down(2)
+    tail2 = (reverse(m2, n2) - IntPolynomial((1,))).shift_down(2)
 
     def integrand_far(y: float) -> float:
         if y == 0.0:

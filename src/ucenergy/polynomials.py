@@ -234,6 +234,14 @@ ONE = IntPolynomial((1,))
 X = IntPolynomial((0, 1))
 
 
+def reverse(p: IntPolynomial, degree: int) -> IntPolynomial:
+    """x**degree * p(1/x) as a polynomial (degree >= deg p)."""
+    coeffs = [0] * (degree + 1)
+    for j, c in enumerate(p.coeffs):
+        coeffs[degree - j] = c
+    return IntPolynomial.from_coeffs(coeffs)
+
+
 # ---------------------------------------------------------------------------
 # Rational-coefficient helpers (lists of Fraction, ascending order).
 # ---------------------------------------------------------------------------

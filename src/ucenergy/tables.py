@@ -89,16 +89,3 @@ def compute_table(table_id: int, tol: float = 1e-7) -> list[TableRow]:
         raise ValueError("table id must be 1, 2 or 3")
     return rows
 
-
-def table_pairs(table_id: int) -> list[tuple]:
-    """Graph pairs behind each table row, for cross-route difference checks.
-
-    Tables 1 and 2 pair L(n,t) with L(n,6); table 3 pairs L(n,t) with C(n).
-    """
-    if table_id == 1:
-        return [((17, t), (17, 6)) for t, _ in load_table(1)]
-    if table_id == 2:
-        return [((n, t), (n, 6)) for n, t, _ in load_table(2)]
-    if table_id == 3:
-        return [((n, t), (n, None)) for n, t, _, _ in load_table(3)]
-    raise ValueError("table id must be 1, 2 or 3")

@@ -2,8 +2,9 @@
 
 Nothing in here may call into ucenergy's generators, canonical forms, or
 recurrences: counts come from labeled exhaustion with isomorphism dedup
-(networkx VF2), matchings from subset enumeration, and the graph6 reference
-encoder is a literal transcription of the published format description.
+(networkx VF2), matchings from subset enumeration or a forest DP, and the
+graph6 reference encoder is a literal transcription of the published format
+description.
 """
 
 from __future__ import annotations
@@ -115,6 +116,65 @@ def matchings_brute(n: int, edges, k: int) -> int:
         if ok:
             count += 1
     return count
+
+
+def matching_count(g, k: int) -> int:
+    """Number of k-edge matchings of a forest, by direct tree DP."""
+    if k < 0:
+        raise ValueError("negative matching size")
+    adj = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    seen: set[int] = set()
+    total = [1]
+    trees = 0
+    for root in range(g.n):
+        if root not in seen:
+            trees += 1
+            free, matched = _matchings_rooted(adj, root, seen)
+            total = _convolve(total, _add_lists(free, matched))
+    if len(g.edges) != g.n - trees:
+        raise ValueError("matching_count expects a forest")
+    return total[k] if k < len(total) else 0
+
+
+def _matchings_rooted(adj, v: int, seen: set) -> tuple[list[int], list[int]]:
+    """Counts by matching size: (root unmatched, root matched to a child)."""
+    seen.add(v)
+    free = [1]
+    matched = [0]
+    for w in adj[v]:
+        if w in seen:
+            continue
+        w_free, w_matched = _matchings_rooted(adj, w, seen)
+        w_any = _add_lists(w_free, w_matched)
+        new_free = _convolve(free, w_any)
+        # either v was already matched deeper in, or v matches w now
+        new_matched = _add_lists(
+            _convolve(matched, w_any),
+            [0] + _convolve(free, w_free),
+        )
+        free, matched = new_free, new_matched
+    return free, matched
+
+
+def _convolve(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _add_lists(a: list[int], b: list[int]) -> list[int]:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    return out
 
 
 def graph6_reference(n: int, edges) -> str:

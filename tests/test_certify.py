@@ -1,3 +1,6 @@
+import dataclasses
+import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -12,13 +15,13 @@ from ucenergy.certify import (
     RADICAL_SQ,
     Refutation,
     SignCertificate,
+    ZTerm,
     assembled_f5_exact,
     certificate_from_json,
     certificate_to_json,
     certify_poly_sign,
     certify_radical_sign,
     f5_factored_poly,
-    RationalFunc,
     run_claim_suite,
     verify_certificate,
 )
@@ -69,38 +72,92 @@ def test_nonnegative_allows_even_touch_points():
     assert isinstance(certify_poly_sign(p, "R", "positive"), Refutation)
 
 
+def radical_value(a, b, x):
+    """a(x) + b(x) * sqrt(x^2 + 4) in floating point."""
+    x = float(x)
+    return float(a(x)) + float(b(x)) * math.sqrt(x * x + 4.0)
+
+
 def test_radical_certificates():
-    # p1 + q1 > 0 and p2 - q2 < 0 via the domination rule
+    # p1 + q1 > 0 and p2 - q2 < 0 on the whole line
     c = certify_radical_sign(P_POLYS[1], Q_POLYS[1], "R", "positive")
-    assert isinstance(c, SignCertificate) and c.rule == "radical-domination"
+    assert isinstance(c, SignCertificate) and c.rule == "z-substitution"
     assert verify_certificate(c)
     c = certify_radical_sign(P_POLYS[2], -1 * Q_POLYS[2], "R", "negative")
-    assert isinstance(c, SignCertificate) and c.rule == "radical-domination"
+    assert isinstance(c, SignCertificate) and c.rule == "z-substitution"
+    assert verify_certificate(c)
     # 0 + 1 * sqrt(x^2+4) > 0 everywhere
     c = certify_radical_sign(IntPolynomial(()), P(1), "R", "positive")
-    assert isinstance(c, SignCertificate)
+    assert isinstance(c, SignCertificate) and verify_certificate(c)
     with pytest.raises(ValueError):
         certify_radical_sign(P(1), IntPolynomial(()), "R", "positive")
+    # z in (0,1) u (1,inf) is not one half-line in w
+    with pytest.raises(ValueError):
+        certify_radical_sign(P(1), P(1), "R\\{0}", "positive")
 
 
-def test_radical_same_sign_rule():
-    # p0 +- q0 on half-lines: domination fails near 0, composition works
-    c = certify_radical_sign(P_POLYS[0], Q_POLYS[0], "(0,inf)", "positive")
-    assert isinstance(c, SignCertificate) and c.rule == "radical-same-sign"
-    c = certify_radical_sign(P_POLYS[0], -1 * Q_POLYS[0], "(-inf,0)", "positive")
-    assert isinstance(c, SignCertificate) and c.rule == "radical-same-sign"
-    assert verify_certificate(c)
+def test_radical_half_line_certificates():
+    # p0 +- q0 on the half-lines of C7, each one Sturm certificate in w
+    for b, domain in ((Q_POLYS[0], "(0,inf)"), (-1 * Q_POLYS[0], "(-inf,0)")):
+        c = certify_radical_sign(P_POLYS[0], b, domain, "positive")
+        assert isinstance(c, SignCertificate) and c.rule == "z-substitution"
+        (sub,) = c.sub_certificates
+        assert sub.domain == "(0,inf)" and sub.rule == "sturm"
+        assert verify_certificate(c)
+        assert radical_value(P_POLYS[0], b, c.sample_point) > 0
 
 
-def test_certificate_json_round_trip():
-    cert = certify_poly_sign(A_POSITIVITY, "R", "positive", "demo")
-    again = certificate_from_json(certificate_to_json(cert))
-    assert again == cert
-    assert verify_certificate(again)
-    radical = certify_radical_sign(P_POLYS[1], Q_POLYS[1], "R", "positive", "rad")
-    again = certificate_from_json(certificate_to_json(radical))
-    assert again == radical
-    assert verify_certificate(again)
+def test_true_radical_inequality_with_sign_mixed_parts_certifies():
+    # flipping q0's lowest coefficient keeps p0 + q0 > 0 on x > 0 (minimum
+    # about 102), although q0 then changes sign there
+    q = list(Q_POLYS[0].coeffs)
+    low = next(i for i, c in enumerate(q) if c)
+    q[low] = -q[low]
+    flipped = IntPolynomial.from_coeffs(q)
+    c = certify_radical_sign(P_POLYS[0], flipped, "(0,inf)", "positive")
+    assert isinstance(c, SignCertificate) and verify_certificate(c)
+    grid = [k / 100 for k in range(1, 1001)]
+    assert min(radical_value(P_POLYS[0], flipped, x) for x in grid) > 100
+
+
+def test_negated_radical_part_is_refuted_with_x_witness():
+    # p0 - q0 > 0 fails on x > 0: the witness is an x-interval in the domain
+    b = -1 * Q_POLYS[0]
+    r = certify_radical_sign(P_POLYS[0], b, "(0,inf)", "positive", "neg")
+    assert isinstance(r, Refutation)
+    assert 0 < r.witness_lo <= r.witness_hi
+    mid = (r.witness_lo + r.witness_hi) / 2
+    values = [radical_value(P_POLYS[0], b, x) for x in (r.witness_lo, mid, r.witness_hi)]
+    assert min(values) < 0
+
+
+def test_swapped_w_polynomial_fails_verification():
+    cert = certify_radical_sign(P_POLYS[0], Q_POLYS[0], "(0,inf)", "positive")
+    (sub,) = cert.sub_certificates
+    # a valid Sturm certificate, but of a different polynomial in w
+    other = certify_poly_sign(A_POSITIVITY, "(0,inf)", "positive")
+    assert verify_certificate(other)
+    swapped = dataclasses.replace(cert, sub_certificates=(other,))
+    assert not verify_certificate(swapped)
+    # the same w-polynomial under another x-domain does not verify either
+    moved = dataclasses.replace(cert, domain="R")
+    assert not verify_certificate(moved)
+
+
+def test_certificate_json_round_trip(claim_report):
+    certs = [c for r in claim_report.results for c in r.certificates]
+    assert any(c.rule == "z-substitution" for c in certs)
+    for cert in certs:
+        text = certificate_to_json(cert)
+        assert json.loads(text)["format"] == 2
+        again = certificate_from_json(text)
+        assert again == cert
+        assert verify_certificate(again)
+    data = json.loads(certificate_to_json(certs[0]))
+    for bad in (1, None):
+        data["format"] = bad
+        with pytest.raises(ValueError):
+            certificate_from_json(json.dumps(data))
 
 
 def test_tampered_certificate_fails_verification():
@@ -177,9 +234,17 @@ def test_mutation_is_refuted():
 
 
 def test_exact_cross_assembly_identity():
-    rational, radical = assembled_f5_exact()
-    assert radical.is_zero
-    assert rational == RationalFunc.from_int_poly(f5_factored_poly())
+    # f(5, x) = z^e N(z) / (z^2+1)^k at x = z - 1/z, and N equals
+    # (z^2+1)^k z^-e times the factored form evaluated at z - 1/z
+    f5 = assembled_f5_exact()
+    factored = f5_factored_poly()
+    g = ZTerm.from_x(factored)  # z^-22 * (z^22 * factored(z - 1/z))
+    assert g.e == -factored.degree
+    for z in (Fraction(1, 3), Fraction(2), Fraction(-5, 7)):
+        assert g.p(z) == z ** factored.degree * factored(z - 1 / z)
+    assert f5.k == 6 and f5.e <= g.e
+    rhs = P(1, 0, 1) ** f5.k * IntPolynomial.x_power(g.e - f5.e) * g.p
+    assert f5.p == rhs
 
 
 def test_sturm_count_respects_cauchy_bound():

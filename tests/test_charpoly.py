@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import matchings_brute
-from ucenergy.charpoly import charpoly, charpoly_reference, matching_count
+from oracles import matching_count, matchings_brute
+from ucenergy.charpoly import charpoly, charpoly_reference
 from ucenergy.graphs import (
     Graph,
     make_cycle,

@@ -1,0 +1,38 @@
+import json
+
+import pytest
+
+from ucenergy.certify import certificate_from_json, verify_certificate
+from ucenergy.cli import main
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["energy", "C:5", "--tol", "0"],
+        ["energy", "C:5", "--method", "eig", "--tol", "-1"],
+        ["energy", "C:5", "--tol", "nan"],
+    ],
+)
+def test_nonpositive_tolerance_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
+
+
+def test_certify_dumps_verifiable_certificates(capsys):
+    assert main(["certify", "C7", "--dump-certificates"]) == 0
+    out = capsys.readouterr().out
+    # the claim table comes first, then one JSON document per certificate
+    decoder = json.JSONDecoder()
+    certificates, pos = [], out.index("{")
+    while pos < len(out):
+        data, pos = decoder.raw_decode(out, pos)
+        certificates.append(data)
+        pos += len(out[pos:]) - len(out[pos:].lstrip())
+    assert len(certificates) == 2
+    for data in certificates:
+        cert = certificate_from_json(json.dumps(data))
+        assert cert.rule == "z-substitution"
+        assert verify_certificate(cert)

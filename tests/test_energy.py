@@ -12,7 +12,7 @@ from ucenergy.coulson import (
     integrate_adaptive,
     modulus_sq_at_ix,
 )
-from ucenergy.eigensolver import energy_eigensolver, jacobi_eigenvalues
+from ucenergy.eigensolver import energy_eigensolver
 from ucenergy.graphs import make_cycle, make_lollipop, make_path
 from ucenergy.roots import ConvergenceError, energy_of_poly
 
@@ -46,19 +46,15 @@ def test_modulus_polynomials_match_complex_evaluation():
             assert bracket(x) == pytest.approx(scaled, rel=1e-12)
 
 
-def test_jacobi_eigenvalues_match_known_spectrum():
-    a = [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
-    values, off = jacobi_eigenvalues(a)
-    assert off < 1e-12
-    assert sorted(round(v, 10) for v in values) == sorted(
-        round(v, 10) for v in (-math.sqrt(2), 0.0, math.sqrt(2))
-    )
-
-
 def test_eigensolver_energies():
     assert energy_eigensolver(make_cycle(6)).value == pytest.approx(8.0, abs=1e-8)
+    assert energy_eigensolver(make_path(3)).value == pytest.approx(
+        2.0 * math.sqrt(2.0), abs=1e-12
+    )
     e = energy_eigensolver(make_lollipop(4, 3))
     assert e.value > 4.0  # beats the 4-cycle
+    with pytest.raises(ValueError):
+        energy_eigensolver(make_cycle(5), 0.0)
 
 
 def test_coulson_energies():
