@@ -8,8 +8,9 @@ Graph selector syntax:
     g6:<string>          graph6-encoded graph
     g6:-                 read graph6 strings from stdin, one per line
 
-Exit codes: 0 success, 2 selector/argument parse error, 3 convergence
-failure, 4 golden-table mismatch, 5 refuted certificate.
+Exit codes: 0 success, 2 bad selector or argument (any ValueError the
+library raises for its input), 3 convergence failure, 4 golden-table
+mismatch, 5 refuted certificate.
 """
 
 from __future__ import annotations
@@ -345,8 +346,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SpecError as exc:
-        print(str(exc), file=sys.stderr)
+    except ValueError as exc:  # SpecError, and input the library rejects
+        print("ucenergy %s: %s" % (args.command, exc), file=sys.stderr)
         return EXIT_PARSE
     except ConvergenceError as exc:
         print("convergence failure: %s" % exc, file=sys.stderr)

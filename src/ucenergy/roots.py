@@ -1,13 +1,28 @@
 """Real-root isolation and graph energy from exact root enclosures.
 
-Roots are isolated by Sturm counting on the square-free factors (Yun
-decomposition supplies multiplicities) and then refined by sign bisection.
-All interval arithmetic is over exact rationals, so the reported energy
-carries a rigorous error radius.
+``energy_of_poly`` takes two routes to the same rigorous enclosures.
+
+The fast route verifies float seeds exactly, in the manner of Rump
+("Verification methods: rigorous results using floating-point arithmetic",
+Acta Numerica 2010).  Pure-Python Laguerre iteration with deflation, polished
+by Newton steps on the undeflated polynomial, gives a seed for every root.
+Each seed is rounded to a dyadic bracket [m - 1, m + 1] / 2**k, and the sign
+of p at both ends is checked in integer arithmetic: p(j / 2**k) * 2**(k*d) is
+an integer.  When a polynomial of degree d has d disjoint brackets, each with
+a strict sign change, each bracket holds exactly one simple root: all roots
+are real, isolated, and the polynomial is square-free.
+
+The fallback route, taken whenever that check fails (repeated eigenvalues,
+as in the cycles, or complex roots), splits the polynomial into square-free
+factors (Yun), tries the fast route on each, and isolates the roots of any
+factor that still fails by Sturm counting.  Enclosures narrower than the
+requested width come from sign bisection.  Both routes decide every sign
+exactly, so the reported energy carries a rigorous error radius.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,6 +35,9 @@ from .polynomials import (
 )
 
 _MAX_BISECTIONS = 4096
+_UNIT_ROUNDOFF = 2.0 ** -53
+_LAGUERRE_STEPS = 64
+_NEWTON_STEPS = 4
 
 
 class ConvergenceError(RuntimeError):
@@ -46,9 +64,6 @@ class RootEnclosure:
     @property
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2
-
-    def contains_zero(self) -> bool:
-        return self.lo < 0 < self.hi or self.lo == 0 == self.hi
 
 
 @dataclass(frozen=True)
@@ -92,8 +107,8 @@ def _isolate_squarefree(f: IntPolynomial) -> list[RootEnclosure]:
             out.append(RootEnclosure(lo, hi, 1))
             continue
         mid = _nonroot_split(f, lo, hi)
-        if mid is None:  # f has finitely many roots, so the grid search wins
-            raise AssertionError("no root-free split point found")
+        if mid is None:
+            raise ConvergenceError("no root-free split point found")
         left = variations_at(chain, lo) - variations_at(chain, mid)
         stack.append((lo, mid, left))
         stack.append((mid, hi, count - left))
@@ -146,13 +161,22 @@ def refine_enclosure(
     f: IntPolynomial, enc: RootEnclosure, width: Fraction
 ) -> RootEnclosure:
     """Bisect until the enclosure is narrower than ``width``."""
-    steps = 0
-    while enc.width > width:
-        enc = _bisect_once(f, enc)
-        steps += 1
-        if steps > _MAX_BISECTIONS:
-            raise ConvergenceError("bisection budget exhausted")
-    return enc
+    if enc.width <= width:
+        return enc
+    lo, hi = enc.lo, enc.hi
+    sign_lo = f.sign_at(lo)  # every later lo has this sign too
+    for _ in range(_MAX_BISECTIONS):
+        mid = (lo + hi) / 2
+        s = f.sign_at(mid)
+        if s == 0:
+            return RootEnclosure(mid, mid, enc.multiplicity)
+        if s == sign_lo:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= width:
+            return RootEnclosure(lo, hi, enc.multiplicity)
+    raise ConvergenceError("bisection budget exhausted")
 
 
 def energy_of_poly(p: IntPolynomial, tol: float = 1e-7) -> EnergyValue:
@@ -160,6 +184,8 @@ def energy_of_poly(p: IntPolynomial, tol: float = 1e-7) -> EnergyValue:
 
     Requires every root of p to be real, which holds for characteristic
     polynomials of symmetric matrices; a complex pair raises ValueError.
+    The radius covers the enclosures and the rounding of the value to a
+    float; ConvergenceError is raised when tol is too tight for a double.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
@@ -168,23 +194,192 @@ def energy_of_poly(p: IntPolynomial, tol: float = 1e-7) -> EnergyValue:
     zero_mult = p.lowest_power()
     core = p.shift_down(zero_mult)
     budget = Fraction(tol) / (2 * (p.degree + 1))
-    total_mult = zero_mult
-    value = Fraction(0)
-    radius = Fraction(0)
-    if core.degree > 0:
-        for factor, mult in squarefree_decomposition(core):
-            for enc in _isolate_squarefree(factor):
-                enc = refine_enclosure(factor, enc, budget)
-                while enc.contains_zero() and enc.lo != enc.hi:
-                    enc = _bisect_once(factor, enc)
-                total_mult += mult
-                value += mult * abs(enc.midpoint)
-                radius += mult * enc.width / 2
-    if total_mult != core.degree + zero_mult:
+    found = _core_enclosures(core, budget)
+    real_roots = zero_mult + sum(mult for _, mult in found)
+    if real_roots != p.degree:
         raise ValueError(
             "polynomial has complex roots (%d real of degree %d)"
-            % (total_mult, p.degree)
+            % (real_roots, p.degree)
         )
+    # | |x| - |mid| | <= |x - mid| <= width / 2, also for brackets around 0
+    value = sum((mult * abs(enc.midpoint) for enc, mult in found), Fraction(0))
+    radius = sum((mult * enc.width for enc, mult in found), Fraction(0)) / 2
     val = float(value)
-    rad = float(radius) + abs(val) * 2.0 ** -50
+    radius += abs(Fraction(val) - value)
+    rad = float(radius)
+    if Fraction(rad) < radius:
+        rad = math.nextafter(rad, math.inf)
+    if rad > tol:
+        raise ConvergenceError(
+            "radius %.3g exceeds tol %.3g after rounding to a double" % (rad, tol)
+        )
     return EnergyValue(val, rad)
+
+
+def _core_enclosures(
+    core: IntPolynomial, budget: Fraction
+) -> list[tuple[RootEnclosure, int]]:
+    """(enclosure of width <= budget, multiplicity) for each real root of core."""
+    if core.degree == 0:
+        return []
+    fast = _verified_enclosures(core, budget)
+    if fast is not None:
+        return [(enc, 1) for enc in fast]
+    out = []
+    for factor, mult in squarefree_decomposition(core):
+        encs = None
+        if factor.degree < core.degree:  # else it is the core, which just failed
+            encs = _verified_enclosures(factor, budget)
+        if encs is None:
+            encs = [
+                refine_enclosure(factor, enc, budget)
+                for enc in _isolate_squarefree(factor)
+            ]
+        out.extend((enc, mult) for enc in encs)
+    return out
+
+
+def _verified_enclosures(
+    f: IntPolynomial, budget: Fraction
+) -> list[RootEnclosure] | None:
+    """Enclosures of width <= budget for all roots of f, from float seeds.
+
+    Returns None unless deg f disjoint dyadic brackets around the seeds each
+    show a strict sign change of f, checked in integer arithmetic.
+    """
+    seeds = _float_seeds(f)
+    if seeds is None:
+        return None
+    seeds.sort()
+    # 2**-k is the bracket's half-width: above four times the largest seed
+    # error, below a quarter of the smallest seed gap, and no wider than the
+    # budget allows unless the seeds cannot resolve the budget.  These are
+    # float estimates; the exact checks below decide.
+    k_fine = -math.frexp(max(err for _, err in seeds))[1] - 2
+    k_sep = 0
+    for (a, _), (b, _) in zip(seeds, seeds[1:]):
+        k_sep = max(k_sep, 3 - math.frexp(b - a)[1])
+    k = min(max(_budget_bits(budget), k_sep), k_fine)
+    if k < k_sep:
+        return None
+    ms = [round(math.ldexp(x, k)) for x, _ in seeds]
+    if any(b - a < 2 for a, b in zip(ms, ms[1:])):  # brackets may only touch
+        return None
+    d = f.degree
+    shifted = [c << (k * (d - j)) for j, c in enumerate(f.coeffs)]
+
+    def scaled_value(m: int) -> int:  # f(m / 2**k) * 2**(k*d)
+        acc = 0
+        for c in reversed(shifted):
+            acc = acc * m + c
+        return acc
+
+    out = []
+    for m in ms:
+        lo, hi = scaled_value(m - 1), scaled_value(m + 1)
+        if not (lo < 0 < hi or hi < 0 < lo):
+            return None
+        enc = RootEnclosure(Fraction(m - 1, 1 << k), Fraction(m + 1, 1 << k), 1)
+        if enc.width > budget:
+            enc = refine_enclosure(f, enc, budget)
+        out.append(enc)
+    return out
+
+
+def _budget_bits(budget: Fraction) -> int:
+    """Smallest k >= 0 with 2 * 2**-k <= budget."""
+    t = -(-2 * budget.denominator // budget.numerator)
+    return (t - 1).bit_length() if t > 1 else 0
+
+
+def _float_seeds(f: IntPolynomial) -> list[tuple[float, float]] | None:
+    """(seed, error estimate) for every root of f, or None on float failure.
+
+    Laguerre iteration converges monotonically from above the largest root
+    of a real-rooted polynomial.  It starts at the spectral bound
+    sqrt(a1**2 - 2*a2) of the monic polynomial (the root-sum-square) and,
+    after each deflation, at the root just found.  The error estimate of a
+    polished seed x is Horner's rounding bound for f(x) over |f'(x)|, plus
+    the rounding of x itself.  Nothing here is trusted: the integer sign
+    checks decide.
+    """
+    d = f.degree
+    try:
+        monic = [c / f.leading for c in reversed(f.coeffs)]
+    except OverflowError:
+        return None
+    a1 = monic[1]
+    a2 = monic[2] if d >= 2 else 0.0
+    bound = math.sqrt(max(a1 * a1 - 2.0 * a2, 0.0))
+    x = bound
+    work = monic
+    rough = []
+    for _ in range(d):
+        x = _laguerre(work, x)
+        # a real root lies in [-bound, bound]; deflation may have gone astray
+        if x is None or not abs(x) <= bound * (1 + 2.0 ** -20):
+            return None
+        rough.append(x)
+        work = _deflate(work, x)
+    seeds = []
+    for x in rough:
+        for _ in range(_NEWTON_STEPS):
+            px, dpx, _ = _horner(monic, x)
+            if dpx == 0.0:
+                return None
+            step = px / dpx
+            x -= step
+            if abs(step) <= _UNIT_ROUNDOFF * abs(x):
+                break
+        _, dpx, mag = _horner(monic, x)
+        err = _UNIT_ROUNDOFF * (2 * d * mag / abs(dpx) + abs(x)) if dpx else math.inf
+        if not (math.isfinite(x) and 0.0 < err < math.inf):
+            return None
+        seeds.append((x, err))
+    return seeds
+
+
+def _laguerre(b: list[float], x: float) -> float | None:
+    """One root of the descending float polynomial b, iterating from x."""
+    n = len(b) - 1
+    last = math.inf
+    for _ in range(_LAGUERRE_STEPS):
+        p, dp, half_ddp = b[0], 0.0, 0.0
+        for c in b[1:]:
+            half_ddp = half_ddp * x + dp
+            dp = dp * x + p
+            p = p * x + c
+        if p == 0.0:
+            return x
+        g = dp / p
+        h = g * g - 2.0 * half_ddp / p
+        root = math.sqrt(max((n - 1) * (n * h - g * g), 0.0))
+        denom = g + root if g >= 0 else g - root
+        if denom == 0.0 or not math.isfinite(denom):
+            return None
+        step = n / denom
+        x -= step
+        # steps shrink until rounding noise takes over (or x is exact)
+        if abs(step) <= _UNIT_ROUNDOFF * abs(x) or abs(step) >= last:
+            break
+        last = abs(step)
+    return x
+
+
+def _deflate(b: list[float], r: float) -> list[float]:
+    """Quotient of b by (x - r), remainder dropped."""
+    out = [b[0]]
+    for c in b[1:-1]:
+        out.append(c + r * out[-1])
+    return out
+
+
+def _horner(b: list[float], x: float) -> tuple[float, float, float]:
+    """b(x), b'(x) and sum |b_j| |x|**j for the descending polynomial b."""
+    p, dp, mag = b[0], 0.0, abs(b[0])
+    ax = abs(x)
+    for c in b[1:]:
+        dp = dp * x + p
+        p = p * x + c
+        mag = mag * ax + abs(c)
+    return p, dp, mag

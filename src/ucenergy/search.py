@@ -1,8 +1,9 @@
 """Exhaustive maximal-energy search over connected unicyclic graphs.
 
-Energies come from exact root isolation of the characteristic polynomial,
-so every candidate carries a rigorous enclosure.  Cospectral graphs share
-one energy computation.  Before ranking, any two distinct spectra whose
+Energies come from ``energy_of_poly``: float root seeds of the
+characteristic polynomial, each verified by an exact integer sign change
+(with Yun and Sturm isolation as the fallback), so every candidate carries
+a rigorous enclosure.  Cospectral graphs share one energy computation.  Before ranking, any two distinct spectra whose
 enclosures overlap are refined down to radius 1e-12; enclosures that still
 overlap are flagged as ties instead of being ordered silently.
 """

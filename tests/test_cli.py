@@ -21,6 +21,28 @@ def test_nonpositive_tolerance_is_a_usage_error(argv, capsys):
     assert "--tol" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["search", "--n", "2"],
+        ["search", "--n", "5", "--top", "0"],
+        ["closed-form-check", "--n", "5"],
+        ["diff", "C:5", "C:6", "--method", "coulson"],
+    ],
+)
+def test_rejected_input_exits_2_with_one_line(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("ucenergy %s: " % argv[0])
+    assert captured.err.count("\n") == 1
+
+
+def test_unreachable_tolerance_exits_3(capsys):
+    # 2 * sqrt(2) cannot be rounded to a double within 1e-17
+    assert main(["energy", "P:3", "--tol", "1e-17"]) == 3
+    assert "convergence failure" in capsys.readouterr().err
+
+
 def test_certify_dumps_verifiable_certificates(capsys):
     assert main(["certify", "C7", "--dump-certificates"]) == 0
     out = capsys.readouterr().out

@@ -1,0 +1,34 @@
+"""The paper's artefacts: the exhaustive-search winners and golden tables 1-3."""
+
+import pytest
+
+from ucenergy.charpoly import charpoly
+from ucenergy.graphs import make_cycle, make_lollipop
+from ucenergy.roots import energy_of_poly
+from ucenergy.search import max_energy_search
+from ucenergy.tables import TOLERANCE, compute_table
+
+# The cycle wins for n = 3, 5, 6, 7, 9, 10.  At n = 4 the paw L(4,3) wins
+# (4.962389 against C_4's 4.0), and at n = 8 the lollipop L(8,6) = P_8^6.
+WINNERS = {n: ("U[l=%d|%s]" % (n, ",".join("." * n)), make_cycle(n)) for n in range(3, 11)}
+WINNERS[4] = ("U[l=3|.,.,0-1]", make_lollipop(4, 3))
+WINNERS[8] = ("U[l=6|.,.,.,.,.,0-1-2]", make_lollipop(8, 6))
+
+
+@pytest.mark.parametrize("n", sorted(WINNERS))
+def test_search_winner(n):
+    code, graph = WINNERS[n]
+    top = max_energy_search(n)[0]
+    assert str(top.code) == code
+    assert not top.tied
+    # the code names the graph: same energy as the graph built directly
+    direct = energy_of_poly(charpoly(graph))
+    assert abs(top.energy.value - direct.value) <= top.energy.radius + direct.radius
+
+
+@pytest.mark.parametrize("table_id, cells", [(1, 7), (2, 47), (3, 12)])
+def test_golden_table(table_id, cells):
+    rows = compute_table(table_id)
+    assert len(rows) == cells
+    worst = max(rows, key=lambda r: r.deviation)
+    assert worst.deviation <= TOLERANCE, worst

@@ -1,11 +1,15 @@
+import math
 from fractions import Fraction
 
 import pytest
 
+import ucenergy.roots as roots
 from ucenergy.charpoly import charpoly
-from ucenergy.graphs import make_cycle, make_lollipop
-from ucenergy.polynomials import IntPolynomial
+from ucenergy.enumeration import unicyclic_graphs
+from ucenergy.graphs import make_cycle, make_lollipop, make_path
+from ucenergy.polynomials import IntPolynomial, squarefree_decomposition
 from ucenergy.roots import (
+    ConvergenceError,
     energy_of_poly,
     isolate_real_roots,
     refine_enclosure,
@@ -67,6 +71,9 @@ def test_energy_rejects_complex_spectra():
     # x^2 + 1 has no real roots
     with pytest.raises(ValueError):
         energy_of_poly(P(1, 0, 1))
+    # (10^6 x^2 + 1)(x^2 - 9): a complex pair close to two real seeds
+    with pytest.raises(ValueError):
+        energy_of_poly(P(1, 0, 10**6) * P(-9, 0, 1))
 
 
 def test_energy_handles_zero_roots_exactly():
@@ -74,3 +81,82 @@ def test_energy_handles_zero_roots_exactly():
     p = P(0, 0, 0, -9, 0, 1)
     e = energy_of_poly(p, 1e-10)
     assert abs(e.value - 6.0) <= e.radius <= 1e-10
+
+
+@pytest.fixture(scope="module")
+def spectra_to_nine():
+    """Distinct characteristic polynomials of unicyclic graphs with n <= 9."""
+    polys = {charpoly(g) for n in range(3, 10) for _, g in unicyclic_graphs(n)}
+    return sorted(polys, key=lambda p: (p.degree, p.coeffs))
+
+
+def test_seeded_enclosures_overlap_sturm_enclosures(spectra_to_nine):
+    width = Fraction(1, 2**30)
+    fallbacks = 0
+    for p in spectra_to_nine:
+        core = p.shift_down(p.lowest_power())
+        factors = squarefree_decomposition(core)
+        if roots._verified_enclosures(core, width) is None:
+            # only repeated eigenvalues (the cycles among them) fall back
+            assert max(mult for _, mult in factors) > 1, p
+            fallbacks += 1
+        seeded = sorted(roots._core_enclosures(core, width), key=lambda e: e[0].midpoint)
+        sturm = sorted(
+            (
+                (refine_enclosure(factor, enc, width), mult)
+                for factor, mult in factors
+                for enc in isolate_real_roots(factor)
+            ),
+            key=lambda e: e[0].midpoint,
+        )
+        assert [mult for _, mult in seeded] == [mult for _, mult in sturm]
+        for (a, _), (b, _) in zip(seeded, sturm):
+            assert a.width <= width
+            assert a.lo <= b.hi and b.lo <= a.hi, (p, a, b)
+    assert fallbacks > 0
+
+
+def test_repeated_and_complex_roots_take_the_fallback(monkeypatch):
+    calls = []
+    yun = roots.squarefree_decomposition
+
+    def spy(p):
+        calls.append(p)
+        return yun(p)
+
+    monkeypatch.setattr(roots, "squarefree_decomposition", spy)
+    e = energy_of_poly(charpoly(make_cycle(6)))  # eigenvalues 2, 1, 1, -1, -1, -2
+    assert len(calls) == 1 and abs(e.value - 8.0) <= e.radius
+    calls.clear()
+    with pytest.raises(ValueError):
+        energy_of_poly(P(1, 0, 1))
+    assert calls == [P(1, 0, 1)]
+
+
+@pytest.mark.parametrize("tol", [1e-7, 1e-12])
+def test_squarefree_spectrum_never_reaches_sturm(monkeypatch, tol):
+    def forbidden(p):
+        raise AssertionError("fallback route taken for %s" % p)
+
+    monkeypatch.setattr(roots, "squarefree_decomposition", forbidden)
+    monkeypatch.setattr(roots, "sturm_chain", forbidden)
+    e = energy_of_poly(charpoly(make_lollipop(8, 6)), tol)
+    assert round(e.value, 5) == 10.42429
+    assert e.radius <= tol
+
+
+def test_radius_covers_rounding_to_a_double():
+    e4 = energy_of_poly(charpoly(make_cycle(4)), 1e-15)
+    assert e4.value == 4.0 and e4.radius <= 1e-15
+    e3 = energy_of_poly(charpoly(make_path(3)), 1e-15)  # 2 * sqrt(2)
+    assert 0 < e3.radius <= 1e-15
+    assert abs(e3.value - math.sqrt(8)) <= e3.radius + 2.0**-52
+    # the double nearest 2 * sqrt(2) is further off than 1e-17
+    with pytest.raises(ConvergenceError):
+        energy_of_poly(charpoly(make_path(3)), 1e-17)
+
+
+def test_isolation_without_split_point_is_a_convergence_error(monkeypatch):
+    monkeypatch.setattr(roots, "_nonroot_split", lambda f, lo, hi: None)
+    with pytest.raises(ConvergenceError):
+        roots._isolate_squarefree(P(-1, 0, 1))
