@@ -46,7 +46,6 @@ from .roots import (
     EnergyValue,
     RootEnclosure,
     energy_of_poly,
-    isolate_real_roots,
 )
 from .search import RankedEntry, max_energy_search
 from .trees import rooted_trees
@@ -80,7 +79,6 @@ __all__ = [
     "energy_of_poly",
     "f_factored",
     "format_graph6",
-    "isolate_real_roots",
     "make_cycle",
     "make_cycle_with_pendants",
     "make_lollipop",

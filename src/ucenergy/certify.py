@@ -58,7 +58,7 @@ from .polynomials import (
     sturm_chain,
     variations_at,
 )
-from .roots import _bisect_once, _isolate_squarefree
+from .roots import _isolate_squarefree, refine_enclosure
 
 DOMAINS = ("R", "R\\{0}", "(0,inf)", "(-inf,0)")
 SIGNS = ("positive", "negative", "nonnegative", "nonpositive")
@@ -171,7 +171,7 @@ def _witness_interval(core: IntPolynomial, domain: str) -> tuple[Fraction, Fract
         for _ in range(256):
             if _in_domain(cand.lo, domain) and _in_domain(cand.hi, domain):
                 return cand.lo, cand.hi
-            cand = _bisect_once(core, cand)
+            cand = refine_enclosure(core, cand, cand.width / 2)
             if cand.lo == cand.hi:
                 if _in_domain(cand.lo, domain):
                     return cand.lo, cand.hi

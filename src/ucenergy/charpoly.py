@@ -16,14 +16,12 @@ division is by a loop index and is checked to be exact.
 from __future__ import annotations
 
 from .graphs import Graph, connected_components, induced_subgraph, unique_cycle
-from .polynomials import ONE, IntPolynomial
+from .polynomials import ONE, X, IntPolynomial
 from .trees import free_tree_code
 
 # Shared across calls; keys are canonical forest codes, values are final and
 # deterministic, so concurrent duplicate inserts are benign.
 _FOREST_MEMO: dict[tuple, IntPolynomial] = {}
-
-X = IntPolynomial((0, 1))
 
 
 def charpoly(g: Graph) -> IntPolynomial:

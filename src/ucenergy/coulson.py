@@ -139,7 +139,11 @@ def coulson_bracket(p: IntPolynomial) -> IntPolynomial:
 
 
 def energy_coulson(g: Graph, tol: float = 1e-7) -> EnergyValue:
-    """Graph energy via the explicit Coulson integral formula."""
+    """Graph energy via the explicit Coulson integral formula.
+
+    The radius is an estimate, not a bound: the adaptive quadrature's own
+    error estimates plus a flat |E| * 2**-48 for float rounding.
+    """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     if g.n == 0:

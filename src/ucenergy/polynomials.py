@@ -3,10 +3,10 @@
 Coefficients are stored in ascending order: index k holds the coefficient of
 x**k, and the zero polynomial is the empty tuple.  On top of the ring
 operations this module hosts the exact real-root kernel shared by the root
-isolator and the inequality certifier: sign evaluation at rational points
-using pure integer arithmetic, polynomial gcd over Q with primitive integer
-normalisation, Yun square-free factorisation, Sturm chains, and root counting
-over intervals and sign domains.
+isolator and the inequality certifier, all of it in integer arithmetic: sign
+evaluation at rational points, pseudo-remainders and exact division, the
+primitive gcd, Yun square-free factorisation, Sturm chains and their sign
+variations at a point.
 """
 
 from __future__ import annotations
@@ -243,74 +243,64 @@ def reverse(p: IntPolynomial, degree: int) -> IntPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# Rational-coefficient helpers (lists of Fraction, ascending order).
+# Integer Euclid: pseudo-remainders and exact division.
 # ---------------------------------------------------------------------------
 
 
-def q_from_int(p: IntPolynomial) -> list[Fraction]:
-    return [Fraction(c) for c in p.coeffs]
+def pseudo_remainder(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
+    """Remainder of |lc b|**(deg a - deg b + 1) * a on division by b.
 
-
-def q_trim(a: list[Fraction]) -> list[Fraction]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def q_divmod(a: Sequence[Fraction], b: Sequence[Fraction]):
-    """Euclidean division over Q; returns (quotient, remainder)."""
-    a = list(a)
-    b = q_trim(list(b))
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    inv_lead = 1 / b[-1]
-    for k in range(len(a) - len(b), -1, -1):
-        coef = a[k + len(b) - 1] * inv_lead
-        if coef:
-            q[k] = coef
-            for j, bj in enumerate(b):
-                a[k + j] -= coef * bj
-    return q_trim(q), q_trim(a[: len(b) - 1])
-
-
-def q_to_primitive_int(a: Sequence[Fraction]) -> IntPolynomial:
-    """Scale by a positive rational to a primitive integer polynomial.
-
-    Positive scaling preserves every sign, which is what Sturm chains need.
+    The scale is positive, so the remainder has the signs of the remainder
+    over Q; a of lower degree than b is returned as it is.
     """
-    a = q_trim(list(a))
-    if not a:
-        return IntPolynomial(())
-    denom_lcm = 1
-    for c in a:
-        denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
-    ints = [int(c * denom_lcm) for c in a]
-    g = 0
-    for c in ints:
-        g = gcd(g, abs(c))
-    return IntPolynomial(tuple(c // g for c in ints))
+    if b.is_zero:
+        raise ZeroDivisionError("polynomial division by zero")
+    db, lead = b.degree, b.leading
+    scale, sign = abs(lead), (1 if lead > 0 else -1)
+    low = b.coeffs[:-1]
+    r = list(a.coeffs)
+    for k in range(len(r) - 1, db - 1, -1):
+        # r <- scale * r - sign * r[k] * x**(k - db) * b, which clears r[k]
+        c = sign * r.pop()
+        if scale != 1:
+            r = [scale * x for x in r]
+        if c:
+            for j, bj in enumerate(low, k - db):
+                r[j] -= c * bj
+    return IntPolynomial.from_coeffs(r)
 
 
 def poly_gcd(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
-    """Primitive gcd over Q, normalised to a positive leading coefficient."""
-    a, b = q_from_int(p), q_from_int(q)
-    while q_trim(b):
-        a, b = b, q_divmod(a, b)[1]
-    g = q_to_primitive_int(a)
-    if not g.is_zero and g.leading < 0:
-        g = -g
-    return g
+    """Primitive gcd, normalised to a positive leading coefficient.
+
+    Primitive pseudo-remainder sequence (Brown and Traub, J. ACM 18(4),
+    1971): the gcd over Q, computed in integers alone.
+    """
+    a, b = p.primitive(), q.primitive()
+    while not b.is_zero:
+        a, b = b, pseudo_remainder(a, b).primitive()
+    return -a if not a.is_zero and a.leading < 0 else a
 
 
 def poly_div_exact(p: IntPolynomial, d: IntPolynomial) -> IntPolynomial:
     """Exact quotient p/d over the integers; raises on any remainder."""
-    quo, rem = q_divmod(q_from_int(p), q_from_int(d))
-    if q_trim(list(rem)):
-        raise ValueError("division is not exact")
-    if any(c.denominator != 1 for c in quo):
+    if d.is_zero:
+        raise ZeroDivisionError("polynomial division by zero")
+    dd, lead = d.degree, d.leading
+    low = d.coeffs[:-1]
+    r = list(p.coeffs)
+    quo = [0] * max(len(r) - dd, 0)
+    for k in range(len(r) - 1, dd - 1, -1):
+        c, rem = divmod(r.pop(), lead)
+        if rem:
+            raise ValueError("division is not exact over the integers")
+        if c:
+            quo[k - dd] = c
+            for j, dj in enumerate(low, k - dd):
+                r[j] -= c * dj
+    if any(r):
         raise ValueError("division is not exact over the integers")
-    return IntPolynomial.from_coeffs(int(c) for c in quo)
+    return IntPolynomial.from_coeffs(quo)
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +350,7 @@ def squarefree_part(p: IntPolynomial) -> IntPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# Sturm chains and root counting.
+# Sturm chains.
 # ---------------------------------------------------------------------------
 
 
@@ -370,38 +360,25 @@ def sturm_chain(p: IntPolynomial) -> tuple[IntPolynomial, ...]:
         raise ValueError("zero polynomial")
     chain = [p.primitive(), p.derivative().primitive()]
     while not chain[-1].is_zero and chain[-1].degree > 0:
-        _, rem = q_divmod(q_from_int(chain[-2]), q_from_int(chain[-1]))
-        nxt = q_to_primitive_int([-c for c in rem])
+        nxt = -pseudo_remainder(chain[-2], chain[-1]).primitive()
         if nxt.is_zero:
             break
         chain.append(nxt)
     return tuple(c for c in chain if not c.is_zero)
 
 
-def _variations(signs: Iterable[int]) -> int:
+def variations_at(chain: Sequence[IntPolynomial], point) -> int:
+    """Sign changes along the chain at a rational point, zeros skipped."""
     count = 0
     prev = 0
-    for s in signs:
+    for f in chain:
+        s = f.sign_at(point)
         if s == 0:
             continue
         if prev and s != prev:
             count += 1
         prev = s
     return count
-
-
-def variations_at(chain: Sequence[IntPolynomial], point) -> int:
-    return _variations(f.sign_at(point) for f in chain)
-
-
-def variations_at_infinity(chain: Sequence[IntPolynomial], positive: bool) -> int:
-    signs = []
-    for f in chain:
-        s = (f.leading > 0) - (f.leading < 0)
-        if not positive and f.degree % 2 == 1:
-            s = -s
-        signs.append(s)
-    return _variations(signs)
 
 
 def cauchy_bound(p: IntPolynomial) -> Fraction:
@@ -411,28 +388,3 @@ def cauchy_bound(p: IntPolynomial) -> Fraction:
     lead = abs(p.leading)
     top = max(abs(c) for c in p.coeffs[:-1])
     return Fraction(1) + Fraction(top, lead)
-
-
-def count_real_roots(p: IntPolynomial, lo=None, hi=None) -> int:
-    """Number of distinct real roots of p in the half-open interval (lo, hi].
-
-    ``None`` endpoints mean minus/plus infinity.  Works for non-square-free
-    input by counting on the square-free part.
-    """
-    if p.is_zero:
-        raise ValueError("zero polynomial")
-    sf = squarefree_part(p)
-    if sf.degree <= 0:
-        return 0
-    chain = sturm_chain(sf)
-    v_lo = (
-        variations_at_infinity(chain, positive=False)
-        if lo is None
-        else variations_at(chain, Fraction(lo))
-    )
-    v_hi = (
-        variations_at_infinity(chain, positive=True)
-        if hi is None
-        else variations_at(chain, Fraction(hi))
-    )
-    return v_lo - v_hi

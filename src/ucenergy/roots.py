@@ -68,27 +68,15 @@ class RootEnclosure:
 
 @dataclass(frozen=True)
 class EnergyValue:
-    """Midpoint/radius pair; the true value lies within value +- radius."""
+    """Midpoint/radius pair for an energy.
+
+    Only ``energy_of_poly`` returns a rigorous radius: the true value lies
+    within value +- radius.  The eigensolver and Coulson routes return error
+    estimates in the same shape.
+    """
 
     value: float
     radius: float
-
-
-def isolate_real_roots(p: IntPolynomial) -> list[RootEnclosure]:
-    """Disjoint isolating intervals for every distinct real root of p."""
-    if p.is_zero:
-        raise ValueError("zero polynomial has no isolated roots")
-    if p.degree == 0:
-        return []
-    enclosures: list[tuple[RootEnclosure, IntPolynomial]] = []
-    for factor, mult in squarefree_decomposition(p):
-        for enc in _isolate_squarefree(factor):
-            enclosures.append(
-                (RootEnclosure(enc.lo, enc.hi, mult), factor)
-            )
-    enclosures.sort(key=lambda pair: (pair[0].lo, pair[0].hi))
-    _make_disjoint(enclosures)
-    return [enc for enc, _ in enclosures]
 
 
 def _isolate_squarefree(f: IntPolynomial) -> list[RootEnclosure]:
@@ -127,34 +115,6 @@ def _nonroot_split(f: IntPolynomial, lo: Fraction, hi: Fraction):
                 return point
             point += step
     return None
-
-
-def _make_disjoint(pairs: list[tuple[RootEnclosure, IntPolynomial]]) -> None:
-    """Shrink neighbouring enclosures from different factors until disjoint."""
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(pairs) - 1):
-            a, fa = pairs[i]
-            b, fb = pairs[i + 1]
-            if a.hi > b.lo:
-                pairs[i] = (_bisect_once(fa, a), fa)
-                pairs[i + 1] = (_bisect_once(fb, b), fb)
-                changed = True
-        if changed:
-            pairs.sort(key=lambda pair: (pair[0].lo, pair[0].hi))
-
-
-def _bisect_once(f: IntPolynomial, enc: RootEnclosure) -> RootEnclosure:
-    if enc.lo == enc.hi:
-        return enc
-    mid = enc.midpoint
-    s = f.sign_at(mid)
-    if s == 0:
-        return RootEnclosure(mid, mid, enc.multiplicity)
-    if s == f.sign_at(enc.lo):
-        return RootEnclosure(mid, enc.hi, enc.multiplicity)
-    return RootEnclosure(enc.lo, mid, enc.multiplicity)
 
 
 def refine_enclosure(

@@ -3,13 +3,15 @@
 Energies come from ``energy_of_poly``: float root seeds of the
 characteristic polynomial, each verified by an exact integer sign change
 (with Yun and Sturm isolation as the fallback), so every candidate carries
-a rigorous enclosure.  Cospectral graphs share one energy computation.  Before ranking, any two distinct spectra whose
-enclosures overlap are refined down to radius 1e-12; enclosures that still
-overlap are flagged as ties instead of being ordered silently.
+a rigorous enclosure.  Cospectral graphs share one energy computation.
+Before ranking, any two distinct spectra whose enclosures overlap are
+refined down to radius 1e-12; enclosures that still overlap are flagged as
+ties instead of being ordered silently.
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -36,9 +38,15 @@ def _energy_worker(coeffs: tuple[int, ...], tol: float) -> EnergyValue:
 def max_energy_search(
     n: int, top_k: int = 5, tol: float = 1e-7, jobs: int = 1
 ) -> list[RankedEntry]:
-    """Top-k unicyclic graphs on n vertices by energy, ties flagged."""
+    """Top-k unicyclic graphs on n vertices by energy, ties flagged.
+
+    Energies run in at most min(jobs, CPU count, distinct spectra) worker
+    processes; one worker means no pool.
+    """
     if top_k < 1:
         raise ValueError("top_k must be at least 1")
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
     items = list(unicyclic_graphs(n))
     poly_of_code: dict[UnicyclicCode, tuple[int, ...]] = {}
     distinct: dict[tuple[int, ...], EnergyValue] = {}
@@ -48,8 +56,9 @@ def max_energy_search(
         distinct.setdefault(coeffs, None)
 
     polys = sorted(distinct)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, os.cpu_count() or 1, len(polys))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             energies = list(pool.map(_energy_worker, polys, [tol] * len(polys)))
     else:
         energies = [_energy_worker(coeffs, tol) for coeffs in polys]

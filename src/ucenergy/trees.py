@@ -62,8 +62,12 @@ def canonical_level_sequence(
     return build(root, None)
 
 
-def tree_centroids(neighbors: Mapping[int, Iterable[int]], vertices: Sequence) -> list:
-    """Centroid vertex (or the two of them) of a tree, by leaf stripping."""
+def tree_centers(neighbors: Mapping[int, Iterable[int]], vertices: Sequence) -> list:
+    """Center vertex (or the two of them) of a tree, by leaf stripping.
+
+    The center minimises the eccentricity; it need not be the centroid, which
+    minimises the largest branch.
+    """
     remaining = set(vertices)
     degree = {v: sum(1 for w in neighbors[v] if w in remaining) for v in remaining}
     layer = [v for v in remaining if degree[v] <= 1]
@@ -84,9 +88,12 @@ def tree_centroids(neighbors: Mapping[int, Iterable[int]], vertices: Sequence) -
 def free_tree_code(
     neighbors: Mapping[int, Iterable[int]], vertices: Sequence
 ) -> tuple[int, ...]:
-    """Isomorphism code of an unrooted tree: best rooting at a centroid."""
-    cents = tree_centroids(neighbors, vertices)
-    return max(canonical_level_sequence(neighbors, c) for c in cents)
+    """Isomorphism code of an unrooted tree: best rooting at a center.
+
+    Isomorphisms map centers to centers, so the code is canonical.
+    """
+    centers = tree_centers(neighbors, vertices)
+    return max(canonical_level_sequence(neighbors, c) for c in centers)
 
 
 def decode_level_sequence(seq: Sequence[int]) -> list[int | None]:

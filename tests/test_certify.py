@@ -248,9 +248,22 @@ def test_exact_cross_assembly_identity():
 
 
 def test_sturm_count_respects_cauchy_bound():
-    from ucenergy.polynomials import cauchy_bound, count_real_roots
+    from ucenergy.polynomials import (
+        cauchy_bound,
+        squarefree_part,
+        sturm_chain,
+        variations_at,
+    )
 
     p = BETA2_ODD * BETA2_EVEN  # plenty of real roots
+    chain = sturm_chain(squarefree_part(p))
     bound = cauchy_bound(p)
-    assert count_real_roots(p) == count_real_roots(p, -bound, bound)
-    assert count_real_roots(p) == count_real_roots(p, -3 * bound, 3 * bound)
+
+    def at_infinity(side):  # variations at -inf (side -1) or +inf (side 1)
+        signs = [(1 if f.leading > 0 else -1) * side ** f.degree for f in chain]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    on_reals = at_infinity(-1) - at_infinity(1)
+    for scale in (1, 3):
+        B = scale * bound
+        assert on_reals == variations_at(chain, -B) - variations_at(chain, B)

@@ -26,6 +26,7 @@ def test_nonpositive_tolerance_is_a_usage_error(argv, capsys):
     [
         ["search", "--n", "2"],
         ["search", "--n", "5", "--top", "0"],
+        ["search", "--n", "5", "--jobs", "0"],
         ["closed-form-check", "--n", "5"],
         ["diff", "C:5", "C:6", "--method", "coulson"],
     ],

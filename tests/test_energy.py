@@ -117,7 +117,7 @@ def test_three_route_agreement_lollipops_to_order_twelve():
 
 
 def test_root_moments_within_enclosures(unicyclic_by_order):
-    from ucenergy.roots import isolate_real_roots, refine_enclosure
+    from ucenergy.roots import _isolate_squarefree, refine_enclosure
 
     for _, g in unicyclic_by_order[7]:
         p = charpoly(g)
@@ -127,7 +127,7 @@ def test_root_moments_within_enclosures(unicyclic_by_order):
         from ucenergy.polynomials import squarefree_decomposition
 
         for factor, mult in squarefree_decomposition(core):
-            for enc in isolate_real_roots(factor):
+            for enc in _isolate_squarefree(factor):
                 tight = refine_enclosure(factor, enc, Fraction(1, 10**10))
                 total += mult * tight.midpoint
                 square += mult * tight.midpoint**2

@@ -22,6 +22,7 @@ from ucenergy.trees import (
     decode_level_sequence,
     free_tree_code,
     rooted_trees,
+    tree_centers,
 )
 
 # labeled brute-force census (VF2 dedup live for n <= 6, orbit identity for
@@ -67,6 +68,20 @@ def test_canonical_code_invariant_under_relabelling(k, data):
     assert canonical_level_sequence(adj, root) == canonical_level_sequence(
         padj, perm[root]
     )
+
+
+def test_free_tree_code_roots_at_the_center():
+    # path 0-...-6 with six leaves on vertex 1: the center is 3, the centroid 1
+    edges = [(v, v + 1) for v in range(6)] + [(1, leaf) for leaf in range(7, 13)]
+    adj = {v: [] for v in range(13)}
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    assert tree_centers(adj, range(13)) == [3]
+    assert free_tree_code(adj, range(13)) == canonical_level_sequence(adj, 3)
+    padj = {12 - v: [12 - w for w in nbrs] for v, nbrs in adj.items()}
+    assert tree_centers(padj, range(13)) == [9]
+    assert free_tree_code(padj, range(13)) == free_tree_code(adj, range(13))
 
 
 def test_counts_against_live_oracle():

@@ -7,19 +7,38 @@ from hypothesis import strategies as st
 from ucenergy.polynomials import (
     IntPolynomial,
     cauchy_bound,
-    count_real_roots,
     poly_div_exact,
     poly_gcd,
+    pseudo_remainder,
     squarefree_decomposition,
     squarefree_part,
     sturm_chain,
+    variations_at,
 )
+from ucenergy.roots import _isolate_squarefree
 
 coeff_lists = st.lists(st.integers(-50, 50), min_size=1, max_size=9)
 
 
 def P(*ascending):
     return IntPolynomial.from_coeffs(ascending)
+
+
+def count_roots(p, lo=None, hi=None):
+    """Distinct real roots of p in (lo, hi]; None stands for -inf or +inf."""
+    sf = squarefree_part(p)
+    if sf.degree < 1:
+        return 0
+    chain = sturm_chain(sf)
+
+    def variations(point, side):
+        if point is not None:
+            return variations_at(chain, point)
+        # signs at -inf / +inf from the leading terms
+        signs = [(1 if f.leading > 0 else -1) * side ** f.degree for f in chain]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    return variations(lo, -1) - variations(hi, 1)
 
 
 def test_normalisation_and_degree():
@@ -60,6 +79,10 @@ def test_division_and_gcd():
     assert poly_div_exact(a, b) == P(-1, 1)
     with pytest.raises(ValueError):
         poly_div_exact(P(1, 1, 1), b)
+    with pytest.raises(ValueError):  # exact over Q, not over Z
+        poly_div_exact(b, P(2, 2))
+    with pytest.raises(ValueError):  # leading quotient 1/2, the rest cancels
+        poly_div_exact(P(-4, -4, -1), P(-2, -2))
     g = poly_gcd(P(-1, 0, 1) * P(2, 1), P(1, 1) * P(2, 1))
     assert g == P(2, 3, 1)  # (x+1)(x+2)
 
@@ -75,12 +98,12 @@ def test_squarefree_decomposition_recovers_multiplicities():
 
 def test_sturm_counts_known_roots():
     p = P(-2, 0, 1)  # x^2 - 2
-    assert count_real_roots(p) == 2
-    assert count_real_roots(p, 0, 2) == 1
-    assert count_real_roots(p, -2, 0) == 1
-    assert count_real_roots(P(1, 0, 1)) == 0  # x^2 + 1
+    assert count_roots(p) == 2
+    assert count_roots(p, 0, 2) == 1
+    assert count_roots(p, -2, 0) == 1
+    assert count_roots(P(1, 0, 1)) == 0  # x^2 + 1
     # repeated roots are counted once
-    assert count_real_roots(P(-1, 1) ** 4) == 1
+    assert count_roots(P(-1, 1) ** 4) == 1
 
 
 @given(coeff_lists)
@@ -89,8 +112,8 @@ def test_count_on_cauchy_interval_equals_count_on_reals(a):
     if p.degree < 1:
         return
     bound = cauchy_bound(p)
-    assert count_real_roots(p) == count_real_roots(p, -bound, bound)
-    assert count_real_roots(p) == count_real_roots(p, -2 * bound, 2 * bound)
+    assert count_roots(p) == count_roots(p, -bound, bound)
+    assert count_roots(p) == count_roots(p, -2 * bound, 2 * bound)
 
 
 def test_sturm_chain_head_is_squarefree_part():
@@ -100,6 +123,26 @@ def test_sturm_chain_head_is_squarefree_part():
     assert all(
         chain[i].degree > chain[i + 1].degree for i in range(len(chain) - 1)
     )
+
+
+def test_sturm_chain_literal():
+    # x^4 + x - 3: the remainder of 4x^3 + 1 by 4 - x has its scale (-1)**3
+    # if taken as lc instead of |lc|, which would flip the last sign
+    chain = sturm_chain(P(-3, 1, 0, 0, 1))
+    assert chain == (P(-3, 1, 0, 0, 1), P(1, 0, 0, 4), P(4, -1), P(-1))
+    bound = cauchy_bound(chain[0])
+    assert variations_at(chain, -bound) - variations_at(chain, bound) == 2
+
+
+@given(coeff_lists, coeff_lists)
+def test_pseudo_remainder_is_an_exact_integer_remainder(a, b):
+    p, d = P(*a), P(*b)
+    if d.is_zero:
+        return
+    r = pseudo_remainder(p, d)
+    assert r.degree < d.degree
+    scaled = p * abs(d.leading) ** max(p.degree - d.degree + 1, 0)
+    assert poly_div_exact(scaled - r, d) * d == scaled - r
 
 
 def test_bipartite_coefficient_accessor():
@@ -119,15 +162,24 @@ def test_decimal_string_round_trip():
     assert IntPolynomial.from_decimal_strings(strings) == p
 
 
-@given(coeff_lists)
-def test_isolation_intervals_partition_roots(a):
-    from ucenergy.roots import isolate_real_roots
-
-    p = P(*a)
-    if p.is_zero or p.degree < 1:
-        return
-    enclosures = isolate_real_roots(p)
-    total = sum(1 for _ in enclosures)
-    assert total == count_real_roots(p)
-    for first, second in zip(enclosures, enclosures[1:]):
-        assert first.hi <= second.lo
+@given(
+    st.lists(st.fractions(-20, 20, max_denominator=6), max_size=6),
+    st.integers(1, 50),
+)
+def test_isolation_intervals_partition_roots(known, c):
+    # rational roots with repeats, times x^2 + c, which has no real root
+    p = P(c, 0, 1)
+    for r in known:
+        p = p * P(-r.numerator, r.denominator)
+    found = []
+    for factor, mult in squarefree_decomposition(p):
+        enclosures = _isolate_squarefree(factor)
+        for first, second in zip(enclosures, enclosures[1:]):
+            assert first.hi <= second.lo
+        # each factor holds the known roots of its multiplicity, one per interval
+        roots_of_factor = {r for r in known if known.count(r) == mult}
+        for enc in enclosures:
+            inside = [r for r in roots_of_factor if enc.lo < r < enc.hi]
+            assert len(inside) == 1
+            found.append(inside[0])
+    assert sorted(found) == sorted(set(known))

@@ -7,11 +7,11 @@ import ucenergy.roots as roots
 from ucenergy.charpoly import charpoly
 from ucenergy.enumeration import unicyclic_graphs
 from ucenergy.graphs import make_cycle, make_lollipop, make_path
-from ucenergy.polynomials import IntPolynomial, squarefree_decomposition
+from ucenergy.polynomials import IntPolynomial, squarefree_decomposition, sturm_chain
 from ucenergy.roots import (
     ConvergenceError,
+    _isolate_squarefree,
     energy_of_poly,
-    isolate_real_roots,
     refine_enclosure,
 )
 
@@ -21,40 +21,40 @@ def P(*ascending):
 
 
 def test_isolates_pm_one():
-    enclosures = isolate_real_roots(P(-1, 0, 1))
+    enclosures = _isolate_squarefree(P(-1, 0, 1))
     assert len(enclosures) == 2
     assert enclosures[0].lo < -1 < enclosures[0].hi or enclosures[0].lo == enclosures[0].hi == -1
     assert all(e.multiplicity == 1 for e in enclosures)
 
 
 def test_isolates_c4_spectrum_with_multiplicity():
-    enclosures = isolate_real_roots(charpoly(make_cycle(4)))
-    assert len(enclosures) == 3
+    factors = squarefree_decomposition(charpoly(make_cycle(4)))
+    assert sorted(factors, key=lambda fm: fm[1]) == [(P(-4, 0, 1), 1), (P(0, 1), 2)]
     spots = []
-    for e in enclosures:
-        factor = P(-4, 0, 1) if e.multiplicity == 1 else P(0, 1)
-        refined = refine_enclosure(factor, e, Fraction(1, 10**6))
-        spots.append((round(float(refined.midpoint), 5), e.multiplicity))
+    for factor, mult in factors:
+        for e in _isolate_squarefree(factor):
+            refined = refine_enclosure(factor, e, Fraction(1, 10**6))
+            spots.append((round(float(refined.midpoint), 5), mult))
     assert sorted(spots) == [(-2.0, 1), (0.0, 2), (2.0, 1)]
 
 
 def test_bipartite_spectrum_symmetry():
     p = charpoly(make_lollipop(8, 6))
-    enclosures = isolate_real_roots(p)
-    assert len(enclosures) == 8
     tight = [
-        refine_enclosure(p, e, Fraction(1, 10**9)) for e in enclosures
+        refine_enclosure(factor, e, Fraction(1, 10**9))
+        for factor, _ in squarefree_decomposition(p)
+        for e in _isolate_squarefree(factor)
     ]
+    assert len(tight) == 8
     values = sorted(float(e.midpoint) for e in tight)
     for lo_val, hi_val in zip(values, reversed(values)):
         assert abs(lo_val + hi_val) < 1e-8
 
 
 def test_zero_polynomial_rejected():
-    with pytest.raises(ValueError):
-        isolate_real_roots(IntPolynomial(()))
-    with pytest.raises(ValueError):
-        energy_of_poly(IntPolynomial(()))
+    for entry in (squarefree_decomposition, sturm_chain, energy_of_poly):
+        with pytest.raises(ValueError):
+            entry(IntPolynomial(()))
 
 
 def test_energy_values_and_radius_guarantee():
@@ -105,7 +105,7 @@ def test_seeded_enclosures_overlap_sturm_enclosures(spectra_to_nine):
             (
                 (refine_enclosure(factor, enc, width), mult)
                 for factor, mult in factors
-                for enc in isolate_real_roots(factor)
+                for enc in _isolate_squarefree(factor)
             ),
             key=lambda e: e[0].midpoint,
         )
