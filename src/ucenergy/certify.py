@@ -628,14 +628,8 @@ def _claim(
     )
 
 
-def run_claim_suite(pq_polys=None) -> ClaimSuiteReport:
-    """Certify every polynomial inequality the comparison argument rests on.
-
-    ``pq_polys`` may override the (p_i, q_i) table (used by tamper tests);
-    it maps index -> (p, q_polynomial_factor).
-    """
-    if pq_polys is None:
-        pq_polys = {i: (P_POLYS[i], Q_POLYS[i]) for i in P_POLYS}
+def run_claim_suite() -> ClaimSuiteReport:
+    """Certify every polynomial inequality the comparison argument rests on."""
     results: list[ClaimResult] = []
 
     results.append(
@@ -660,7 +654,7 @@ def run_claim_suite(pq_polys=None) -> ClaimSuiteReport:
     )
 
     for i in (1, 2, 3):
-        p, q = pq_polys[i]
+        p, q = P_POLYS[i], Q_POLYS[i]
         results.append(
             _poly_claim(
                 "C3/%d" % i,
@@ -672,7 +666,7 @@ def run_claim_suite(pq_polys=None) -> ClaimSuiteReport:
         )
 
     # C4: exact factorisation identity plus positivity of the cofactor.
-    p4, q4 = pq_polys[4]
+    p4, q4 = P_POLYS[4], Q_POLYS[4]
     lhs = p4 * p4 - RADICAL_SQ * q4 * q4
     rhs = 4 * (_SQ_PLUS_1 ** 2) * C4_COFACTOR
     identity_ok = lhs == rhs
@@ -707,7 +701,7 @@ def run_claim_suite(pq_polys=None) -> ClaimSuiteReport:
         results.append(_poly_claim(claim_id, desc, poly, "R", "positive"))
 
     # C7: tail positivity for the even-order subcases, in z.
-    p0, q0 = pq_polys[0]
+    p0, q0 = P_POLYS[0], Q_POLYS[0]
     for claim_id, desc, b, domain in (
         ("C7/pos", "p_0 + q_0 > 0 on (0,inf)", q0, "(0,inf)"),
         ("C7/neg", "p_0 - q_0 > 0 on (-inf,0)", -q0, "(-inf,0)"),

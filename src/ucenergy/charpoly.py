@@ -1,11 +1,27 @@
 """Exact characteristic polynomials of adjacency matrices.
 
-``charpoly`` dispatches on structure: forests go through the pendant-edge
-deletion recurrence phi(G) = x*phi(G-v) - phi(G-u-v), memoised on canonical
-forest codes; a connected unicyclic graph needs a single application of the
-cycle-edge recurrence phi(G) = phi(G-uv) - phi(G-u-v) - 2*phi(G-C), after
-which every residual graph is a forest; disconnected graphs multiply their
-component polynomials, and anything denser falls back to the exact
+``charpoly`` dispatches on structure.  Disconnected graphs multiply their
+component polynomials.  A tree and a connected unicyclic graph both go
+through Schwenk's rooted recurrence (Schwenk, "Computing the characteristic
+polynomial of a graph", LNM 406, 1974): for a rooted tree T_v with child
+subtrees T_c,
+
+    phi(T_v - v) = prod_c phi(T_c),
+    phi(T_v)     = x * prod_c phi(T_c)
+                   - sum_c phi(T_c - c) * prod_{c' != c} phi(T_c'),
+
+swept once from the leaves up.  A tree is rooted at vertex 0.  A unicyclic
+graph roots one tree at each cycle vertex c_0 .. c_{l-1}; with
+f_j = phi(T_{c_j}) and r_j = phi(T_{c_j} - c_j), the cycle-edge recurrence
+phi(G) = phi(G-uv) - phi(G-u-v) - 2*phi(G-C) on the edge uv = c_{l-1} c_0
+needs only
+
+    phi(G-C)   = prod_j r_j,
+    phi(G-uv)  = chain(f, r),
+    phi(G-u-v) = r_0 * r_{l-1} * chain(f[1:-1], r[1:-1]),
+
+where chain is the characteristic polynomial of a path of rooted trees.
+Nothing is cached between calls.  Anything denser falls back to the exact
 general-purpose reference algorithm.
 
 ``charpoly_reference`` is the independent trust anchor: the
@@ -15,13 +31,12 @@ division is by a loop index and is checked to be exact.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from .graphs import Graph, connected_components, induced_subgraph, unique_cycle
 from .polynomials import ONE, X, IntPolynomial
-from .trees import free_tree_code
 
-# Shared across calls; keys are canonical forest codes, values are final and
-# deterministic, so concurrent duplicate inserts are benign.
-_FOREST_MEMO: dict[tuple, IntPolynomial] = {}
+_ZERO = IntPolynomial(())
 
 
 def charpoly(g: Graph) -> IntPolynomial:
@@ -36,7 +51,8 @@ def charpoly(g: Graph) -> IntPolynomial:
         return result
     m = g.edge_count
     if m == g.n - 1:
-        return _forest_charpoly(g.adjacency_dict())
+        f, _ = _rooted_trees(g, [0])
+        return f[0]
     if m == g.n:
         return _unicyclic_charpoly(g)
     return charpoly_reference(g)
@@ -45,74 +61,52 @@ def charpoly(g: Graph) -> IntPolynomial:
 def _unicyclic_charpoly(g: Graph) -> IntPolynomial:
     cycle = unique_cycle(g)
     assert cycle is not None
-    u, v = cycle[0], cycle[1]
-    adj = g.adjacency_dict()
-
-    spanning = {w: set(nb) for w, nb in adj.items()}
-    spanning[u].discard(v)
-    spanning[v].discard(u)
-
-    without_ends = _delete(adj, (u, v))
-    without_cycle = _delete(adj, cycle)
-
-    return (
-        _forest_charpoly(spanning)
-        - _forest_charpoly(without_ends)
-        - 2 * _forest_charpoly(without_cycle)
-    )
+    f, r = _rooted_trees(g, cycle)
+    without_cycle = ONE
+    for rj in r:
+        without_cycle = without_cycle * rj
+    without_edge = _chain(f, r)
+    without_ends = r[0] * r[-1] * _chain(f[1:-1], r[1:-1])
+    return without_edge - without_ends - 2 * without_cycle
 
 
-def _delete(adj: dict[int, set[int]], vertices) -> dict[int, set[int]]:
-    drop = set(vertices)
-    return {v: nb - drop for v, nb in adj.items() if v not in drop}
+def _rooted_trees(
+    g: Graph, roots: Sequence[int]
+) -> tuple[list[IntPolynomial], list[IntPolynomial]]:
+    """phi(T_v) and phi(T_v - v) for each root v, in the order of ``roots``.
+
+    T_v is the tree hanging from v away from the other roots; a BFS from the
+    roots, swept in reverse, folds each vertex into its parent.
+    """
+    seen = [False] * g.n
+    for v in roots:
+        seen[v] = True
+    parent = [0] * g.n
+    order = list(roots)
+    for v in order:
+        for w in g.neighbors(v):
+            if not seen[w]:
+                seen[w] = True
+                parent[w] = v
+                order.append(w)
+    # over the children folded in so far: prod[v] = prod_c phi(T_c) and
+    # rest[v] = sum_c phi(T_c - c) * prod_{c' != c} phi(T_c')
+    prod = [ONE] * g.n
+    rest = [_ZERO] * g.n
+    for v in reversed(order[len(roots) :]):
+        f = X * prod[v] - rest[v]
+        p = parent[v]
+        rest[p] = rest[p] * f + prod[p] * prod[v]
+        prod[p] = prod[p] * f
+    return [X * prod[v] - rest[v] for v in roots], [prod[v] for v in roots]
 
 
-def _forest_components(adj: dict[int, set[int]]) -> list[list[int]]:
-    seen = set()
-    comps = []
-    for start in adj:
-        if start in seen:
-            continue
-        stack, comp = [start], []
-        seen.add(start)
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        comps.append(comp)
-    return comps
-
-
-def _forest_code(adj: dict[int, set[int]]) -> tuple:
-    return tuple(sorted(free_tree_code(adj, comp) for comp in _forest_components(adj)))
-
-
-def _forest_charpoly(adj: dict[int, set[int]]) -> IntPolynomial:
-    """Pendant recurrence with memoisation on the canonical forest code."""
-    if not adj:
-        return ONE
-    code = _forest_code(adj)
-    cached = _FOREST_MEMO.get(code)
-    if cached is not None:
-        return cached
-    leaf = None
-    for v, nb in adj.items():
-        if len(nb) == 1:
-            leaf = v
-            break
-    if leaf is None:
-        # every vertex isolated
-        result = IntPolynomial.x_power(len(adj))
-    else:
-        support = next(iter(adj[leaf]))
-        result = X * _forest_charpoly(_delete(adj, (leaf,))) - _forest_charpoly(
-            _delete(adj, (leaf, support))
-        )
-    _FOREST_MEMO[code] = result
-    return result
+def _chain(f: Sequence[IntPolynomial], r: Sequence[IntPolynomial]) -> IntPolynomial:
+    """phi of rooted trees (f_j, r_j) whose roots form a path in order."""
+    before, cur = ONE, f[0]
+    for j in range(1, len(f)):
+        before, cur = cur, f[j] * cur - r[j - 1] * r[j] * before
+    return cur
 
 
 # ---------------------------------------------------------------------------

@@ -405,9 +405,6 @@ class ModulusCheckReport:
     entries: tuple[ModulusCheckEntry, ...]
     max_rel_dev: float
 
-    def failures(self, tol: float = 1e-9) -> list[ModulusCheckEntry]:
-        return [e for e in self.entries if e.rel_dev > tol]
-
 
 def check_modulus_forms(
     n: int, xgrid: Sequence[float] = STANDARD_GRID

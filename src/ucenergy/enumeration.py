@@ -78,12 +78,9 @@ def _codes(n: int) -> tuple[UnicyclicCode, ...]:
     trees_by_size = {size: rooted_trees(size) for size in range(1, n - 1)}
     out = []
     for l in range(3, n + 1):
-        seen: set[tuple[tuple[int, ...], ...]] = set()
         for assignment in _assignments(n, l, trees_by_size):
-            normal = necklace_normal_form(assignment)
-            if normal not in seen:
-                seen.add(normal)
-                out.append(UnicyclicCode(l, normal))
+            if assignment == necklace_normal_form(assignment):
+                out.append(UnicyclicCode(l, assignment))
     out.sort(key=lambda c: (c.cycle_len, c.trees))
     return tuple(out)
 

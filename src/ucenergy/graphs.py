@@ -85,10 +85,6 @@ class Graph:
             m[v][u] = 1
         return m
 
-    def adjacency_dict(self) -> dict[int, set[int]]:
-        """Mutable adjacency copy, handy for deletion recurrences."""
-        return {v: set(self._adjacency[v]) for v in range(self.n)}
-
 
 # ---------------------------------------------------------------------------
 # Families.

@@ -34,10 +34,10 @@ class IntPolynomial:
 
     @classmethod
     def from_coeffs(cls, coeffs: Iterable[int]) -> "IntPolynomial":
-        cs = list(coeffs)
+        cs = [int(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        return cls(tuple(int(c) for c in cs))
+        return cls(tuple(cs))
 
     @classmethod
     def constant(cls, c: int) -> "IntPolynomial":
@@ -79,7 +79,10 @@ class IntPolynomial:
         return IntPolynomial.from_coeffs(out)
 
     def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        return self + (-other)
+        out = list(self.coeffs) + [0] * (len(other.coeffs) - len(self.coeffs))
+        for i, c in enumerate(other.coeffs):
+            out[i] -= c
+        return IntPolynomial.from_coeffs(out)
 
     def __neg__(self) -> "IntPolynomial":
         return IntPolynomial(tuple(-c for c in self.coeffs))
@@ -96,7 +99,8 @@ class IntPolynomial:
             if a:
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
-        return IntPolynomial.from_coeffs(out)
+        # the leading term is a product of nonzero leading coefficients
+        return IntPolynomial(tuple(out))
 
     __rmul__ = __mul__
 

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -103,6 +105,41 @@ def small_graphs(draw):
 @settings(max_examples=80)
 def test_reference_agreement_random(g):
     assert charpoly(g) == charpoly_reference(g)
+
+
+def _relabelled(n, edges, rng):
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph.from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def _random_tree_edges(n, rng, first=1):
+    return [(rng.randrange(v), v) for v in range(first, n)]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_reference_agreement_random_unicyclic(seed):
+    # a random forest hung on a random cycle, labels shuffled
+    rng = random.Random(seed)
+    n = rng.randint(30, 60)
+    l = rng.randint(3, n)
+    edges = [(i, (i + 1) % l) for i in range(l)] + _random_tree_edges(n, rng, first=l)
+    g = _relabelled(n, edges, rng)
+    assert g.edge_count == n
+    assert charpoly(g) == charpoly_reference(g)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_reference_agreement_random_forests(seed):
+    rng = random.Random(100 + seed)
+    n = rng.randint(2, 60)
+    tree = _random_tree_edges(n, rng)
+    g = _relabelled(n, tree, rng)
+    assert charpoly(g) == charpoly_reference(g)
+    # dropping edges leaves a forest of several trees
+    kept = rng.sample(tree, len(tree) - rng.randint(1, min(4, len(tree))))
+    forest = _relabelled(n, kept, rng)
+    assert charpoly(forest) == charpoly_reference(forest)
 
 
 def test_reference_rejects_oversized():
