@@ -1,22 +1,15 @@
 """Graph-energy workbench for unicyclic graphs.
 
 Exact characteristic polynomials, rigorous root-enclosure energies with
-eigensolver and Coulson-integral cross-routes, closed-form verification of
-the lollipop comparison machinery, machine-checked sign certificates for its
-polynomial inequalities, and an isomorphism-free exhaustive search over
-unicyclic graphs.
+eigensolver and Coulson-integral cross-routes, float closed forms of the
+lollipop moduli checked against exact characteristic polynomials, the exact
+lollipop comparison algebra in z, where x = z - 1/z, with Sturm sign
+certificates for its polynomial inequalities, and an isomorphism-free
+exhaustive search over unicyclic graphs.
 """
 
 from .charpoly import charpoly, charpoly_reference
-from .closedforms import (
-    ClosedFormSample,
-    check_modulus_forms,
-    closed_form_sample,
-    f_factored,
-    modulus_sq_p6,
-    modulus_sq_pt,
-    pq_pair,
-)
+from .closedforms import check_modulus_forms, modulus_sq_p6, modulus_sq_pt
 from .coulson import cycle_energy_reference, energy_coulson, energy_diff_coulson
 from .certify import (
     Refutation,
@@ -53,7 +46,6 @@ from .trees import rooted_trees
 __version__ = "0.1.0"
 
 __all__ = [
-    "ClosedFormSample",
     "ConvergenceError",
     "EnergyValue",
     "Graph",
@@ -68,7 +60,6 @@ __all__ = [
     "charpoly",
     "charpoly_reference",
     "check_modulus_forms",
-    "closed_form_sample",
     "count_unicyclic",
     "certify_poly_sign",
     "certify_radical_sign",
@@ -77,7 +68,6 @@ __all__ = [
     "energy_diff_coulson",
     "energy_eigensolver",
     "energy_of_poly",
-    "f_factored",
     "format_graph6",
     "make_cycle",
     "make_cycle_with_pendants",
@@ -87,7 +77,6 @@ __all__ = [
     "modulus_sq_p6",
     "modulus_sq_pt",
     "parse_graph6",
-    "pq_pair",
     "rooted_trees",
     "run_claim_suite",
     "unicyclic_graphs",

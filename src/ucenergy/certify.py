@@ -20,6 +20,14 @@ in w decides the sign exactly:
     (0,inf)     1 + w        P(1 + w)
     (-inf,0)    1 / (1 + w)  (1 + w)**deg P * P(1 / (1 + w))
 
+``w_polynomial`` applies the same map to any polynomial in z, so the sign of
+any quantity written in z can be certified on each x-domain.
+
+The comparison algebra itself lives here in z as well: a ``ZTerm`` is
+z**e * p(z) / (z**2 + 1)**k, and ``lollipop_terms(t)`` assembles the
+closed-form coefficients a1, a2, b11..b22, alpha, beta and gamma of the
+L(n,6) versus L(n,t) comparison, for any odd t, exactly.
+
 ``run_claim_suite`` certifies the inequality backbone of the lollipop
 comparison: positivity of the growth coefficients, the degree-18 inequality
 behind the beta/gamma signs, the three radical-pair inequalities driving the
@@ -35,7 +43,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .closedforms import (
     F5_DEG12,
@@ -266,16 +274,21 @@ def _x_of_w(w: Fraction, domain: str) -> Fraction:
     return z - 1 / z
 
 
-def _radical_in_w(a: IntPolynomial, b: IntPolynomial, domain: str) -> IntPolynomial:
-    """The polynomial in w whose sign on (0,inf) is that of a + b*sqrt(x**2+4)
-    on the x-domain (the table in the module docstring)."""
-    d = max(a.degree, b.degree + 1)
-    p = _in_z(a, d) + _in_z(b, d - 1) * _SQ_PLUS_1
+def w_polynomial(p: IntPolynomial, domain: str) -> IntPolynomial:
+    """The polynomial in w whose sign on (0,inf) is that of p(z) on the
+    x-domain, x = z - 1/z (the table in the module docstring)."""
     if domain == "R":
         return p
     if domain == "(0,inf)":
         return _shift_one(p)
     return _shift_one(reverse(p, p.degree))
+
+
+def _radical_in_w(a: IntPolynomial, b: IntPolynomial, domain: str) -> IntPolynomial:
+    """The polynomial in w whose sign on (0,inf) is that of a + b*sqrt(x**2+4)
+    on the x-domain."""
+    d = max(a.degree, b.degree + 1)
+    return w_polynomial(_in_z(a, d) + _in_z(b, d - 1) * _SQ_PLUS_1, domain)
 
 
 def certify_radical_sign(
@@ -442,13 +455,16 @@ def _cert_from_dict(data: dict) -> SignCertificate:
 
 
 # ---------------------------------------------------------------------------
-# The cross-assembly identity in z.
+# The comparison algebra in z.
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class ZTerm:
-    """z**e * p(z) / (z**2 + 1)**k, the shape of every f(5, x) quantity in z."""
+    """z**e * p(z) / (z**2 + 1)**k, the shape of every comparison quantity in z.
+
+    On z > 0 (all real x) it has the sign of p(z).
+    """
 
     p: IntPolynomial
     e: int = 0
@@ -480,41 +496,71 @@ class ZTerm:
         return ZTerm(self.p ** n, self.e * n, self.k * n)
 
 
-def assembled_f5_exact() -> ZTerm:
-    """The assembled bound f(5, x) at x = z - 1/z, exactly.
+# z1 = z, z2 = -1/z, 1/(z1**2 + 1) = 1/(z**2 + 1), 1/(z2**2 + 1) =
+# z**2/(z**2 + 1) and 1/(x**2 + 4) = z**2/(z**2 + 1)**2
+Z1, Z2 = ZTerm(X), ZTerm(-ONE, -1)
+INV1, INV2 = ZTerm(ONE, 0, 1), ZTerm(ONE, 2, 1)
+H = ZTerm(ONE, 2, 2)
+_ONE, _TWO = ZTerm(ONE), ZTerm(IntPolynomial.constant(2))
+# the t-free parts of b11, b21 and b12, b22
+G1 = Z1 * Z1 * (Z1 * Z1 + _TWO) * INV1 ** 2
+G2 = Z2 * Z2 * (Z2 * Z2 + _TWO) * INV2 ** 2
+M1, M2 = -(_TWO * INV1), -(_TWO * INV2)
 
-    Follows ``closedforms.closed_form_sample`` with z1 = z, z2 = -1/z,
-    1/(z1**2 + 1) = 1/(z**2 + 1), 1/(z2**2 + 1) = z**2/(z**2 + 1) and
-    1/(x**2 + 4) = z**2/(z**2 + 1)**2.
+
+class LollipopTerms(NamedTuple):
+    """The closed-form coefficients of the L(n,6) versus L(n,t) comparison.
+
+    |phi(L(n,6), ix)|**2 = a1**2 z1**2n + a2**2 z2**2n + (-1)**n 2 a1 a2, and
+    |phi(L(n,t), ix)|**2 has b11**2 + b12**2, b21**2 + b22**2 and
+    b11 b21 + b12 b22 in the same places; alpha, beta and gamma combine the
+    two families in K(n, t, x).
     """
-    one, two = ZTerm(ONE), ZTerm(IntPolynomial.constant(2))
-    z1, z2 = ZTerm(X), ZTerm(-ONE, -1)
-    inv1, inv2 = ZTerm(ONE, 0, 1), ZTerm(ONE, 2, 1)
-    h = ZTerm(ONE, 2, 2)
-    f8, f7 = ZTerm.from_x(F8), ZTerm.from_x(F7)
-    a1 = -((z1 * f8 + f7) * inv1) * z2 ** 7
-    a2 = -((z2 * f8 + f7) * inv2) * z1 ** 7
 
-    t = 5
-    z1sq, z2sq = z1 * z1, z2 * z2
-    b11 = z1sq * (z1sq + two) * inv1 ** 2 - z2 ** (2 * t - 2) * h
-    b12 = -(two * z2 ** (t - 2) * inv1)
-    b21 = z2sq * (z2sq + two) * inv2 ** 2 - z1 ** (2 * t - 2) * h
-    b22 = -(two * z1 ** (t - 2) * inv2)
+    a1: ZTerm
+    a2: ZTerm
+    b11: ZTerm
+    b12: ZTerm
+    b21: ZTerm
+    b22: ZTerm
+    alpha: ZTerm
+    beta: ZTerm
+    gamma: ZTerm
+
+
+def lollipop_terms(t: int) -> LollipopTerms:
+    """The comparison coefficients for odd t >= 3, exactly, at x = z - 1/z."""
+    if t < 3 or t % 2 == 0:
+        raise ValueError("t must be an odd integer >= 3, got %r" % t)
+    f8, f7 = ZTerm.from_x(F8), ZTerm.from_x(F7)
+    a1 = -((Z1 * f8 + f7) * INV1) * Z2 ** 7
+    a2 = -((Z2 * f8 + f7) * INV2) * Z1 ** 7
+
+    b11 = G1 - Z2 ** (2 * t - 2) * H
+    b12 = M1 * Z2 ** (t - 2)
+    b21 = G2 - Z1 ** (2 * t - 2) * H
+    b22 = M2 * Z1 ** (t - 2)
 
     b1sq = b11 * b11 + b12 * b12
     b2sq = b21 * b21 + b22 * b22
     bcross = b11 * b21 + b12 * b22
     alpha = a2 * a2 * b1sq - a1 * a1 * b2sq
-    beta = two * (a1 * a1 * bcross - a1 * a2 * b1sq)
-    gamma = two * (a1 * a2 * b2sq - a2 * a2 * bcross)
+    beta = _TWO * (a1 * a1 * bcross - a1 * a2 * b1sq)
+    gamma = _TWO * (a1 * a2 * b2sq - a2 * a2 * bcross)
+    return LollipopTerms(a1, a2, b11, b12, b21, b22, alpha, beta, gamma)
 
-    z1_4 = z1sq * z1sq
-    z2_4 = z2sq * z2sq
+
+def assembled_f5_exact() -> ZTerm:
+    """The assembled bound f(5, x) at x = z - 1/z, exactly:
+    alpha (z1**4 - z2**4) + beta z1**10 (z1**4 - 1) + gamma z2**10 (1 - z2**4).
+    """
+    t = 5
+    terms = lollipop_terms(t)
+    z1_4, z2_4 = Z1 ** 4, Z2 ** 4
     return (
-        alpha * (z1_4 - z2_4)
-        + beta * z1 ** (2 * t) * (z1_4 - one)
-        + gamma * z2 ** (2 * t) * (one - z2_4)
+        terms.alpha * (z1_4 - z2_4)
+        + terms.beta * Z1 ** (2 * t) * (z1_4 - _ONE)
+        + terms.gamma * Z2 ** (2 * t) * (_ONE - z2_4)
     )
 
 
@@ -541,8 +587,6 @@ class ClaimResult:
     ok: bool
     evidence: str
     root_counts: tuple[tuple[str, int], ...]
-    grid_points: int
-    grid_ok: bool
     detail: str = ""
     certificates: tuple[SignCertificate, ...] = ()
     refutations: tuple[Refutation, ...] = ()
@@ -563,27 +607,6 @@ class ClaimSuiteReport:
         raise KeyError(claim_id)
 
 
-def _grid_check(
-    p: IntPolynomial, domain: str, sign: str, points: int = 1000
-) -> tuple[int, bool]:
-    """Dense rational grid on [-10, 10]; returns (checked, consistent)."""
-    want = _sign_target(sign)
-    denom = max(points // 20, 1)  # spreads the grid over [-10, 10]
-    checked = 0
-    for k in range(-(points // 2), points // 2 + 1):
-        x = Fraction(k, denom)
-        if not _in_domain(x, domain):
-            continue
-        s = p.sign_at(x)
-        checked += 1
-        if _strict(sign):
-            if s != want:
-                return checked, False
-        elif s not in (0, want):
-            return checked, False
-    return checked, True
-
-
 def _poly_claim(
     claim_id: str,
     description: str,
@@ -591,27 +614,21 @@ def _poly_claim(
     domain: str,
     sign: str,
 ) -> ClaimResult:
-    outcome = certify_poly_sign(p, domain, sign, claim_id)
-    grid_points, grid_ok = _grid_check(p, domain, sign)
-    return _claim(claim_id, description, outcome, grid_points, grid_ok)
+    return _claim(claim_id, description, certify_poly_sign(p, domain, sign, claim_id))
 
 
 def _claim(
     claim_id: str,
     description: str,
     outcome: SignCertificate | Refutation,
-    grid_points: int = 0,
-    grid_ok: bool = True,
 ) -> ClaimResult:
     if isinstance(outcome, SignCertificate):
         return ClaimResult(
             claim_id,
             description,
-            ok=grid_ok,
+            ok=True,
             evidence="sturm-certificate" if outcome.rule == "sturm" else outcome.rule,
             root_counts=((outcome.domain, outcome.root_count),),
-            grid_points=grid_points,
-            grid_ok=grid_ok,
             detail="sample p(%s) sign %+d" % (outcome.sample_point, outcome.sample_sign),
             certificates=(outcome,),
         )
@@ -621,8 +638,6 @@ def _claim(
         ok=False,
         evidence="refuted",
         root_counts=(),
-        grid_points=grid_points,
-        grid_ok=grid_ok,
         detail=outcome.reason,
         refutations=(outcome,),
     )
@@ -684,8 +699,6 @@ def run_claim_suite() -> ClaimSuiteReport:
             ok=identity_ok and cof.ok,
             evidence="exact-identity+sturm" if identity_ok else "identity-failed",
             root_counts=cof.root_counts,
-            grid_points=cof.grid_points,
-            grid_ok=cof.grid_ok,
             detail="identity %s; lhs(1) = %d" % (identity_ok, lhs(1)),
             certificates=cof.certificates,
             refutations=cof.refutations,
@@ -712,32 +725,15 @@ def run_claim_suite() -> ClaimSuiteReport:
     # C8: assembled f(5, x) equals its factored polynomial form, exactly.
     difference = assembled_f5_exact() - ZTerm.from_x(f5_factored_poly())
     exact_ok = difference.p.is_zero
-    grid_points, grid_ok = _c8_grid()
     results.append(
         ClaimResult(
             "C8",
             "assembled f(5,x) identical to the factored polynomial",
-            ok=exact_ok and grid_ok,
-            evidence="exact-identity+grid" if exact_ok else "grid-only",
+            ok=exact_ok,
+            evidence="exact-identity" if exact_ok else "identity-failed",
             root_counts=(),
-            grid_points=grid_points,
-            grid_ok=grid_ok,
             detail="identity in z over (z^2+1)^%d: %s" % (difference.k, exact_ok),
         )
     )
 
     return ClaimSuiteReport(tuple(results))
-
-
-def _c8_grid(points: int = 200, rel_tol: float = 1e-9) -> tuple[int, bool]:
-    from .closedforms import closed_form_sample, f_factored
-
-    checked = 0
-    for k in range(-points // 2, points // 2 + 1):
-        x = 10.0 * k / (points // 2)
-        assembled = closed_form_sample(x, 5, 9).f_val
-        factored = f_factored(5, x)
-        checked += 1
-        if abs(assembled - factored) > rel_tol * max(1.0, abs(factored)):
-            return checked, False
-    return checked, True

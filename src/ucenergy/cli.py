@@ -225,23 +225,23 @@ def _cmd_enumerate(args) -> int:
 def _cmd_certify(args) -> int:
     report = run_claim_suite()
     wanted = [
-        r for r in report.results if args.claim in ("all", r.claim_id.split("/")[0])
+        r
+        for r in report.results
+        if args.claim in ("all", r.claim_id, r.claim_id.split("/")[0])
     ]
     if not wanted:
-        print("no claim matches %r" % args.claim, file=sys.stderr)
-        return EXIT_PARSE
+        raise ValueError("no claim matches %r" % args.claim)
     rows = [
         {
             "claim": r.claim_id,
             "ok": r.ok,
             "evidence": r.evidence,
             "root_counts": ";".join("%s=%d" % rc for rc in r.root_counts),
-            "grid_points": r.grid_points,
             "detail": r.detail,
         }
         for r in wanted
     ]
-    _emit(rows, ["claim", "ok", "evidence", "root_counts", "grid_points", "detail"], args.format)
+    _emit(rows, ["claim", "ok", "evidence", "root_counts", "detail"], args.format)
     if args.dump_certificates:
         for r in wanted:
             for cert in r.certificates:
@@ -253,11 +253,13 @@ def _cmd_certify(args) -> int:
 
 def _cmd_closed_form_check(args) -> int:
     grid = tuple(args.grid) if args.grid else STANDARD_GRID
-    ts = [args.t] if args.t else None
+    for t in args.t or ():
+        if t % 2 == 0 or not 3 <= t <= args.n:
+            raise ValueError("--t must be odd with 3 <= t <= n = %d, got %d" % (args.n, t))
     report = check_modulus_forms(args.n, grid)
     entries = report.entries
-    if ts:
-        entries = [e for e in entries if e.t in ts or e.t is None]
+    if args.t:
+        entries = [e for e in entries if e.t in args.t or e.t is None]
     rows = [
         {
             "family": e.family,

@@ -1,20 +1,21 @@
-"""Scalar closed forms for the lollipop energy comparison.
+"""Float closed forms of the lollipop moduli and the comparison polynomials.
 
-Everything here works with the two real roots z1 > z2 of z**2 = x*z + 1,
-which drive the two-term closed forms of the lollipop characteristic
-polynomials at imaginary argument.  The module evaluates:
+The two real roots z1 > z2 of z**2 = x*z + 1 drive the two-term closed forms
+of the lollipop characteristic polynomials at imaginary argument.  This
+module holds:
 
-* the growth coefficients a1, a2 of the hexagon-lollipop family and the
-  b11/b12/b21/b22 coefficients of the odd-lollipop family,
-* the squared moduli |phi(L(n,6), ix)|**2 and |phi(L(n,t), ix)|**2 through
-  those closed forms (checkable against exact characteristic polynomials),
-* the comparison kernel K(n, t, x), its t-anchored bound f(t, x) in both the
-  alpha/beta/gamma assembly and the d-coefficient expansion, and the
-  factored forms used for t = 3 and t = 5,
-* the p/q polynomial pairs whose radical combinations decide all signs.
+* the integer polynomials of the comparison: F8 and F7, which give the
+  growth coefficients a1, a2 of the hexagon-lollipop family; the p/q pairs
+  whose radical combinations decide the coefficient signs; and the factors
+  of the bounds f(5, x) and f(3, x);
+* double-precision evaluators of the squared moduli |phi(L(n,6), ix)|**2 and
+  |phi(L(n,t), ix)|**2 through those closed forms, and ``check_modulus_forms``,
+  which compares them on a grid with exact characteristic polynomials
+  (the ``closed-form-check`` command).
 
-All evaluation is double precision; exact certification of the underlying
-polynomial inequalities lives in the certify module.
+The exact algebra of the comparison (a1, a2, the b-coefficients, alpha, beta,
+gamma and the bounds, as rational functions of z) and the sign certificates
+of its inequalities live in the certify module.
 """
 
 from __future__ import annotations
@@ -32,12 +33,6 @@ from .polynomials import IntPolynomial
 #: Grid used by the modulus-form identity checks (avoids the branch points
 #: x = +-2 of the original variables).
 STANDARD_GRID: tuple[float, ...] = (-3.0, -1.5, 0.5, 1.5, 3.0)
-
-
-def symmetric_grid(count: int = 50, lo: float = -10.0, hi: float = 10.0) -> list[float]:
-    """Evenly spaced sign-varied sample grid."""
-    step = (hi - lo) / (count - 1)
-    return [lo + k * step for k in range(count)]
 
 
 def _even_poly(desc_coeffs: Sequence[int], top_power: int) -> IntPolynomial:
@@ -127,145 +122,6 @@ def _b_quad(t: int, x: float) -> tuple[float, float, float, float]:
     return b11, b12, b21, b22
 
 
-@dataclass(frozen=True)
-class ClosedFormSample:
-    """Every scalar quantity of the comparison machinery at one (x, t, n)."""
-
-    x: float
-    t: int
-    n: int
-    z1: float
-    z2: float
-    a1: float
-    a2: float
-    b11: float
-    b12: float
-    b21: float
-    b22: float
-    g1: float
-    g2: float
-    m1: float
-    m2: float
-    h: float
-    alpha: float
-    beta: float
-    gamma: float
-    d: tuple[float, float, float, float, float]
-    k_val: float
-    f_val: float
-
-
-def alpha_beta_gamma_terms(x: float) -> tuple[tuple[float, ...], ...]:
-    """The t-free building blocks (alpha_i), (beta_i), (gamma_i).
-
-    beta has no index-3 term and gamma no index-4 term; those slots are zero.
-    """
-    z1, z2 = zpair(x)
-    a1, a2 = _a_pair(x)
-    g1 = z1 * z1 * (z1 * z1 + 2.0) / (z1 * z1 + 1.0) ** 2
-    g2 = z2 * z2 * (z2 * z2 + 2.0) / (z2 * z2 + 1.0) ** 2
-    m1 = -2.0 / (z1 * z1 + 1.0)
-    m2 = -2.0 / (z2 * z2 + 1.0)
-    h = 1.0 / (x * x + 4.0)
-    core = 2.0 * (x * x + 3.0) / (x * x + 4.0) ** 2
-    alphas = (
-        a2 * a2 * g1 * g1 - a1 * a1 * g2 * g2,
-        2.0 * a1 * a1 * g2 * h * z1 * z1 - a1 * a1 * m2 * m2,
-        a2 * a2 * m1 * m1 - 2.0 * a2 * a2 * g1 * h * z2 * z2,
-        -a1 * a1 * h * h,
-        a2 * a2 * h * h,
-    )
-    betas = (
-        -2.0 * a1 * (core * a1 + a2 * g1 * g1),
-        -2.0 * a1 * a1 * g1 * h,
-        2.0 * a1 * (2.0 * a2 * g1 * h - a1 * g2 * h - a2 * m1 * m1 * z1 * z1),
-        0.0,
-        -2.0 * a1 * a2 * h * h,
-    )
-    gammas = (
-        2.0 * a2 * (a1 * g2 * g2 + core * a2),
-        2.0 * a2 * (a1 * m2 * m2 * z2 * z2 + a2 * g1 * h - 2.0 * a1 * g2 * h),
-        2.0 * a2 * a2 * g2 * h,
-        2.0 * a1 * a2 * h * h,
-        0.0,
-    )
-    return alphas, betas, gammas
-
-
-def closed_form_sample(x: float, t: int, n: int) -> ClosedFormSample:
-    """Evaluate every closed-form quantity at (x, t, n); t must be odd >= 3."""
-    if t < 3 or t % 2 == 0:
-        raise ValueError("t must be an odd integer >= 3, got %r" % t)
-    z1, z2 = zpair(x)
-    a1, a2 = _a_pair(x)
-    b11, b12, b21, b22 = _b_quad(t, x)
-    g1 = z1 * z1 * (z1 * z1 + 2.0) / (z1 * z1 + 1.0) ** 2
-    g2 = z2 * z2 * (z2 * z2 + 2.0) / (z2 * z2 + 1.0) ** 2
-    m1 = -2.0 / (z1 * z1 + 1.0)
-    m2 = -2.0 / (z2 * z2 + 1.0)
-    h = 1.0 / (x * x + 4.0)
-
-    b1sq = b11 * b11 + b12 * b12
-    b2sq = b21 * b21 + b22 * b22
-    bcross = b11 * b21 + b12 * b22
-    alpha = a2 * a2 * b1sq - a1 * a1 * b2sq
-    beta = 2.0 * a1 * a1 * bcross - 2.0 * a1 * a2 * b1sq
-    gamma = 2.0 * a1 * a2 * b2sq - 2.0 * a2 * a2 * bcross
-
-    al, be, ga = alpha_beta_gamma_terms(x)
-    z1_2, z2_2 = z1 * z1, z2 * z2
-    z1_4, z2_4 = z1_2 * z1_2, z2_2 * z2_2
-    z1_8, z2_8 = z1_4 * z1_4, z2_4 * z2_4
-    d = (
-        al[0] * (z1_4 - z2_4) + be[2] * (z1_4 - 1.0) * z1_2 + ga[1] * (1.0 - z2_4) * z2_2,
-        al[1] * (1.0 - z2_8) + be[0] * (z1_4 - 1.0) + ga[3] * (z2_4 - z2_8),
-        al[2] * (z1_8 - 1.0) + ga[0] * (1.0 - z2_4) + be[4] * (z1_8 - z1_4),
-        al[3] * (1.0 - z2_8) + be[1] * (z1_2 - z2_2),
-        al[4] * (z1_8 - 1.0) + ga[2] * (z1_2 - z2_2),
-    )
-
-    k_val = (
-        alpha * (z1_4 - z2_4)
-        + beta * z1 ** (2 * n) * (z1_4 - 1.0)
-        + gamma * z2 ** (2 * n) * (1.0 - z2_4)
-    )
-    f_val = (
-        alpha * (z1_4 - z2_4)
-        + beta * z1 ** (2 * t) * (z1_4 - 1.0)
-        + gamma * z2 ** (2 * t) * (1.0 - z2_4)
-    )
-    return ClosedFormSample(
-        x, t, n, z1, z2, a1, a2, b11, b12, b21, b22,
-        g1, g2, m1, m2, h, alpha, beta, gamma, d, k_val, f_val,
-    )
-
-
-def f_via_d(t: int, x: float) -> float:
-    """f(t, x) through the d-coefficient expansion in powers of z1**2."""
-    sample = closed_form_sample(x, t, 7)
-    z1, z2 = sample.z1, sample.z2
-    d0, d1, d2, d3, d4 = sample.d
-    return (
-        d0
-        + d1 * z1 ** (2 * t)
-        + d2 * z2 ** (2 * t)
-        + d3 * z1 ** (4 * t)
-        + d4 * z2 ** (4 * t)
-    )
-
-
-def df_dt_sign_term(t: int, x: float) -> float:
-    """The t-derivative of f: (bracketed series) * log(z1**2); negative."""
-    sample = closed_form_sample(x, t, 7)
-    z1 = sample.z1
-    _, d1, d2, d3, d4 = sample.d
-    w = z1 * z1
-    bracket = (
-        d1 * w ** t - d2 * w ** (-t) + 2.0 * d3 * w ** (2 * t) - 2.0 * d4 * w ** (-2 * t)
-    )
-    return bracket * math.log(w)
-
-
 # ---------------------------------------------------------------------------
 # Squared moduli through the closed forms.
 # ---------------------------------------------------------------------------
@@ -303,85 +159,6 @@ def modulus_sq_exact(n: int, l: int, x) -> Fraction:
     """|phi(L(n,l), ix)|**2 from the exact characteristic polynomial."""
     poly = modulus_sq_at_ix(charpoly(make_lollipop(n, l)))
     return Fraction(poly(Fraction(x)))
-
-
-def k_value_exact(n: int, t: int, x) -> float:
-    """K(n, t, x) straight from its definition, with exact cancellation.
-
-    The two squared-modulus products agree to dozens of digits, so the
-    subtraction is done over exact rationals before converting to float.
-    """
-    xf = Fraction(x)
-    diff = modulus_sq_exact(n + 2, t, xf) * modulus_sq_exact(n, 6, xf) - (
-        modulus_sq_exact(n + 2, 6, xf) * modulus_sq_exact(n, t, xf)
-    )
-    return float(diff)
-
-
-# ---------------------------------------------------------------------------
-# p/q pairs and factored bounds.
-# ---------------------------------------------------------------------------
-
-
-def pq_pair(index: int, x: float) -> tuple[float, float]:
-    """(p_i(x), q_i(x)) with the sqrt(x**2+4) factor folded into q_i."""
-    if index not in P_POLYS:
-        raise ValueError("index must be 0..4, got %r" % index)
-    radical = math.sqrt(x * x + 4.0)
-    return float(P_POLYS[index](x)), float(Q_POLYS[index](x)) * radical
-
-
-def f_factored(t: int, x: float) -> float:
-    """Factored polynomial form of f(5, x), or of the bound used at t = 3."""
-    x2 = x * x
-    if t == 5:
-        return -x2 * (x2 + 1.0) ** 2 * float(F5_QUARTIC(x)) * float(F5_DEG12(x))
-    if t == 3:
-        return -x2 * (x2 + 1.0) ** 3 * float(T3_QUADRATIC(x)) * float(T3_DEG12(x))
-    raise ValueError("factored forms exist for t in {3, 5}, got %r" % t)
-
-
-def t3_bound_value(x: float, n_exponent: int = 10) -> float:
-    """alpha(3,x)(z1^4-z2^4) + beta(3,x) z1^10 (z1^4-1) + gamma(3,x) z2^10 (1-z2^4)."""
-    sample = closed_form_sample(x, 3, 7)
-    z1, z2 = sample.z1, sample.z2
-    z1_4, z2_4 = z1 ** 4, z2 ** 4
-    return (
-        sample.alpha * (z1_4 - z2_4)
-        + sample.beta * z1 ** n_exponent * (z1_4 - 1.0)
-        + sample.gamma * z2 ** n_exponent * (1.0 - z2_4)
-    )
-
-
-# ---------------------------------------------------------------------------
-# Tail coefficients of the even-order subcases.
-# ---------------------------------------------------------------------------
-
-
-def dbar_coeffs(x: float) -> tuple[float, float, float, float, float]:
-    """Coefficients bounding K1 for x > 0; all five are negative there."""
-    al, be, _ = alpha_beta_gamma_terms(x)
-    z1, z2 = zpair(x)
-    return (
-        be[0] - al[1] * z2 ** 4,
-        be[1] - al[3] * z2 ** 2,
-        be[2] - al[0] * z2 ** 2,
-        be[4] - al[2],
-        -al[4],
-    )
-
-
-def dtilde_coeffs(x: float) -> tuple[float, float, float, float, float]:
-    """Coefficients bounding K2 for x < 0; all five are negative there."""
-    al, _, ga = alpha_beta_gamma_terms(x)
-    z1, z2 = zpair(x)
-    return (
-        al[2] * z1 ** 4 - ga[0],
-        al[0] * z1 ** 2 - ga[1],
-        al[4] * z1 ** 2 - ga[2],
-        al[1] - ga[3],
-        al[3],
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -169,10 +169,6 @@ def connected_components(g: Graph) -> list[list[int]]:
     return comps
 
 
-def is_connected(g: Graph) -> bool:
-    return g.n <= 1 or len(connected_components(g)) == 1
-
-
 def induced_subgraph(g: Graph, vertices: Sequence[int]) -> Graph:
     """Subgraph induced on the given vertices, relabelled 0..k-1 in order."""
     index = {v: i for i, v in enumerate(vertices)}
@@ -187,9 +183,13 @@ def induced_subgraph(g: Graph, vertices: Sequence[int]) -> Graph:
 def unique_cycle(g: Graph) -> Optional[list[int]]:
     """The unique cycle of a connected unicyclic graph, in traversal order.
 
-    Returns None unless g is connected with exactly n edges.
+    Returns None unless g is connected with exactly n edges.  Leaf stripping
+    leaves the 2-core.  With n edges, g is connected and unicyclic exactly
+    when every core vertex keeps degree 2 and one walk around the core covers
+    it: a tree component would leave another component with more edges than
+    vertices, and its core would have a vertex of degree 3 or more.
     """
-    if g.n == 0 or g.edge_count != g.n or not is_connected(g):
+    if g.n == 0 or g.edge_count != g.n:
         return None
     degree = [g.degree(v) for v in range(g.n)]
     queue = [v for v in range(g.n) if degree[v] == 1]
@@ -202,21 +202,21 @@ def unique_cycle(g: Graph) -> Optional[list[int]]:
                 degree[w] -= 1
                 if degree[w] == 1:
                     queue.append(w)
-    cycle_vertices = {v for v in range(g.n) if not removed[v]}
-    start = min(cycle_vertices)
+    core = [v for v in range(g.n) if not removed[v]]
+    if any(degree[v] != 2 for v in core):
+        return None
+    start = core[0]
     order = [start]
     prev = None
     while True:
         nxt = next(
-            w
-            for w in g.neighbors(order[-1])
-            if w in cycle_vertices and w != prev
+            w for w in g.neighbors(order[-1]) if not removed[w] and w != prev
         )
         if nxt == start:
             break
         prev = order[-1]
         order.append(nxt)
-    return order
+    return order if len(order) == len(core) else None
 
 
 # ---------------------------------------------------------------------------

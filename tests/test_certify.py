@@ -211,14 +211,17 @@ def test_claim_suite_all_certified(claim_report):
     assert ids[0] == "C1" and "C8" in ids
     c2 = claim_report.result("C2")
     assert c2.root_counts == (("R", 0),)
-    for r in claim_report.results:
-        assert r.grid_ok, r.claim_id
 
 
-def test_claim_suite_grid_sizes(claim_report):
+def test_claim_suite_evidence_kinds(claim_report):
+    evidence = {r.claim_id: r.evidence for r in claim_report.results}
+    assert evidence.pop("C4") == "exact-identity+sturm"
+    assert evidence.pop("C8") == "exact-identity"
+    assert evidence.pop("C7/pos") == evidence.pop("C7/neg") == "z-substitution"
+    assert set(evidence.values()) == {"sturm-certificate"}
     for r in claim_report.results:
-        if r.evidence == "sturm-certificate":
-            assert r.grid_points >= 1000
+        assert len(r.certificates) == (r.claim_id != "C8"), r.claim_id
+        assert all(verify_certificate(c) for c in r.certificates)
 
 
 def test_mutation_is_refuted(monkeypatch):

@@ -28,6 +28,9 @@ def test_nonpositive_tolerance_is_a_usage_error(argv, capsys):
         ["search", "--n", "5", "--top", "0"],
         ["search", "--n", "5", "--jobs", "0"],
         ["closed-form-check", "--n", "5"],
+        ["closed-form-check", "--n", "9", "--t", "4"],
+        ["closed-form-check", "--n", "9", "--t", "3", "--t", "11"],
+        ["certify", "C9"],
         ["diff", "C:5", "C:6", "--method", "coulson"],
     ],
 )
@@ -59,3 +62,21 @@ def test_certify_dumps_verifiable_certificates(capsys):
         cert = certificate_from_json(json.dumps(data))
         assert cert.rule == "z-substitution"
         assert verify_certificate(cert)
+
+
+def test_closed_form_check_filters_on_t(capsys):
+    assert main(["closed-form-check", "--n", "9", "--t", "3", "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    rows = json.loads(out[: out.rindex("]") + 1])
+    assert {(r["family"], r["t"]) for r in rows} == {("L(n,6)", 6), ("L(n,t)", 3)}
+    assert len(rows) == 2 * 5
+
+
+@pytest.mark.parametrize(
+    "claim, ids", [("C3/1", ["C3/1"]), ("C3", ["C3/1", "C3/2", "C3/3"])]
+)
+def test_certify_accepts_claim_id_or_prefix(claim, ids, capsys):
+    assert main(["certify", claim, "--format", "csv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "claim,ok,evidence,root_counts,detail"
+    assert [line.split(",")[0] for line in lines[1:]] == ids

@@ -1,69 +1,241 @@
+"""The lollipop comparison lemmas, exactly, at x = z - 1/z.
+
+Every quantity is a ``ZTerm`` z**e * p(z) / (z**2 + 1)**k built from
+``lollipop_terms`` and the z-primitives of the certify module.  z > 0 covers
+all real x (x > 0 is z > 1, x < 0 is 0 < z < 1), and there a ZTerm has the
+sign of its numerator p(z).  So an identity is a zero numerator, and a sign
+on an x-domain is one Sturm certificate of ``w_polynomial(p, domain)`` on
+w > 0.  The float evaluators kept for ``closed-form-check`` are tested
+against the exact forms and the exact characteristic polynomials.
+"""
+
 import math
+from fractions import Fraction
+from functools import cache
 
 import pytest
 
+from ucenergy.certify import (
+    BETA2_EVEN,
+    BETA2_ODD,
+    G1,
+    G2,
+    H,
+    INV1,
+    INV2,
+    M1,
+    M2,
+    Z1,
+    Z2,
+    SignCertificate,
+    ZTerm,
+    assembled_f5_exact,
+    certify_poly_sign,
+    f5_factored_poly,
+    lollipop_terms,
+    verify_certificate,
+    w_polynomial,
+)
+from ucenergy.charpoly import charpoly
 from ucenergy.closedforms import (
     P_POLYS,
     Q_POLYS,
     STANDARD_GRID,
-    alpha_beta_gamma_terms,
+    T3_DEG12,
+    T3_QUADRATIC,
     check_modulus_forms,
-    closed_form_sample,
-    dbar_coeffs,
-    df_dt_sign_term,
-    dtilde_coeffs,
-    f_factored,
-    f_via_d,
-    k_value_exact,
     modulus_sq_exact,
     modulus_sq_p6,
     modulus_sq_pt,
-    pq_pair,
-    symmetric_grid,
-    t3_bound_value,
     zpair,
 )
+from ucenergy.coulson import modulus_sq_at_ix
+from ucenergy.graphs import make_lollipop
+from ucenergy.polynomials import X, IntPolynomial
 
-GRID = symmetric_grid(50)
-assert 0.0 not in GRID
+
+def P(*ascending):
+    return IntPolynomial.from_coeffs(ascending)
+
+
+def const(c):
+    return ZTerm(IntPolynomial.constant(c))
+
+
+ZERO, ONE, TWO = const(0), const(1), const(2)
+XT = ZTerm.from_x(X)
+SQ_PLUS_1 = ZTerm.from_x(P(1, 0, 1))  # x**2 + 1
+RADICAL = ZTerm(P(1, 0, 1), -1)  # sqrt(x**2 + 4) = z + 1/z
+INV_RADICAL_5 = ZTerm(P(1), 5, 5)  # (x**2 + 4)**(-5/2)
+
+
+def value(term, z):
+    """The exact value of a ZTerm at a rational z."""
+    z = Fraction(z)
+    return term.p(z) * z ** term.e / (z * z + 1) ** term.k
+
+
+def assert_identity(lhs, rhs):
+    assert (lhs - rhs).p.is_zero
+
+
+def certify_sign(term, domain, sign):
+    """Certify the sign of a ZTerm on an x-domain (R, (0,inf) or (-inf,0))."""
+    cert = certify_poly_sign(w_polynomial(term.p, domain), "(0,inf)", sign)
+    assert isinstance(cert, SignCertificate), (domain, sign, cert)
+    assert verify_certificate(cert)
+
+
+def expansion(terms, m):
+    """alpha (z1^4 - z2^4) + beta z1^2m (z1^4 - 1) + gamma z2^2m (1 - z2^4).
+
+    K(m, t, x) for odd m, and the bound f(t, x) at m = t.
+    """
+    z1_4, z2_4 = Z1 ** 4, Z2 ** 4
+    return (
+        terms.alpha * (z1_4 - z2_4)
+        + terms.beta * Z1 ** (2 * m) * (z1_4 - ONE)
+        + terms.gamma * Z2 ** (2 * m) * (ONE - z2_4)
+    )
+
+
+def modulus_p6(terms, n):
+    """|phi(L(n,6), ix)|**2 through the closed form."""
+    a1, a2 = terms.a1, terms.a2
+    return (
+        a1 * a1 * Z1 ** (2 * n)
+        + a2 * a2 * Z2 ** (2 * n)
+        + const(2 * (-1) ** n) * a1 * a2
+    )
+
+
+def modulus_pt(terms, n):
+    """|phi(L(n,t), ix)|**2 through the closed form."""
+    b11, b12, b21, b22 = terms.b11, terms.b12, terms.b21, terms.b22
+    return (
+        (b11 * b11 + b12 * b12) * Z1 ** (2 * n)
+        + (b21 * b21 + b22 * b22) * Z2 ** (2 * n)
+        + const(2 * (-1) ** n) * (b11 * b21 + b12 * b22)
+    )
+
+
+def modulus_charpoly(n, l):
+    """|phi(L(n,l), ix)|**2 from the exact characteristic polynomial."""
+    return modulus_sq_at_ix(charpoly(make_lollipop(n, l)))
+
+
+@cache
+def blocks():
+    """The t-free building blocks (alpha_i), (beta_i), (gamma_i), i = 0..4.
+
+    beta has no index-3 term and gamma no index-4 term; those slots are zero.
+    """
+    terms = lollipop_terms(3)
+    a1, a2 = terms.a1, terms.a2
+    core = TWO * ZTerm.from_x(P(3, 0, 1)) * H * H  # 2 (x^2 + 3) / (x^2 + 4)^2
+    alphas = (
+        a2 * a2 * G1 * G1 - a1 * a1 * G2 * G2,
+        TWO * a1 * a1 * G2 * H * Z1 * Z1 - a1 * a1 * M2 * M2,
+        a2 * a2 * M1 * M1 - TWO * a2 * a2 * G1 * H * Z2 * Z2,
+        -(a1 * a1 * H * H),
+        a2 * a2 * H * H,
+    )
+    betas = (
+        -(TWO * a1 * (core * a1 + a2 * G1 * G1)),
+        -(TWO * a1 * a1 * G1 * H),
+        TWO * a1 * (TWO * a2 * G1 * H - a1 * G2 * H - a2 * M1 * M1 * Z1 * Z1),
+        ZERO,
+        -(TWO * a1 * a2 * H * H),
+    )
+    gammas = (
+        TWO * a2 * (a1 * G2 * G2 + core * a2),
+        TWO * a2 * (a1 * M2 * M2 * Z2 * Z2 + a2 * G1 * H - TWO * a1 * G2 * H),
+        TWO * a2 * a2 * G2 * H,
+        TWO * a1 * a2 * H * H,
+        ZERO,
+    )
+    return alphas, betas, gammas
+
+
+@cache
+def d_coeffs():
+    """f(t) = d0 + d1 z1^2t + d2 z2^2t + d3 z1^4t + d4 z2^4t, t-free d_i."""
+    al, be, ga = blocks()
+    z1_2, z2_2 = Z1 ** 2, Z2 ** 2
+    z1_4, z2_4 = Z1 ** 4, Z2 ** 4
+    z1_8, z2_8 = Z1 ** 8, Z2 ** 8
+    return (
+        al[0] * (z1_4 - z2_4) + be[2] * (z1_4 - ONE) * z1_2 + ga[1] * (ONE - z2_4) * z2_2,
+        al[1] * (ONE - z2_8) + be[0] * (z1_4 - ONE) + ga[3] * (z2_4 - z2_8),
+        al[2] * (z1_8 - ONE) + ga[0] * (ONE - z2_4) + be[4] * (z1_8 - z1_4),
+        al[3] * (ONE - z2_8) + be[1] * (z1_2 - z2_2),
+        al[4] * (z1_8 - ONE) + ga[2] * (z1_2 - z2_2),
+    )
+
+
+def dbar_coeffs():
+    """Coefficients bounding K1 for x > 0."""
+    al, be, _ = blocks()
+    return (
+        be[0] - al[1] * Z2 ** 4,
+        be[1] - al[3] * Z2 ** 2,
+        be[2] - al[0] * Z2 ** 2,
+        be[4] - al[2],
+        -al[4],
+    )
+
+
+def dtilde_coeffs():
+    """Coefficients bounding K2 for x < 0."""
+    al, _, ga = blocks()
+    return (
+        al[2] * Z1 ** 4 - ga[0],
+        al[0] * Z1 ** 2 - ga[1],
+        al[4] * Z1 ** 2 - ga[2],
+        al[1] - ga[3],
+        al[3],
+    )
 
 
 def test_sample_values_at_origin():
-    s = closed_form_sample(0.0, 3, 8)
-    assert (s.z1, s.z2) == (1.0, -1.0)
-    assert (s.a1, s.a2) == (2.0, 2.0)
-    assert (s.b11, s.b12, s.b21, s.b22) == (0.5, 1.0, 0.5, -1.0)
+    # x = 0 is z = 1
+    s = lollipop_terms(3)
+    assert [value(v, 1) for v in (s.a1, s.a2)] == [2, 2]
+    b = [value(v, 1) for v in (s.b11, s.b12, s.b21, s.b22)]
+    assert b == [Fraction(1, 2), 1, Fraction(1, 2), -1]
 
 
 def test_sample_rejects_even_t():
-    with pytest.raises(ValueError):
-        closed_form_sample(1.0, 4, 8)
+    for t in (1, 4, 6):
+        with pytest.raises(ValueError):
+            lollipop_terms(t)
 
 
 def test_z_value_at_two():
-    s = closed_form_sample(2.0, 3, 8)
-    assert s.z1 == pytest.approx(1.0 + math.sqrt(2.0), rel=1e-15)
+    assert zpair(2.0)[0] == pytest.approx(1.0 + math.sqrt(2.0), rel=1e-15)
 
 
-def test_z_identities_on_grid():
-    for x in GRID:
-        z1, z2 = zpair(x)
-        assert z1 + z2 == pytest.approx(x, abs=1e-12 * max(1, abs(x)))
-        assert z1 * z2 == pytest.approx(-1.0, rel=1e-13)
-        assert (z1 * z1 + 1) * (z2 * z2 + 1) == pytest.approx(x * x + 4, rel=1e-12)
-        h = 1.0 / (x * x + 4.0)
-        assert z1 * z1 / (z1 * z1 + 1) ** 2 == pytest.approx(h, rel=1e-12)
-        assert z2 * z2 / (z2 * z2 + 1) ** 2 == pytest.approx(h, rel=1e-12)
-        if x > 0:
-            assert z1 > 1 and -1 < z2 < 0
-        else:
-            assert 0 < z1 < 1 and z2 < -1
+def test_z_identities():
+    # z1 + z2 = x, z1 z2 = -1, (z1^2+1)(z2^2+1) = x^2+4, z_i^2/(z_i^2+1)^2 = h
+    assert_identity(Z1 + Z2, XT)
+    assert_identity(Z1 * Z2, -ONE)
+    assert_identity((Z1 * Z1 + ONE) * (Z2 * Z2 + ONE), ZTerm.from_x(P(4, 0, 1)))
+    assert_identity(RADICAL * RADICAL, ZTerm.from_x(P(4, 0, 1)))
+    assert_identity(INV1 * (Z1 * Z1 + ONE), ONE)
+    assert_identity(INV2 * (Z2 * Z2 + ONE), ONE)
+    assert_identity(Z1 * Z1 * INV1 * INV1, H)
+    assert_identity(Z2 * Z2 * INV2 * INV2, H)
+    assert_identity(H * ZTerm.from_x(P(4, 0, 1)), ONE)
+    # the float pair agrees with z1 = z, z2 = -1/z where sqrt(x^2+4) is exact
+    for z in (Fraction(2), Fraction(1, 2), Fraction(4), Fraction(1, 4)):
+        x = float(z - 1 / z)
+        assert zpair(x) == (float(z), float(-1 / z))
 
 
 def test_growth_coefficients_positive_everywhere():
-    for x in GRID:
-        s = closed_form_sample(x, 5, 9)
-        assert s.a1 > 0 and s.a2 > 0, x
+    s = lollipop_terms(5)
+    certify_sign(s.a1, "R", "positive")
+    certify_sign(s.a2, "R", "positive")
 
 
 def test_modulus_closed_form_examples():
@@ -83,6 +255,15 @@ def test_modulus_forms_match_exact_charpoly():
     assert rep.max_rel_dev <= 1e-9
     rep17 = check_modulus_forms(17, STANDARD_GRID)
     assert rep17.max_rel_dev <= 1e-9
+    # the closed forms are identities in z
+    for n in (8, 17):
+        assert_identity(
+            modulus_p6(lollipop_terms(3), n), ZTerm.from_x(modulus_charpoly(n, 6))
+        )
+        for t in range(3, n + 1, 2):
+            assert_identity(
+                modulus_pt(lollipop_terms(t), n), ZTerm.from_x(modulus_charpoly(n, t))
+            )
 
 
 def test_odd_order_vanishing_at_origin():
@@ -92,192 +273,170 @@ def test_odd_order_vanishing_at_origin():
 
 
 def test_pq_pairs():
-    assert pq_pair(1, 0.0) == (0.0, 8.0)
-    assert pq_pair(3, 0.0) == (0.0, 96.0)
-    assert float(P_POLYS[4](1)) == 2328.0
-    with pytest.raises(ValueError):
-        pq_pair(5, 1.0)
+    # (p_i, q_i sqrt(x^2+4)) at x = 0 and p_4 at x = 1
+    assert (P_POLYS[1](0), 2 * Q_POLYS[1](0)) == (0, 8)
+    assert (P_POLYS[3](0), 2 * Q_POLYS[3](0)) == (0, 96)
+    assert P_POLYS[4](1) == 2328
+    assert sorted(P_POLYS) == sorted(Q_POLYS) == [0, 1, 2, 3, 4]
+
+
+def t3_factored_poly():
+    """-x^2 (x^2+1)^3 T3_QUADRATIC T3_DEG12, the factored t = 3 bound."""
+    return -1 * X * X * P(1, 0, 1) ** 3 * T3_QUADRATIC * T3_DEG12
 
 
 def test_f_factored_values():
-    assert f_factored(5, 1.0) == -50320.0
-    assert f_factored(3, 1.0) == -41280.0
-    assert f_factored(5, 0.0) == 0.0
-    with pytest.raises(ValueError):
-        f_factored(7, 1.0)
+    assert f5_factored_poly()(1) == -50320
+    assert t3_factored_poly()(1) == -41280
+    assert f5_factored_poly()(0) == 0
 
 
 def test_f_assembly_routes_agree():
-    for x in GRID:
-        for t in (3, 5, 7, 9):
-            via_abc = closed_form_sample(x, t, 9).f_val
-            via_d = f_via_d(t, x)
-            assert via_abc == pytest.approx(via_d, rel=1e-9, abs=1e-9), (x, t)
+    d0, d1, d2, d3, d4 = d_coeffs()
+    for t in (3, 5, 7, 9):
+        w_t, w_minus_t = Z1 ** (2 * t), Z2 ** (2 * t)
+        via_d = d0 + d1 * w_t + d2 * w_minus_t + d3 * w_t * w_t + d4 * w_minus_t * w_minus_t
+        assert_identity(expansion(lollipop_terms(t), t), via_d)
 
 
 def test_f5_matches_factored_form():
-    for x in GRID:
-        assembled = closed_form_sample(x, 5, 9).f_val
-        assert assembled == pytest.approx(f_factored(5, x), rel=1e-9, abs=1e-9), x
+    assert_identity(assembled_f5_exact(), ZTerm.from_x(f5_factored_poly()))
+    assert_identity(expansion(lollipop_terms(5), 5), assembled_f5_exact())
 
 
 def test_t3_bound_matches_factored_form():
-    for x in GRID:
-        assert t3_bound_value(x) == pytest.approx(f_factored(3, x), rel=1e-9, abs=1e-9)
+    # the t = 3 bound anchors the z-powers at 2n = 10
+    assert_identity(expansion(lollipop_terms(3), 5), ZTerm.from_x(t3_factored_poly()))
 
 
 def test_d_sign_pattern():
-    for x in GRID:
-        d = closed_form_sample(x, 3, 8).d
-        if x > 0:
-            assert d[1] < 0 and d[3] < 0 and d[2] > 0 and d[4] > 0, x
-        else:
-            assert d[1] > 0 and d[3] > 0 and d[2] < 0 and d[4] < 0, x
+    _, d1, d2, d3, d4 = d_coeffs()
+    for domain, low, high in (
+        ("(0,inf)", "negative", "positive"),
+        ("(-inf,0)", "positive", "negative"),
+    ):
+        certify_sign(d1, domain, low)
+        certify_sign(d3, domain, low)
+        certify_sign(d2, domain, high)
+        certify_sign(d4, domain, high)
 
 
 def test_f_decreases_in_t():
-    for x in GRID:
-        for t in (3, 5, 7, 9):
-            assert df_dt_sign_term(t, x) < 0.0, (x, t)
+    # df/dt = bracket * log(z1^2), and log(z1^2) has the sign of x
+    _, d1, d2, d3, d4 = d_coeffs()
+    for t in (3, 5, 7, 9):
+        w_t, w_minus_t = Z1 ** (2 * t), Z2 ** (2 * t)
+        bracket = (
+            d1 * w_t
+            - d2 * w_minus_t
+            + TWO * d3 * w_t * w_t
+            - TWO * d4 * w_minus_t * w_minus_t
+        )
+        certify_sign(bracket, "(0,inf)", "negative")
+        certify_sign(bracket, "(-inf,0)", "positive")
 
 
 def test_beta_negative_gamma_positive():
-    for x in GRID:
-        for t in (3, 5, 7, 9, 11):
-            s = closed_form_sample(x, t, 9)
-            assert s.beta < 0.0, (x, t)
-            assert s.gamma > 0.0, (x, t)
+    for t in (3, 5, 7, 9, 11):
+        s = lollipop_terms(t)
+        certify_sign(s.beta, "R", "negative")
+        certify_sign(s.gamma, "R", "positive")
 
 
 def test_subcase_tail_coefficients_negative():
-    for x in GRID:
-        if x > 0:
-            assert all(c < 0 for c in dbar_coeffs(x)), x
-        else:
-            assert all(c < 0 for c in dtilde_coeffs(x)), x
+    for c in dbar_coeffs():
+        certify_sign(c, "(0,inf)", "negative")
+    for c in dtilde_coeffs():
+        certify_sign(c, "(-inf,0)", "negative")
 
 
 def test_k_definition_matches_expansion():
-    xs = [-10.0, -5.5, -2.0, -0.5, 0.5, 2.0, 5.5, 10.0]
+    # K(n,t) = |phi(L(n+2,t))|^2 |phi(L(n,6))|^2 - |phi(L(n+2,6))|^2 |phi(L(n,t))|^2
     for n, t in [(17, 3), (17, 5), (19, 7), (21, 9)]:
-        for x in xs:
-            exact = k_value_exact(n, t, x)
-            expanded = closed_form_sample(x, t, n).k_val
-            assert expanded == pytest.approx(exact, rel=1e-8), (n, t, x)
+        k_poly = modulus_charpoly(n + 2, t) * modulus_charpoly(n, 6) - (
+            modulus_charpoly(n + 2, 6) * modulus_charpoly(n, t)
+        )
+        assert_identity(expansion(lollipop_terms(t), n), ZTerm.from_x(k_poly))
 
 
 def test_k_bounded_by_f_for_odd_n():
-    # for odd n >= t the expansion is bounded by its t-anchored value
-    for x in (0.5, 1.5, -0.75, -2.0):
-        for t in (3, 5, 7):
-            f_anchor = closed_form_sample(x, t, 9).f_val
-            for n in (t + 2, t + 4, 17, 21):
-                if n % 2 == 1 and n >= t:
-                    k = closed_form_sample(x, t, n).k_val
-                    assert k <= f_anchor + 1e-9 * abs(f_anchor), (x, t, n)
+    # for odd n > t the expansion stays below its t-anchored value; the two
+    # agree at x = 0 (z = 1)
+    for t in (3, 5, 7):
+        s = lollipop_terms(t)
+        f_anchor = expansion(s, t)
+        for n in sorted({t + 2, t + 4, 17, 21}):
+            gap = f_anchor - expansion(s, n)
+            assert value(gap, 1) == 0
+            certify_sign(gap, "(0,inf)", "positive")
+            certify_sign(gap, "(-inf,0)", "positive")
 
 
 def test_even_order_limit_behaviour():
-    # x is kept small enough that the geometric tail z2**(2n) stays above
-    # machine epsilon at n = 40, so the strict comparisons are resolvable
+    # for even n the ratio |phi(L(n,t))|^2 / |phi(L(n,6))|^2 stays below its
+    # limit (b11^2 + b12^2) / a1^2 on x > 0: b1sq M6(n) - a1^2 Mt(n) > 0, as
+    # M6(n) > 0 for even n and a1, a2 > 0; and the gap to the limit shrinks
+    # from n = 20 to n = 40
     for t in (3, 5):
-        for x in (0.25, 0.5, 1.0):
-            s = closed_form_sample(x, t, 8)
-            limit = (s.b11 ** 2 + s.b12 ** 2) / (s.a1 ** 2)
-            ratios = {
-                n: modulus_sq_pt(n, t, x) / modulus_sq_p6(n, x)
-                for n in range(8, 41, 2)
-            }
-            assert abs(ratios[40] - limit) < abs(ratios[20] - limit)
-            for n, ratio in ratios.items():
-                assert math.log(ratio) < math.log(limit), (t, x, n)
+        s = lollipop_terms(t)
+        a1sq, b1sq = s.a1 * s.a1, s.b11 * s.b11 + s.b12 * s.b12
+        gap = {
+            n: b1sq * modulus_p6(s, n) - a1sq * modulus_pt(s, n) for n in range(8, 41, 2)
+        }
+        for n in gap:
+            certify_sign(gap[n], "(0,inf)", "positive")
+        shrink = gap[20] * modulus_p6(s, 40) - gap[40] * modulus_p6(s, 20)
+        certify_sign(shrink, "(0,inf)", "positive")
 
 
 # -- radical closed forms of the tail coefficients ---------------------------
 
 
-def _a12(x):
-    s = closed_form_sample(x, 3, 8)
-    return s.a1, s.a2
-
-
 def test_beta2_gamma1_radical_forms():
-    odd = lambda x: x**9 + 11 * x**7 + 47 * x**5 + 93 * x**3 + 74 * x
-    even = lambda x: 3 * x**8 + 27 * x**6 + 85 * x**4 + 111 * x**2 + 52
-    for x in GRID:
-        a1, a2 = _a12(x)
-        rad = math.sqrt(x * x + 4.0)
-        al, be, ga = alpha_beta_gamma_terms(x)
-        beta2_closed = (
-            -a1 * (x * x + 1) / (x * x + 4) ** 2.5 * (odd(x) + rad * even(x))
-        )
-        gamma1_closed = (
-            a2 * (x * x + 1) / (x * x + 4) ** 2.5 * (-odd(x) + rad * even(x))
-        )
-        assert be[2] == pytest.approx(beta2_closed, rel=1e-8, abs=1e-10), x
-        assert ga[1] == pytest.approx(gamma1_closed, rel=1e-8, abs=1e-10), x
-        assert be[2] < 0 and ga[1] > 0
+    s = lollipop_terms(3)
+    _, be, ga = blocks()
+    odd, even = ZTerm.from_x(BETA2_ODD), ZTerm.from_x(BETA2_EVEN)
+    scale = SQ_PLUS_1 * INV_RADICAL_5
+    assert_identity(be[2], -(s.a1 * scale * (odd + RADICAL * even)))
+    assert_identity(ga[1], s.a2 * scale * (-odd + RADICAL * even))
+    certify_sign(be[2], "R", "negative")
+    certify_sign(ga[1], "R", "positive")
 
 
 def test_alpha_radical_forms():
-    for x in GRID:
-        z1, z2 = zpair(x)
-        rad = math.sqrt(x * x + 4.0)
-        al, _, _ = alpha_beta_gamma_terms(x)
-        poly_a = x**8 + 11 * x**6 + 43 * x**4 + 73 * x**2 + 50
-        poly_b = x**8 + 9 * x**6 + 27 * x**4 + 33 * x**2 + 12
-        alpha0_closed = (
-            x * (x * x + 1) ** 2 * poly_a * poly_b / (x * x + 4) ** 2.5
-        )
-        assert al[0] == pytest.approx(alpha0_closed, rel=1e-8, abs=1e-10), x
+    al, _, _ = blocks()
+    poly_a = ZTerm.from_x(P(50, 0, 73, 0, 43, 0, 11, 0, 1))
+    poly_b = ZTerm.from_x(P(12, 0, 33, 0, 27, 0, 9, 0, 1))
+    assert_identity(al[0], XT * SQ_PLUS_1 ** 2 * poly_a * poly_b * INV_RADICAL_5)
 
-        p2, q2 = pq_pair(2, x)
-        denom = (
-            4096.0
-            * (x * x - x * rad + 4.0) ** 2
-            * (x * x + x * rad + 4.0) ** 2
-            * (x * x + 4.0)
-        )
-        # (x -+ sqrt(x^2+4))**14 written through the z-pair for accuracy
-        alpha1_closed = (
-            -((p2 + q2) ** 2)
-            * (3 * x * x + 10 + x * rad)
-            * (2.0 * z2) ** 14
-            * (x * x + 1) ** 2
-            / denom
-        )
-        alpha2_closed = (
-            (p2 - q2) ** 2
-            * (3 * x * x + 10 - x * rad)
-            * (2.0 * z1) ** 14
-            * (x * x + 1) ** 2
-            / denom
-        )
-        assert al[1] == pytest.approx(alpha1_closed, rel=1e-7, abs=1e-10), x
-        assert al[2] == pytest.approx(alpha2_closed, rel=1e-7, abs=1e-10), x
+    # alpha_1 and alpha_2 times their denominator, with q_2 = Q_2 sqrt(x^2+4)
+    p2, q2 = ZTerm.from_x(P_POLYS[2]), ZTerm.from_x(Q_POLYS[2]) * RADICAL
+    x_sq, x_rad = XT * XT, XT * RADICAL
+    four, ten, three = const(4), const(10), const(3)
+    denom = (
+        const(4096)
+        * (x_sq - x_rad + four) ** 2
+        * (x_sq + x_rad + four) ** 2
+        * (x_sq + four)
+    )
+    alpha1_num = -(
+        (p2 + q2) ** 2 * (three * x_sq + ten + x_rad) * (TWO * Z2) ** 14 * SQ_PLUS_1 ** 2
+    )
+    alpha2_num = (
+        (p2 - q2) ** 2 * (three * x_sq + ten - x_rad) * (TWO * Z1) ** 14 * SQ_PLUS_1 ** 2
+    )
+    assert_identity(al[1] * denom, alpha1_num)
+    assert_identity(al[2] * denom, alpha2_num)
 
 
 def test_dbar_dtilde_radical_forms():
-    for x in GRID:
-        z1, z2 = zpair(x)
-        a1, a2 = _a12(x)
-        h = 1.0 / (x * x + 4.0)
-        p0, q0 = pq_pair(0, x)
-        dbar = dbar_coeffs(x)
-        dtilde = dtilde_coeffs(x)
-        dbar0_closed = (
-            -a1 * (x * x + 1)
-            / ((z1 * z1 + 1) ** 4 * (z2 * z2 + 1) ** 2)
-            * (p0 + q0)
-        )
-        dbar1_closed = -a1 * a1 * h * (2 * z1 * z1 - z2 * z2 + 4) / (x * x + 4)
-        dtilde0_closed = (
-            -a2 * (x * x + 1)
-            / ((z2 * z2 + 1) ** 4 * (z1 * z1 + 1) ** 2)
-            * (p0 - q0)
-        )
-        dtilde2_closed = -a2 * a2 * h * (2 * z2 * z2 - z1 * z1 + 4) / (x * x + 4)
-        assert dbar[0] == pytest.approx(dbar0_closed, rel=1e-8, abs=1e-10), x
-        assert dbar[1] == pytest.approx(dbar1_closed, rel=1e-8, abs=1e-10), x
-        assert dtilde[0] == pytest.approx(dtilde0_closed, rel=1e-8, abs=1e-10), x
-        assert dtilde[2] == pytest.approx(dtilde2_closed, rel=1e-8, abs=1e-10), x
+    s = lollipop_terms(3)
+    a1, a2 = s.a1, s.a2
+    p0, q0 = ZTerm.from_x(P_POLYS[0]), ZTerm.from_x(Q_POLYS[0]) * RADICAL
+    z1sq_1, z2sq_1 = Z1 * Z1 + ONE, Z2 * Z2 + ONE
+    four = const(4)
+    dbar, dtilde = dbar_coeffs(), dtilde_coeffs()
+    assert_identity(dbar[0] * z1sq_1 ** 4 * z2sq_1 ** 2, -(a1 * SQ_PLUS_1 * (p0 + q0)))
+    assert_identity(dbar[1], -(a1 * a1 * H * H * (TWO * Z1 * Z1 - Z2 * Z2 + four)))
+    assert_identity(dtilde[0] * z2sq_1 ** 4 * z1sq_1 ** 2, -(a2 * SQ_PLUS_1 * (p0 - q0)))
+    assert_identity(dtilde[2], -(a2 * a2 * H * H * (TWO * Z2 * Z2 - Z1 * Z1 + four)))

@@ -16,7 +16,7 @@ from ucenergy.enumeration import (
     realize,
     unicyclic_graphs,
 )
-from ucenergy.graphs import is_connected, unique_cycle
+from ucenergy.graphs import connected_components, unique_cycle
 from ucenergy.trees import (
     canonical_level_sequence,
     decode_level_sequence,
@@ -118,7 +118,7 @@ def test_realisation_soundness(unicyclic_by_order):
     for n, items in unicyclic_by_order.items():
         for code, g in items:
             assert g.n == n and g.edge_count == n
-            assert is_connected(g)
+            assert len(connected_components(g)) == 1
             cycle = unique_cycle(g)
             assert cycle is not None and len(cycle) == code.cycle_len
 

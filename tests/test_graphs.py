@@ -9,7 +9,6 @@ from ucenergy.graphs import (
     GraphError,
     connected_components,
     format_graph6,
-    is_connected,
     make_cycle,
     make_cycle_with_pendants,
     make_lollipop,
@@ -65,7 +64,7 @@ def test_make_cycle_with_pendants():
 def test_lollipop_family_invariants(n, data):
     l = data.draw(st.integers(3, n))
     g = make_lollipop(n, l)
-    assert is_connected(g)
+    assert len(connected_components(g)) == 1
     assert g.edge_count == n
     cycle = unique_cycle(g)
     assert cycle is not None and len(cycle) == l
@@ -87,8 +86,14 @@ def test_unique_cycle():
     assert unique_cycle(make_cycle(9)) == list(range(9))
     got = unique_cycle(make_lollipop(7, 6))
     assert got is not None and sorted(got) == [0, 1, 2, 3, 4, 5]
-    # disconnected graph with n edges is not unicyclic
+    # disconnected graphs with n edges are not unicyclic: C3 + C3 has a
+    # 2-core of two cycles, (K4 - e) + K1 a core with degree-3 vertices
     g = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    assert unique_cycle(g) is None
+    g = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
+    assert unique_cycle(g) is None
+    # a path component beside a core with degree-3 vertices
+    g = Graph.from_edges(7, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 0), (4, 5), (5, 6)])
     assert unique_cycle(g) is None
 
 
