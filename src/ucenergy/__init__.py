@@ -1,20 +1,20 @@
 """Graph-energy workbench for unicyclic graphs.
 
 Exact characteristic polynomials, rigorous root-enclosure energies with
-eigensolver and Coulson-integral cross-routes, float closed forms of the
-lollipop moduli checked against exact characteristic polynomials, the exact
-lollipop comparison algebra in z, where x = z - 1/z, with Sturm sign
-certificates for its polynomial inequalities, and an isomorphism-free
-exhaustive search over unicyclic graphs.
+eigensolver and Coulson-integral cross-routes, the exact lollipop comparison
+algebra in z, where x = z - 1/z, with its closed forms checked as identities
+against exact characteristic polynomials and Sturm sign certificates for its
+polynomial inequalities, and an isomorphism-free exhaustive search over
+unicyclic graphs.
 """
 
 from .charpoly import charpoly, charpoly_reference
-from .closedforms import check_modulus_forms, modulus_sq_p6, modulus_sq_pt
-from .coulson import cycle_energy_reference, energy_coulson, energy_diff_coulson
+from .coulson import energy_coulson, energy_diff_coulson
 from .certify import (
     Refutation,
     SignCertificate,
     certify_poly_sign,
+    check_modulus_forms,
     certify_radical_sign,
     run_claim_suite,
     verify_certificate,
@@ -63,7 +63,6 @@ __all__ = [
     "count_unicyclic",
     "certify_poly_sign",
     "certify_radical_sign",
-    "cycle_energy_reference",
     "energy_coulson",
     "energy_diff_coulson",
     "energy_eigensolver",
@@ -74,8 +73,6 @@ __all__ = [
     "make_lollipop",
     "make_path",
     "max_energy_search",
-    "modulus_sq_p6",
-    "modulus_sq_pt",
     "parse_graph6",
     "rooted_trees",
     "run_claim_suite",

@@ -26,7 +26,10 @@ any quantity written in z can be certified on each x-domain.
 The comparison algebra itself lives here in z as well: a ``ZTerm`` is
 z**e * p(z) / (z**2 + 1)**k, and ``lollipop_terms(t)`` assembles the
 closed-form coefficients a1, a2, b11..b22, alpha, beta and gamma of the
-L(n,6) versus L(n,t) comparison, for any odd t, exactly.
+L(n,6) versus L(n,t) comparison, for any odd t, exactly.  Its
+``modulus_p6(n)`` and ``modulus_pt(n)`` are the closed forms of the squared
+moduli, and ``check_modulus_forms(n)`` proves them identities in z against
+the exact characteristic polynomials (the ``closed-form-check`` command).
 
 ``run_claim_suite`` certifies the inequality backbone of the lollipop
 comparison: positivity of the growth coefficients, the degree-18 inequality
@@ -45,6 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
+from .charpoly import charpoly
 from .closedforms import (
     F5_DEG12,
     F5_QUARTIC,
@@ -55,6 +59,8 @@ from .closedforms import (
     T3_DEG12,
     T3_QUADRATIC,
 )
+from .coulson import modulus_sq_at_ix
+from .graphs import make_lollipop
 from .polynomials import (
     ONE,
     X,
@@ -68,12 +74,11 @@ from .polynomials import (
 )
 from .roots import _isolate_squarefree, refine_enclosure
 
-DOMAINS = ("R", "R\\{0}", "(0,inf)", "(-inf,0)")
+DOMAINS = ("R", "(0,inf)", "(-inf,0)")
 SIGNS = ("positive", "negative", "nonnegative", "nonpositive")
 
-# sqrt(x**2 + 4) squared; t**2 - 1 and t**2 + 1 (t = x or z); 1 + w.
+# sqrt(x**2 + 4) squared; t**2 + 1 (t = x or z); 1 + w.
 RADICAL_SQ = IntPolynomial((4, 0, 1))
-_SQ_MINUS_1 = IntPolynomial((-1, 0, 1))
 _SQ_PLUS_1 = IntPolynomial((1, 0, 1))
 _ONE_PLUS_W = IntPolynomial((1, 1))
 
@@ -132,8 +137,6 @@ def _sign_target(sign: str) -> int:
 def _sample_candidates(domain: str):
     if domain == "R":
         base = [0, 1, -1, 2, -2, 3, -3]
-    elif domain == "R\\{0}":
-        base = [1, -1, 2, -2, 3, -3]
     elif domain == "(0,inf)":
         base = [1, 2, Fraction(1, 2), 3, Fraction(1, 3)]
     else:
@@ -141,15 +144,13 @@ def _sample_candidates(domain: str):
     k = 4
     yield from (Fraction(c) for c in base)
     while True:
-        yield Fraction(k if domain in ("R", "R\\{0}", "(0,inf)") else -k)
+        yield Fraction(-k if domain == "(-inf,0)" else k)
         k += 1
 
 
 def _in_domain(point: Fraction, domain: str) -> bool:
     if domain == "R":
         return True
-    if domain == "R\\{0}":
-        return point != 0
     if domain == "(0,inf)":
         return point > 0
     return point < 0
@@ -164,11 +165,9 @@ def _domain_count(sf: IntPolynomial, chain, bound: Fraction, domain: str):
         return v_lo - v_hi, labels
     v0 = variations_at(chain, Fraction(0))
     labels.append(("0", v0))
-    at_zero = 1 if sf.sign_at(0) == 0 else 0
-    if domain == "R\\{0}":
-        return v_lo - v_hi - at_zero, labels
     if domain == "(0,inf)":
         return v0 - v_hi, labels
+    at_zero = 1 if sf.sign_at(0) == 0 else 0
     return v_lo - v0 - at_zero, labels
 
 
@@ -246,11 +245,21 @@ def certify_poly_sign(
 
 
 def _in_z(p: IntPolynomial, d: int) -> IntPolynomial:
-    """z**d * p(z - 1/z) as a polynomial in z; needs d >= deg p."""
-    out = IntPolynomial(())
-    for k, c in enumerate(p.coeffs):
-        out = out + IntPolynomial.x_power(d - k, c) * _SQ_MINUS_1 ** k
-    return out
+    """z**d * p(z - 1/z) as a polynomial in z; needs d >= deg p.
+
+    Horner's rule in z**2 - 1: Q_j = c_j z**(d-j) + (z**2 - 1) Q_(j+1) from
+    j = deg p down to the result Q_0, multiplying by z**2 - 1 as a shift by
+    two places minus the coefficients.
+    """
+    q: list[int] = []
+    for j in range(p.degree, -1, -1):
+        nxt = [0, 0] + q
+        for i, c in enumerate(q):
+            nxt[i] -= c
+        nxt += [0] * (d - j + 1 - len(nxt))
+        nxt[d - j] += p.coeffs[j]
+        q = nxt
+    return IntPolynomial.from_coeffs(q)
 
 
 def _shift_one(p: IntPolynomial) -> IntPolynomial:
@@ -304,8 +313,7 @@ def certify_radical_sign(
     w in (0, inf) turns the expression into one polynomial in w with the same
     sign (table in the module docstring).  Its Sturm certificate on (0,inf)
     decides the claim exactly, for every sign; a refutation carries the
-    witness mapped back to x.  The domain is R, (0,inf) or (-inf,0); R\\{0}
-    is rejected, because z in (0,1) u (1,inf) is not one half-line in w.
+    witness mapped back to x.  The domain is R, (0,inf) or (-inf,0).
     """
     if b.is_zero:
         raise ValueError("radical part must be nonzero; use certify_poly_sign")
@@ -353,7 +361,7 @@ def verify_certificate(cert: SignCertificate) -> bool:
             return False
         if cert.sample_sign != _sign_target(cert.asserted_sign):
             return False
-        if not _in_domain(cert.sample_point, cert.domain):
+        if cert.domain not in DOMAINS or not _in_domain(cert.sample_point, cert.domain):
             return False
         if cert.root_count != 0:
             return False
@@ -501,7 +509,13 @@ class ZTerm:
 Z1, Z2 = ZTerm(X), ZTerm(-ONE, -1)
 INV1, INV2 = ZTerm(ONE, 0, 1), ZTerm(ONE, 2, 1)
 H = ZTerm(ONE, 2, 2)
-_ONE, _TWO = ZTerm(ONE), ZTerm(IntPolynomial.constant(2))
+
+
+def _const(c: int) -> ZTerm:
+    return ZTerm(IntPolynomial.constant(c))
+
+
+_ONE, _TWO = _const(1), _const(2)
 # the t-free parts of b11, b21 and b12, b22
 G1 = Z1 * Z1 * (Z1 * Z1 + _TWO) * INV1 ** 2
 G2 = Z2 * Z2 * (Z2 * Z2 + _TWO) * INV2 ** 2
@@ -517,6 +531,7 @@ class LollipopTerms(NamedTuple):
     two families in K(n, t, x).
     """
 
+    t: int
     a1: ZTerm
     a2: ZTerm
     b11: ZTerm
@@ -526,6 +541,28 @@ class LollipopTerms(NamedTuple):
     alpha: ZTerm
     beta: ZTerm
     gamma: ZTerm
+
+    def modulus_p6(self, n: int) -> ZTerm:
+        """|phi(L(n,6), ix)|**2 through the closed form; needs n >= 7."""
+        if n < 7:
+            raise ValueError("closed form anchored at n >= 7, got %d" % n)
+        a1, a2 = self.a1, self.a2
+        return (
+            a1 * a1 * Z1 ** (2 * n)
+            + a2 * a2 * Z2 ** (2 * n)
+            + _const(2 * (-1) ** n) * a1 * a2
+        )
+
+    def modulus_pt(self, n: int) -> ZTerm:
+        """|phi(L(n,t), ix)|**2 through the closed form; needs t <= n."""
+        if self.t > n:
+            raise ValueError("need t <= n, got t=%d n=%d" % (self.t, n))
+        b11, b12, b21, b22 = self.b11, self.b12, self.b21, self.b22
+        return (
+            (b11 * b11 + b12 * b12) * Z1 ** (2 * n)
+            + (b21 * b21 + b22 * b22) * Z2 ** (2 * n)
+            + _const(2 * (-1) ** n) * (b11 * b21 + b12 * b22)
+        )
 
 
 def lollipop_terms(t: int) -> LollipopTerms:
@@ -547,7 +584,36 @@ def lollipop_terms(t: int) -> LollipopTerms:
     alpha = a2 * a2 * b1sq - a1 * a1 * b2sq
     beta = _TWO * (a1 * a1 * bcross - a1 * a2 * b1sq)
     gamma = _TWO * (a1 * a2 * b2sq - a2 * a2 * bcross)
-    return LollipopTerms(a1, a2, b11, b12, b21, b22, alpha, beta, gamma)
+    return LollipopTerms(t, a1, a2, b11, b12, b21, b22, alpha, beta, gamma)
+
+
+class ModulusCheck(NamedTuple):
+    """One closed form of ``check_modulus_forms``: the family, its cycle
+    length (6, or the odd t) and whether it is an identity in z."""
+
+    family: str
+    t: int
+    ok: bool
+
+
+def check_modulus_forms(n: int) -> tuple[ModulusCheck, ...]:
+    """Check the closed forms of |phi(L(n,6), ix)|**2 and, for every odd
+    3 <= t <= n, of |phi(L(n,t), ix)|**2 against the characteristic
+    polynomials.
+
+    Each check is a zero numerator of the closed form minus the exact squared
+    modulus at x = z - 1/z, so an ok row holds for every real x.
+    """
+    if n < 7:
+        raise ValueError("need n >= 7, got %d" % n)
+
+    def check(family: str, l: int, closed: ZTerm) -> ModulusCheck:
+        exact = modulus_sq_at_ix(charpoly(make_lollipop(n, l)))
+        return ModulusCheck(family, l, (closed - ZTerm.from_x(exact)).p.is_zero)
+
+    return (check("L(n,6)", 6, lollipop_terms(3).modulus_p6(n)),) + tuple(
+        check("L(n,t)", t, lollipop_terms(t).modulus_pt(n)) for t in range(3, n + 1, 2)
+    )
 
 
 def assembled_f5_exact() -> ZTerm:

@@ -204,10 +204,3 @@ def energy_diff_coulson(g1: Graph, g2: Graph, tol: float = 1e-7) -> float:
     i_far, _ = integrate_adaptive(integrand_far, 0.0, 1.0, budget)
     log_term = -(z1 - z2)  # exact integral of (z1 - z2) * log x over [0, 1]
     return (i_near + log_term + i_far) / math.pi
-
-
-def cycle_energy_reference(n: int) -> float:
-    """Closed-form check value: sum over |2 cos(2 pi j / n)|."""
-    if n < 3:
-        raise ValueError("cycle needs n >= 3")
-    return sum(abs(2.0 * math.cos(2.0 * math.pi * j / n)) for j in range(n))

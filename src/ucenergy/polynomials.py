@@ -177,32 +177,6 @@ class IntPolynomial:
             power *= b
         return (acc > 0) - (acc < 0)
 
-    # -- graph-specific accessor ---------------------------------------
-
-    def bipartite_b_coeffs(self) -> tuple[int, ...]:
-        """Alternating-sign coefficients of a bipartite characteristic polynomial.
-
-        Interprets self as a degree-n characteristic polynomial with
-        descending coefficients a_0..a_n (a_k multiplies x**(n-k)).  Requires
-        every odd-index a to vanish and every (-1)**k * a_{2k} to be
-        nonnegative; returns the tuple of those values.
-        """
-        n = self.degree
-        if n < 0:
-            raise ValueError("zero polynomial")
-        bs = []
-        for k in range(n + 1):
-            a_k = self.coeff(n - k)
-            if k % 2 == 1:
-                if a_k != 0:
-                    raise ValueError("odd coefficient a_%d = %d is nonzero" % (k, a_k))
-            else:
-                b = (-1) ** (k // 2) * a_k
-                if b < 0:
-                    raise ValueError("sign pattern broken at a_%d" % k)
-                bs.append(b)
-        return tuple(bs)
-
     # -- serialisation ---------------------------------------------------
 
     def to_decimal_strings(self) -> list[str]:

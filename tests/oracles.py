@@ -2,9 +2,10 @@
 
 Nothing in here may call into ucenergy's generators, canonical forms, or
 recurrences: counts come from labeled exhaustion with isomorphism dedup
-(networkx VF2), matchings from subset enumeration or a forest DP, and the
+(networkx VF2), matchings from subset enumeration or a forest DP, the
 graph6 reference encoder is a literal transcription of the published format
-description.
+description, the cycle energy comes from the closed-form spectrum of C_n,
+and the bipartite sign pattern is read straight off the coefficients.
 """
 
 from __future__ import annotations
@@ -229,3 +230,35 @@ def rooted_tree_class_count(k: int) -> int:
         for root in range(k):
             seen.add(canon(adj, root, None))
     return len(seen)
+
+
+def cycle_energy_reference(n: int) -> float:
+    """Energy of C_n from its spectrum: sum over |2 cos(2 pi j / n)|."""
+    if n < 3:
+        raise ValueError("cycle needs n >= 3")
+    return sum(abs(2.0 * math.cos(2.0 * math.pi * j / n)) for j in range(n))
+
+
+def bipartite_b_coeffs(p) -> tuple[int, ...]:
+    """Alternating-sign coefficients of a bipartite characteristic polynomial.
+
+    Interprets p as a degree-n characteristic polynomial with descending
+    coefficients a_0..a_n (a_k multiplies x**(n-k)).  Requires every
+    odd-index a to vanish and every (-1)**k * a_{2k} to be nonnegative;
+    returns the tuple of those values.
+    """
+    n = p.degree
+    if n < 0:
+        raise ValueError("zero polynomial")
+    bs = []
+    for k in range(n + 1):
+        a_k = p.coeff(n - k)
+        if k % 2 == 1:
+            if a_k != 0:
+                raise ValueError("odd coefficient a_%d = %d is nonzero" % (k, a_k))
+        else:
+            b = (-1) ** (k // 2) * a_k
+            if b < 0:
+                raise ValueError("sign pattern broken at a_%d" % k)
+            bs.append(b)
+    return tuple(bs)

@@ -16,6 +16,7 @@ from ucenergy.certify import (
     Refutation,
     SignCertificate,
     ZTerm,
+    _in_z,
     assembled_f5_exact,
     certificate_from_json,
     certificate_to_json,
@@ -52,11 +53,13 @@ def test_refutes_sign_change():
 
 
 def test_domain_punctured_at_zero():
-    # -x^2 is nonpositive everywhere, negative away from zero
+    # -x^2 is nonpositive everywhere and vanishes at zero
     p = P(0, 0, -1)
-    assert isinstance(certify_poly_sign(p, "R\\{0}", "negative"), SignCertificate)
     assert isinstance(certify_poly_sign(p, "R", "negative"), Refutation)
     assert isinstance(certify_poly_sign(p, "R", "nonpositive"), SignCertificate)
+    # the punctured line is not a certificate domain, like any unknown one
+    with pytest.raises(ValueError):
+        certify_poly_sign(p, "R\\{0}", "negative")
 
 
 def test_half_line_domains():
@@ -177,6 +180,10 @@ def test_tampered_certificate_fails_verification():
         chain=cert.chain,
     )
     assert not verify_certificate(tampered)
+    # a domain the certifier does not issue is never accepted
+    cert = certify_poly_sign(P(0, 1), "(-inf,0)", "negative")
+    assert verify_certificate(cert)
+    assert not verify_certificate(dataclasses.replace(cert, domain="R\\{0}"))
 
 
 @given(
@@ -188,6 +195,17 @@ def test_polynomial_kernel_soundness(a, b, x0):
     p, q = P(*a), P(*b)
     assert (p + q)(x0) == p(x0) + q(x0)
     assert (p * q)(x0) == p(x0) * q(x0)
+
+
+@given(
+    st.lists(st.integers(-30, 30), max_size=9),
+    st.integers(0, 4),
+    st.fractions(min_value=-8, max_value=8, max_denominator=9).filter(bool),
+)
+def test_in_z_is_z_power_times_p_at_z_minus_inverse(a, extra, z):
+    p = P(*a)
+    d = max(p.degree, 0) + extra
+    assert _in_z(p, d)(z) == z ** d * p(z - 1 / z)
 
 
 def test_known_claim_values():

@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+from ucenergy import certify
 from ucenergy.certify import certificate_from_json, verify_certificate
 from ucenergy.cli import main
+from ucenergy.polynomials import IntPolynomial
 
 
 @pytest.mark.parametrize(
@@ -66,10 +68,28 @@ def test_certify_dumps_verifiable_certificates(capsys):
 
 def test_closed_form_check_filters_on_t(capsys):
     assert main(["closed-form-check", "--n", "9", "--t", "3", "--format", "json"]) == 0
-    out = capsys.readouterr().out
-    rows = json.loads(out[: out.rindex("]") + 1])
-    assert {(r["family"], r["t"]) for r in rows} == {("L(n,6)", 6), ("L(n,t)", 3)}
-    assert len(rows) == 2 * 5
+    rows = json.loads(capsys.readouterr().out)
+    assert rows == [
+        {"family": "L(n,6)", "t": 6, "ok": True},
+        {"family": "L(n,t)", "t": 3, "ok": True},
+    ]
+
+
+def test_closed_form_check_has_no_grid_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["closed-form-check", "--n", "9", "--grid", "1"])
+    assert exc.value.code == 2
+    assert "--grid" in capsys.readouterr().err
+
+
+def test_closed_form_check_exits_4_on_a_wrong_form(monkeypatch, capsys):
+    # phi(L(8,6), ix) with its constant term off by one
+    monkeypatch.setattr(certify, "F8", certify.F8 + IntPolynomial.constant(1))
+    assert main(["closed-form-check", "--n", "9", "--format", "csv"]) == 4
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert captured.err.count("\n") == 1
+    assert captured.out.splitlines()[1] == "L(n,6),6,False"
 
 
 @pytest.mark.parametrize(

@@ -5,11 +5,11 @@ Every quantity is a ``ZTerm`` z**e * p(z) / (z**2 + 1)**k built from
 all real x (x > 0 is z > 1, x < 0 is 0 < z < 1), and there a ZTerm has the
 sign of its numerator p(z).  So an identity is a zero numerator, and a sign
 on an x-domain is one Sturm certificate of ``w_polynomial(p, domain)`` on
-w > 0.  The float evaluators kept for ``closed-form-check`` are tested
-against the exact forms and the exact characteristic polynomials.
+w > 0.  The closed forms of the squared moduli are checked the same way:
+``check_modulus_forms`` proves them as identities in z against the exact
+characteristic polynomials.
 """
 
-import math
 from fractions import Fraction
 from functools import cache
 
@@ -31,24 +31,14 @@ from ucenergy.certify import (
     ZTerm,
     assembled_f5_exact,
     certify_poly_sign,
+    check_modulus_forms,
     f5_factored_poly,
     lollipop_terms,
     verify_certificate,
     w_polynomial,
 )
 from ucenergy.charpoly import charpoly
-from ucenergy.closedforms import (
-    P_POLYS,
-    Q_POLYS,
-    STANDARD_GRID,
-    T3_DEG12,
-    T3_QUADRATIC,
-    check_modulus_forms,
-    modulus_sq_exact,
-    modulus_sq_p6,
-    modulus_sq_pt,
-    zpair,
-)
+from ucenergy.closedforms import P_POLYS, Q_POLYS, T3_DEG12, T3_QUADRATIC
 from ucenergy.coulson import modulus_sq_at_ix
 from ucenergy.graphs import make_lollipop
 from ucenergy.polynomials import X, IntPolynomial
@@ -96,26 +86,6 @@ def expansion(terms, m):
         terms.alpha * (z1_4 - z2_4)
         + terms.beta * Z1 ** (2 * m) * (z1_4 - ONE)
         + terms.gamma * Z2 ** (2 * m) * (ONE - z2_4)
-    )
-
-
-def modulus_p6(terms, n):
-    """|phi(L(n,6), ix)|**2 through the closed form."""
-    a1, a2 = terms.a1, terms.a2
-    return (
-        a1 * a1 * Z1 ** (2 * n)
-        + a2 * a2 * Z2 ** (2 * n)
-        + const(2 * (-1) ** n) * a1 * a2
-    )
-
-
-def modulus_pt(terms, n):
-    """|phi(L(n,t), ix)|**2 through the closed form."""
-    b11, b12, b21, b22 = terms.b11, terms.b12, terms.b21, terms.b22
-    return (
-        (b11 * b11 + b12 * b12) * Z1 ** (2 * n)
-        + (b21 * b21 + b22 * b22) * Z2 ** (2 * n)
-        + const(2 * (-1) ** n) * (b11 * b21 + b12 * b22)
     )
 
 
@@ -211,10 +181,6 @@ def test_sample_rejects_even_t():
             lollipop_terms(t)
 
 
-def test_z_value_at_two():
-    assert zpair(2.0)[0] == pytest.approx(1.0 + math.sqrt(2.0), rel=1e-15)
-
-
 def test_z_identities():
     # z1 + z2 = x, z1 z2 = -1, (z1^2+1)(z2^2+1) = x^2+4, z_i^2/(z_i^2+1)^2 = h
     assert_identity(Z1 + Z2, XT)
@@ -226,10 +192,6 @@ def test_z_identities():
     assert_identity(Z1 * Z1 * INV1 * INV1, H)
     assert_identity(Z2 * Z2 * INV2 * INV2, H)
     assert_identity(H * ZTerm.from_x(P(4, 0, 1)), ONE)
-    # the float pair agrees with z1 = z, z2 = -1/z where sqrt(x^2+4) is exact
-    for z in (Fraction(2), Fraction(1, 2), Fraction(4), Fraction(1, 4)):
-        x = float(z - 1 / z)
-        assert zpair(x) == (float(z), float(-1 / z))
 
 
 def test_growth_coefficients_positive_everywhere():
@@ -239,37 +201,32 @@ def test_growth_coefficients_positive_everywhere():
 
 
 def test_modulus_closed_form_examples():
-    assert modulus_sq_p6(8, 1.0) == pytest.approx(2304.0, rel=1e-12)
-    assert modulus_sq_p6(8, 0.0) == pytest.approx(16.0, rel=1e-12)
-    assert modulus_sq_pt(5, 3, 0.0) == pytest.approx(4.0, rel=1e-12)
+    # x = 0 is z = 1: |phi(L(8,6), 0)|^2 = 16 and |phi(L(5,3), 0)|^2 = 4
+    assert value(lollipop_terms(3).modulus_p6(8), 1) == 16
+    assert value(lollipop_terms(3).modulus_pt(5), 1) == 4
     with pytest.raises(ValueError):
-        modulus_sq_p6(6, 1.0)
+        lollipop_terms(3).modulus_p6(6)
     with pytest.raises(ValueError):
-        modulus_sq_pt(5, 7, 1.0)
+        lollipop_terms(7).modulus_pt(5)
     with pytest.raises(ValueError):
-        modulus_sq_pt(5, 4, 1.0)
+        lollipop_terms(4)
 
 
 def test_modulus_forms_match_exact_charpoly():
-    rep = check_modulus_forms(8, STANDARD_GRID)
-    assert rep.max_rel_dev <= 1e-9
-    rep17 = check_modulus_forms(17, STANDARD_GRID)
-    assert rep17.max_rel_dev <= 1e-9
-    # the closed forms are identities in z
-    for n in (8, 17):
-        assert_identity(
-            modulus_p6(lollipop_terms(3), n), ZTerm.from_x(modulus_charpoly(n, 6))
-        )
-        for t in range(3, n + 1, 2):
-            assert_identity(
-                modulus_pt(lollipop_terms(t), n), ZTerm.from_x(modulus_charpoly(n, t))
-            )
+    for n in (7, 8, 17):
+        checks = check_modulus_forms(n)
+        assert [(c.family, c.t) for c in checks] == [("L(n,6)", 6)] + [
+            ("L(n,t)", t) for t in range(3, n + 1, 2)
+        ]
+        assert all(c.ok for c in checks), n
+    with pytest.raises(ValueError):
+        check_modulus_forms(6)
 
 
 def test_odd_order_vanishing_at_origin():
     # odd-order bipartite lollipop has a zero eigenvalue: both routes give 0
-    assert modulus_sq_exact(7, 6, 0) == 0
-    assert modulus_sq_p6(7, 0.0) == pytest.approx(0.0, abs=1e-12)
+    assert modulus_charpoly(7, 6)(0) == 0
+    assert value(lollipop_terms(3).modulus_p6(7), 1) == 0
 
 
 def test_pq_pairs():
@@ -381,11 +338,11 @@ def test_even_order_limit_behaviour():
         s = lollipop_terms(t)
         a1sq, b1sq = s.a1 * s.a1, s.b11 * s.b11 + s.b12 * s.b12
         gap = {
-            n: b1sq * modulus_p6(s, n) - a1sq * modulus_pt(s, n) for n in range(8, 41, 2)
+            n: b1sq * s.modulus_p6(n) - a1sq * s.modulus_pt(n) for n in range(8, 41, 2)
         }
         for n in gap:
             certify_sign(gap[n], "(0,inf)", "positive")
-        shrink = gap[20] * modulus_p6(s, 40) - gap[40] * modulus_p6(s, 20)
+        shrink = gap[20] * s.modulus_p6(40) - gap[40] * s.modulus_p6(20)
         certify_sign(shrink, "(0,inf)", "positive")
 
 

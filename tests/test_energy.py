@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import cycle_energy_reference
 from ucenergy.charpoly import charpoly
 from ucenergy.coulson import (
     coulson_bracket,
-    cycle_energy_reference,
     energy_coulson,
     energy_diff_coulson,
     integrate_adaptive,
