@@ -485,7 +485,8 @@ class ZTerm:
 
     def over(self, e: int, k: int) -> IntPolynomial:
         """Numerator of self over z**e / (z**2 + 1)**k; e <= self.e, k >= self.k."""
-        return self.p * IntPolynomial.x_power(self.e - e) * _SQ_PLUS_1 ** (k - self.k)
+        p = self.p.shift_up(self.e - e)
+        return p if k == self.k else p * _SQ_PLUS_1 ** (k - self.k)
 
     def __add__(self, other: "ZTerm") -> "ZTerm":
         e, k = min(self.e, other.e), max(self.k, other.k)
@@ -546,38 +547,53 @@ class LollipopTerms(NamedTuple):
         """|phi(L(n,6), ix)|**2 through the closed form; needs n >= 7."""
         if n < 7:
             raise ValueError("closed form anchored at n >= 7, got %d" % n)
-        a1, a2 = self.a1, self.a2
-        return (
-            a1 * a1 * Z1 ** (2 * n)
-            + a2 * a2 * Z2 ** (2 * n)
-            + _const(2 * (-1) ** n) * a1 * a2
-        )
+        return _modulus_p6(self.a1, self.a2, n)
 
     def modulus_pt(self, n: int) -> ZTerm:
         """|phi(L(n,t), ix)|**2 through the closed form; needs t <= n."""
         if self.t > n:
             raise ValueError("need t <= n, got t=%d n=%d" % (self.t, n))
-        b11, b12, b21, b22 = self.b11, self.b12, self.b21, self.b22
-        return (
-            (b11 * b11 + b12 * b12) * Z1 ** (2 * n)
-            + (b21 * b21 + b22 * b22) * Z2 ** (2 * n)
-            + _const(2 * (-1) ** n) * (b11 * b21 + b12 * b22)
-        )
+        return _modulus_pt(self.b11, self.b12, self.b21, self.b22, n)
 
 
-def lollipop_terms(t: int) -> LollipopTerms:
-    """The comparison coefficients for odd t >= 3, exactly, at x = z - 1/z."""
-    if t < 3 or t % 2 == 0:
-        raise ValueError("t must be an odd integer >= 3, got %r" % t)
+def _a_terms() -> tuple[ZTerm, ZTerm]:
+    """a1 and a2, the coefficients of z1**n and z2**n in phi(L(n,6), ix)."""
     f8, f7 = ZTerm.from_x(F8), ZTerm.from_x(F7)
     a1 = -((Z1 * f8 + f7) * INV1) * Z2 ** 7
     a2 = -((Z2 * f8 + f7) * INV2) * Z1 ** 7
+    return a1, a2
 
+
+def _b_terms(t: int) -> tuple[ZTerm, ZTerm, ZTerm, ZTerm]:
+    """b11, b12, b21 and b22 of phi(L(n,t), ix) for odd t >= 3."""
+    if t < 3 or t % 2 == 0:
+        raise ValueError("t must be an odd integer >= 3, got %r" % t)
     b11 = G1 - Z2 ** (2 * t - 2) * H
     b12 = M1 * Z2 ** (t - 2)
     b21 = G2 - Z1 ** (2 * t - 2) * H
     b22 = M2 * Z1 ** (t - 2)
+    return b11, b12, b21, b22
 
+
+def _modulus(c1: ZTerm, c2: ZTerm, cross: ZTerm, n: int) -> ZTerm:
+    """c1 z1**2n + c2 z2**2n + (-1)**n 2 cross, the shape of both moduli."""
+    return c1 * Z1 ** (2 * n) + c2 * Z2 ** (2 * n) + _const(2 * (-1) ** n) * cross
+
+
+def _modulus_p6(a1: ZTerm, a2: ZTerm, n: int) -> ZTerm:
+    return _modulus(a1 * a1, a2 * a2, a1 * a2, n)
+
+
+def _modulus_pt(b11: ZTerm, b12: ZTerm, b21: ZTerm, b22: ZTerm, n: int) -> ZTerm:
+    return _modulus(
+        b11 * b11 + b12 * b12, b21 * b21 + b22 * b22, b11 * b21 + b12 * b22, n
+    )
+
+
+def lollipop_terms(t: int) -> LollipopTerms:
+    """The comparison coefficients for odd t >= 3, exactly, at x = z - 1/z."""
+    b11, b12, b21, b22 = _b_terms(t)
+    a1, a2 = _a_terms()
     b1sq = b11 * b11 + b12 * b12
     b2sq = b21 * b21 + b22 * b22
     bcross = b11 * b21 + b12 * b22
@@ -611,8 +627,8 @@ def check_modulus_forms(n: int) -> tuple[ModulusCheck, ...]:
         exact = modulus_sq_at_ix(charpoly(make_lollipop(n, l)))
         return ModulusCheck(family, l, (closed - ZTerm.from_x(exact)).p.is_zero)
 
-    return (check("L(n,6)", 6, lollipop_terms(3).modulus_p6(n)),) + tuple(
-        check("L(n,t)", t, lollipop_terms(t).modulus_pt(n)) for t in range(3, n + 1, 2)
+    return (check("L(n,6)", 6, _modulus_p6(*_a_terms(), n)),) + tuple(
+        check("L(n,t)", t, _modulus_pt(*_b_terms(t), n)) for t in range(3, n + 1, 2)
     )
 
 

@@ -2,17 +2,32 @@
 
 A connected unicyclic graph is a cycle of length l >= 3 whose vertices each
 carry a rooted tree (the cycle vertex being the root).  Its isomorphism
-class is captured by the cycle length plus the necklace of canonical
-rooted-tree codes, normalised to the lexicographically smallest sequence
-under rotation and reflection.  Generation walks all compositions of the
-vertex budget around the cycle, assigns canonical rooted trees, and keeps
-exactly the graphs whose necklace is already in normal form.
+class is the cycle length plus the bracelet of canonical rooted-tree codes
+around the cycle: the sequence up to rotation and reflection.  The class is
+represented by the lexicographically smallest such sequence, trees compared
+as tuples.
+
+Generation is orderly.  The alphabet is every rooted tree on 1..n-2
+vertices, sorted by tuple order.  For each l the prenecklace recursion of
+Fredricksen, Kessler and Maiorana (Ruskey, Savage and Wang, "Generating
+necklaces", J. Algorithms 13, 1992) runs over alphabet indices with the
+vertex budget carried along.  Each position takes only trees that leave at
+least one vertex for every later position, and the last position takes
+exactly the vertices left.  A prenecklace of period p is a necklace when
+p divides l, and a necklace is kept when it is no larger than any rotation
+of its reversal, which makes it the smallest in its bracelet.  So each class
+is produced once, and nothing is generated and then discarded as a
+duplicate.
+
+Codes stream out in increasing (cycle length, trees) order, the order of the
+recursion itself; nothing is sorted or stored.  Memory is bounded by the
+alphabet, the rooted trees on at most n - 2 vertices, plus three integers
+per tree (its size and two trie links) and O(n) recursion state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator
 
 from .graphs import Graph
@@ -42,19 +57,6 @@ class UnicyclicCode:
         return "U[l=%d|%s]" % (self.cycle_len, ",".join(parts))
 
 
-def necklace_normal_form(codes: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-    """Lexicographically minimal rotation/reflection of the code sequence."""
-    l = len(codes)
-    reversed_codes = codes[::-1]
-    best = None
-    for base in (codes, reversed_codes):
-        for shift in range(l):
-            candidate = base[shift:] + base[:shift]
-            if best is None or candidate < best:
-                best = candidate
-    return best
-
-
 def realize(code: UnicyclicCode) -> Graph:
     """Graph for a code: cycle vertices 0..l-1 in order, trees appended."""
     l = code.cycle_len
@@ -70,45 +72,82 @@ def realize(code: UnicyclicCode) -> Graph:
     return Graph.from_edges(code.n, edges)
 
 
-@lru_cache(maxsize=32)
-def _codes(n: int) -> tuple[UnicyclicCode, ...]:
+class _Alphabet:
+    """Rooted trees on 1..max_size vertices in tuple order, as a prefix trie.
+
+    A prefix of a canonical level sequence is canonical (the last subtree on
+    each level only shrinks), so the sorted list is a preorder walk of the
+    trie of its own prefixes.  ``parent[j]`` is the index of trees[j][:-1]
+    and ``after[j]`` the first index past every extension of trees[j].
+    """
+
+    def __init__(self, max_size: int):
+        self.trees = sorted(t for k in range(1, max_size + 1) for t in rooted_trees(k))
+        self.size = [len(t) for t in self.trees]
+        count = len(self.trees)
+        self.parent = [-1] * count
+        self.after = [count] * count
+        path: list[int] = []
+        for j, size in enumerate(self.size):
+            while path and self.size[path[-1]] >= size:
+                self.after[path.pop()] = j
+            if path:
+                self.parent[j] = path[-1]
+            path.append(j)
+
+    def next_fit(self, j: int, cap: int) -> int:
+        """Smallest index after j whose tree has at most cap vertices."""
+        size, parent = self.size, self.parent
+        while size[j] > cap:
+            j = parent[j]
+        return j + 1 if size[j] < cap else self.after[j]
+
+
+def _bracelet_words(alphabet: _Alphabet, l: int, n: int) -> Iterator[list[int]]:
+    """Lexicographically smallest bracelets of length l over alphabet
+    indices whose trees hold n vertices in total, in increasing order."""
+    size, count, next_fit = alphabet.size, len(alphabet.size), alphabet.next_fit
+    a = [0] * (l + 1)  # a[0] = 0 seeds the recursion; the word is a[1:]
+
+    def extend(t: int, p: int, budget: int) -> Iterator[list[int]]:
+        # a[1:t] is a prenecklace of period p; budget vertices remain for
+        # positions t..l, at least one each
+        cap = budget - (l - t)
+        j, period = a[t - p], p
+        if size[j] > cap:
+            j, period = next_fit(j, cap), t
+        while j < count:
+            a[t] = j
+            if t < l:
+                yield from extend(t + 1, period, budget - size[j])
+            elif size[j] == cap and l % period == 0:
+                word = a[1:]
+                rev = word[::-1]
+                if all(rev[s:] + rev[:s] >= word for s in range(l)):
+                    yield word
+            j, period = next_fit(j, cap), t
+
+    yield from extend(1, 1, n)
+
+
+def _codes(n: int) -> Iterator[UnicyclicCode]:
+    """Every unicyclic code of order n, once, in increasing code order."""
     if n < 3:
         raise ValueError("unicyclic graphs need n >= 3, got %d" % n)
     # largest possible pendant tree: everything outside a triangle plus root
-    trees_by_size = {size: rooted_trees(size) for size in range(1, n - 1)}
-    out = []
+    alphabet = _Alphabet(n - 2)
+    trees = alphabet.trees
     for l in range(3, n + 1):
-        for assignment in _assignments(n, l, trees_by_size):
-            if assignment == necklace_normal_form(assignment):
-                out.append(UnicyclicCode(l, assignment))
-    out.sort(key=lambda c: (c.cycle_len, c.trees))
-    return tuple(out)
-
-
-def _assignments(n: int, l: int, trees_by_size) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """All ways to hang rooted trees on l cycle positions, total size n."""
-
-    def rec(position: int, budget: int, prefix: list[tuple[int, ...]]):
-        if position == l:
-            if budget == 0:
-                yield tuple(prefix)
-            return
-        remaining_positions = l - position - 1
-        max_size = budget - remaining_positions
-        for size in range(1, max_size + 1):
-            for tree in trees_by_size[size]:
-                prefix.append(tree)
-                yield from rec(position + 1, budget - size, prefix)
-                prefix.pop()
-
-    yield from rec(0, n, [])
+        for word in _bracelet_words(alphabet, l, n):
+            yield UnicyclicCode(l, tuple(trees[j] for j in word))
 
 
 def unicyclic_graphs(n: int) -> Iterator[tuple[UnicyclicCode, Graph]]:
     """Every connected unicyclic graph on n vertices, once per class.
 
-    Codes are emitted in sorted code order (cycle length, then necklace),
-    each realised with the fixed labelling convention of ``realize``.
+    Codes are emitted in sorted code order (cycle length, then the tree
+    sequence) as they are generated, each realised with the fixed labelling
+    convention of ``realize``.
     """
     for code in _codes(n):
         yield code, realize(code)
@@ -116,4 +155,4 @@ def unicyclic_graphs(n: int) -> Iterator[tuple[UnicyclicCode, Graph]]:
 
 def count_unicyclic(n: int) -> int:
     """Number of isomorphism classes of connected unicyclic graphs."""
-    return len(_codes(n))
+    return sum(1 for _ in _codes(n))

@@ -43,10 +43,6 @@ class IntPolynomial:
     def constant(cls, c: int) -> "IntPolynomial":
         return cls.from_coeffs([c])
 
-    @classmethod
-    def x_power(cls, k: int, scale: int = 1) -> "IntPolynomial":
-        return cls.from_coeffs([0] * k + [scale])
-
     # -- basic queries -------------------------------------------------
 
     @property
@@ -143,6 +139,12 @@ class IntPolynomial:
         if g in (0, 1):
             return self
         return IntPolynomial(tuple(c // g for c in self.coeffs))
+
+    def shift_up(self, k: int) -> "IntPolynomial":
+        """Multiplication by x**k; the zero polynomial stays zero."""
+        if self.is_zero:
+            return self
+        return IntPolynomial((0,) * k + self.coeffs)
 
     def shift_down(self, k: int) -> "IntPolynomial":
         """Exact division by x**k (the low-order coefficients must vanish)."""

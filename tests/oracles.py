@@ -5,7 +5,9 @@ recurrences: counts come from labeled exhaustion with isomorphism dedup
 (networkx VF2), matchings from subset enumeration or a forest DP, the
 graph6 reference encoder is a literal transcription of the published format
 description, the cycle energy comes from the closed-form spectrum of C_n,
-and the bipartite sign pattern is read straight off the coefficients.
+the bipartite sign pattern is read straight off the coefficients, and the
+unicyclic codes come from every composition of the order around the cycle,
+normalised by brute-force minimum over rotations and reflections.
 """
 
 from __future__ import annotations
@@ -262,3 +264,56 @@ def bipartite_b_coeffs(p) -> tuple[int, ...]:
                 raise ValueError("sign pattern broken at a_%d" % k)
             bs.append(b)
     return tuple(bs)
+
+
+def necklace_normal_form(codes: tuple) -> tuple:
+    """Lexicographically minimal rotation/reflection of the code sequence."""
+    l = len(codes)
+    return min(
+        base[shift:] + base[:shift] for base in (codes, codes[::-1]) for shift in range(l)
+    )
+
+
+def rooted_level_sequences(k: int) -> list[tuple[int, ...]]:
+    """Canonical level sequences of the rooted trees on k vertices, sorted.
+
+    Grows every tree on k - 1 vertices by one leaf in every place and
+    canonicalises with a local lexicographically-maximal preorder.
+    """
+    def canon(children, v) -> tuple[int, ...]:
+        subs = sorted((canon(children, w) for w in children[v]), reverse=True)
+        return (0,) + tuple(level + 1 for sub in subs for level in sub)
+
+    trees = {(0,)}
+    for _ in range(k - 1):
+        grown = set()
+        for seq in trees:
+            children = [[] for _ in range(len(seq) + 1)]
+            path = []
+            for v, depth in enumerate(seq):
+                del path[depth:]
+                if path:
+                    children[path[-1]].append(v)
+                path.append(v)
+            for v in range(len(seq)):
+                children[v].append(len(seq))
+                grown.add(canon(children, 0))
+                children[v].pop()
+        trees = grown
+    return sorted(trees)
+
+
+def unicyclic_codes_brute(n: int) -> list[tuple[int, tuple]]:
+    """Sorted (cycle length, trees) codes of the unicyclic graphs on n vertices.
+
+    Hangs rooted trees on every composition of n around every cycle length,
+    takes each assignment's necklace normal form and de-duplicates.
+    """
+    by_size = {k: rooted_level_sequences(k) for k in range(1, n - 1)}
+    codes = set()
+    for l in range(3, n + 1):
+        for sizes in itertools.product(range(1, n - l + 2), repeat=l):
+            if sum(sizes) == n:
+                for trees in itertools.product(*(by_size[k] for k in sizes)):
+                    codes.add((l, necklace_normal_form(trees)))
+    return sorted(codes)

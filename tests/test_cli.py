@@ -34,6 +34,9 @@ def test_nonpositive_tolerance_is_a_usage_error(argv, capsys):
         ["closed-form-check", "--n", "9", "--t", "3", "--t", "11"],
         ["certify", "C9"],
         ["diff", "C:5", "C:6", "--method", "coulson"],
+        ["enumerate", "--n", "2", "--count-only"],
+        ["enumerate", "--n", "2", "--emit", "g6"],
+        ["enumerate", "--n", "2"],
     ],
 )
 def test_rejected_input_exits_2_with_one_line(argv, capsys):

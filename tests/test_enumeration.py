@@ -5,14 +5,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import (
+    necklace_normal_form,
     orbit_sum_matches_labeled,
+    rooted_level_sequences,
     rooted_tree_class_count,
     unicyclic_class_count_vf2,
+    unicyclic_codes_brute,
 )
 from ucenergy.enumeration import (
     UnicyclicCode,
     count_unicyclic,
-    necklace_normal_form,
     realize,
     unicyclic_graphs,
 )
@@ -25,9 +27,10 @@ from ucenergy.trees import (
     tree_centers,
 )
 
-# labeled brute-force census (VF2 dedup live for n <= 6, orbit identity for
-# n = 7, and the n = 8 value confirmed once by the same oracles)
-ORACLE_COUNTS = {3: 1, 4: 2, 5: 5, 6: 13, 7: 33, 8: 89}
+# OEIS A001429, connected unicyclic graphs on n = 3..14 vertices; the labeled
+# brute-force census agrees up to n = 8 (VF2 dedup live for n <= 6, orbit
+# identity for n = 7, and the n = 8 value confirmed once by the same oracles)
+A001429 = (1, 2, 5, 13, 33, 89, 240, 657, 1806, 5026, 13999, 39260)
 
 
 def test_rooted_tree_counts_match_brute_force():
@@ -96,13 +99,31 @@ def test_count_seven_by_orbit_identity(unicyclic_by_order):
 
 
 def test_counts_frozen_values():
-    for n, expected in ORACLE_COUNTS.items():
-        assert count_unicyclic(n) == expected
+    assert tuple(count_unicyclic(n) for n in range(3, 15)) == A001429
 
 
 def test_counts_stable_and_consistent():
     assert count_unicyclic(10) == len(list(unicyclic_graphs(10)))
     assert count_unicyclic(10) == count_unicyclic(10)
+
+
+def test_oracle_rooted_trees_match_generator():
+    for k in range(1, 9):
+        assert rooted_level_sequences(k) == sorted(rooted_trees(k)), k
+
+
+def test_codes_equal_brute_force_list():
+    # every composition of n around the cycle, normalised, de-duplicated and
+    # sorted: the generator must emit exactly this list in exactly this order
+    for n in range(3, 11):
+        codes = [(code.cycle_len, code.trees) for code, _ in unicyclic_graphs(n)]
+        assert codes == unicyclic_codes_brute(n), n
+
+
+def test_codes_strictly_increasing():
+    for n in (11, 12):
+        keys = [(code.cycle_len, code.trees) for code, _ in unicyclic_graphs(n)]
+        assert all(a < b for a, b in zip(keys, keys[1:])), n
 
 
 def test_no_duplicate_codes(unicyclic_by_order):

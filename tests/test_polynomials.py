@@ -70,6 +70,8 @@ def test_derivative_and_shift():
     p = P(4, 0, -3, 1)  # x^3 - 3x^2 + 4
     assert p.derivative() == P(0, -6, 3)
     assert P(0, 0, 5, 1).shift_down(2) == P(5, 1)
+    assert P(5, 1).shift_up(2) == P(0, 0, 5, 1)
+    assert P().shift_up(3) == P()
     with pytest.raises(ValueError):
         P(1, 2).shift_down(1)
 
