@@ -1,23 +1,39 @@
 """Real-root isolation and graph energy from exact root enclosures.
 
-``energy_of_poly`` takes two routes to the same rigorous enclosures.
+``energy_of_poly`` takes up to three routes to the same rigorous enclosures,
+each tried only when the one before it fails.
 
-The fast route verifies float seeds exactly, in the manner of Rump
-("Verification methods: rigorous results using floating-point arithmetic",
-Acta Numerica 2010).  Pure-Python Laguerre iteration with deflation, polished
-by Newton steps on the undeflated polynomial, gives a seed for every root.
-Each seed is rounded to a dyadic bracket [m - 1, m + 1] / 2**k, and the sign
-of p at both ends is checked in integer arithmetic: p(j / 2**k) * 2**(k*d) is
-an integer.  When a polynomial of degree d has d disjoint brackets, each with
-a strict sign change, each bracket holds exactly one simple root: all roots
-are real, isolated, and the polynomial is square-free.
+1. Verified float seeds for the whole core (p without its zero roots), in
+   the manner of Rump ("Verification methods: rigorous results using
+   floating-point arithmetic", Acta Numerica 2010).  Each seed is rounded to
+   a dyadic bracket [m - 1, m + 1] / 2**k, and the sign of p at both ends is
+   checked in integer arithmetic: p(j / 2**k) * 2**(k*d) is an integer.
+   When a polynomial of degree d has d disjoint brackets, each with a strict
+   sign change, each bracket holds exactly one simple root: all roots are
+   real, isolated, and the polynomial is square-free.  Two seed sources are
+   tried in turn:
 
-The fallback route, taken whenever that check fails (repeated eigenvalues,
-as in the cycles, or complex roots), splits the polynomial into square-free
-factors (Yun), tries the fast route on each, and isolates the roots of any
-factor that still fails by Sturm counting.  Enclosures narrower than the
-requested width come from sign bisection.  Both routes decide every sign
-exactly, so the reported energy carries a rigorous error radius.
+   * pure-Python Laguerre iteration with deflation, polished by Newton steps
+     on the undeflated polynomial.  For the small spectra of the search it
+     is the cheaper source, but deflation in doubles loses the roots from
+     about 40 vertices on;
+   * the Jacobi matrix of the Sturm chain (Schmeisser, "A real symmetric
+     tridiagonal matrix with a given characteristic polynomial", Linear
+     Algebra Appl. 193, 1993).  A square-free, real-rooted polynomial has a
+     full Sturm chain, whose monic members obey a three-term recurrence.
+     Its coefficients, computed exactly, are the entries of a symmetric
+     tridiagonal matrix with characteristic polynomial p, and LAPACK's
+     ``eigvalsh`` of that matrix seeds every root.
+
+2. When both seed sources fail (repeated eigenvalues, as in the cycles, or
+   complex roots), Yun's algorithm splits the core into square-free factors
+   and each factor is seeded and checked the same way.
+
+3. A factor whose seeds still fail has its roots isolated by Sturm counting.
+
+Enclosures narrower than the requested width come from sign bisection.
+Every route decides every sign exactly, so the reported energy carries a
+rigorous error radius.
 """
 
 from __future__ import annotations
@@ -144,6 +160,10 @@ def energy_of_poly(p: IntPolynomial, tol: float = 1e-7) -> EnergyValue:
 
     Requires every root of p to be real, which holds for characteristic
     polynomials of symmetric matrices; a complex pair raises ValueError.
+    The enclosures come from verified seeds for the whole core (Laguerre
+    first, then the eigenvalues of the Jacobi matrix built from the Sturm
+    chain, after Schmeisser 1993), else from seeds per Yun factor, else from
+    Sturm isolation; see the module docstring.
     The radius covers the enclosures and the rounding of the value to a
     float; ConvergenceError is raised when tol is too tight for a double.
     """
@@ -204,13 +224,27 @@ def _verified_enclosures(
 ) -> list[RootEnclosure] | None:
     """Enclosures of width <= budget for all roots of f, from float seeds.
 
+    The Laguerre seeds are tried first and the Jacobi seeds next; None when
+    neither passes the exact check of ``_checked_enclosures``.
+    """
+    for seed_source in (_laguerre_seeds, _jacobi_seeds):
+        seeds = seed_source(f)
+        if seeds is not None:
+            out = _checked_enclosures(f, seeds, budget)
+            if out is not None:
+                return out
+    return None
+
+
+def _checked_enclosures(
+    f: IntPolynomial, seeds: list[tuple[float, float]], budget: Fraction
+) -> list[RootEnclosure] | None:
+    """Enclosures of width <= budget around the (seed, error) pairs, or None.
+
     Returns None unless deg f disjoint dyadic brackets around the seeds each
     show a strict sign change of f, checked in integer arithmetic.
     """
-    seeds = _float_seeds(f)
-    if seeds is None:
-        return None
-    seeds.sort()
+    seeds = sorted(seeds)
     # 2**-k is the bracket's half-width: above four times the largest seed
     # error, below a quarter of the smallest seed gap, and no wider than the
     # budget allows unless the seeds cannot resolve the budget.  These are
@@ -252,7 +286,7 @@ def _budget_bits(budget: Fraction) -> int:
     return (t - 1).bit_length() if t > 1 else 0
 
 
-def _float_seeds(f: IntPolynomial) -> list[tuple[float, float]] | None:
+def _laguerre_seeds(f: IntPolynomial) -> list[tuple[float, float]] | None:
     """(seed, error estimate) for every root of f, or None on float failure.
 
     Laguerre iteration converges monotonically from above the largest root
@@ -297,6 +331,70 @@ def _float_seeds(f: IntPolynomial) -> list[tuple[float, float]] | None:
             return None
         seeds.append((x, err))
     return seeds
+
+
+def _jacobi_coefficients(
+    f: IntPolynomial,
+) -> tuple[list[Fraction], list[Fraction]] | None:
+    """Exact entries of a Jacobi matrix with characteristic polynomial f/lc(f).
+
+    Returns (alpha, beta): the diagonal alpha_1..alpha_d and the squared
+    off-diagonal beta_1..beta_{d-1}, all beta_k > 0, or None unless the
+    Sturm chain of +-f is full: d + 1 members of degrees d, d-1, ..., 0, all
+    with positive leading coefficients, which holds exactly when f is
+    square-free with only real roots.  Its monic members M_0 = f/lc(f), ...,
+    M_d = 1 then obey M_{k-1} = (x - alpha_k) M_k - beta_k M_{k+1}
+    (M_{d+1} = 0), and alpha_k, beta_k follow from the two coefficients
+    below the leading one of M_{k-1} and M_k (Schmeisser 1993).
+    """
+    d = f.degree
+    chain = sturm_chain(f if f.leading > 0 else -f)
+    if len(chain) != d + 1 or any(
+        g.degree != d - k or g.leading <= 0 for k, g in enumerate(chain)
+    ):
+        return None
+    tops = [
+        (Fraction(g.coeff(g.degree - 1), g.leading),
+         Fraction(g.coeff(g.degree - 2), g.leading))
+        for g in chain
+    ]
+    alpha: list[Fraction] = []
+    beta: list[Fraction] = []
+    for (a1, a2), (c1, c2) in zip(tops, tops[1:]):
+        # match (x - alpha) M_k - beta M_{k+1} with M_{k-1} at x**m and
+        # x**(m-1), where m = deg M_k
+        alpha.append(c1 - a1)
+        if len(alpha) < d:
+            b = c2 - alpha[-1] * c1 - a2
+            if b <= 0:
+                return None
+            beta.append(b)
+    return alpha, beta
+
+
+def _jacobi_seeds(f: IntPolynomial) -> list[tuple[float, float]] | None:
+    """(seed, error estimate) for every root of f from its Jacobi matrix.
+
+    The seeds are LAPACK's eigenvalues of the symmetric tridiagonal matrix
+    with diagonal alpha and off-diagonal sqrt(beta); None when f has no such
+    matrix.  The error estimate d * 2**-52 * max|lambda| covers rounding
+    the entries to doubles and the solver's backward error (Weyl); it only
+    sets the bracket width, and the integer sign checks decide.
+    """
+    # imported on first use: importing numpy with this module, before the
+    # package compiles certify.py, adds about 0.8 MiB to the peak RSS of a
+    # run that starts without a bytecode cache
+    import numpy as np
+
+    coefficients = _jacobi_coefficients(f)
+    if coefficients is None:
+        return None
+    alpha, beta = coefficients
+    off = np.sqrt([float(b) for b in beta])
+    matrix = np.diag([float(a) for a in alpha]) + np.diag(off, 1) + np.diag(off, -1)
+    eigenvalues = np.linalg.eigvalsh(matrix)
+    err = 2 * f.degree * _UNIT_ROUNDOFF * float(np.abs(eigenvalues).max())
+    return [(float(x), err) for x in eigenvalues]
 
 
 def _laguerre(b: list[float], x: float) -> float | None:

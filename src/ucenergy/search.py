@@ -2,8 +2,9 @@
 
 Energies come from ``energy_of_poly``: float root seeds of the
 characteristic polynomial, each verified by an exact integer sign change
-(with Yun and Sturm isolation as the fallback), so every candidate carries
-a rigorous enclosure.  Cospectral graphs share one energy computation.
+(with Yun and Sturm isolation as the fallbacks), so every candidate carries
+a rigorous enclosure.  Graphs are streamed; only code -> coefficients is
+kept.  Cospectral graphs share one energy computation.
 Before ranking, any two distinct spectra whose enclosures overlap are
 refined down to radius 1e-12; enclosures that still overlap are flagged as
 ties instead of being ordered silently.
@@ -47,10 +48,9 @@ def max_energy_search(
         raise ValueError("top_k must be at least 1")
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
-    items = list(unicyclic_graphs(n))
     poly_of_code: dict[UnicyclicCode, tuple[int, ...]] = {}
     distinct: dict[tuple[int, ...], EnergyValue] = {}
-    for code, graph in items:
+    for code, graph in unicyclic_graphs(n):
         coeffs = charpoly(graph).coeffs
         poly_of_code[code] = coeffs
         distinct.setdefault(coeffs, None)
@@ -66,7 +66,7 @@ def max_energy_search(
         distinct[coeffs] = energy
 
     entries = [
-        (code, poly_of_code[code], distinct[poly_of_code[code]]) for code, _ in items
+        (code, coeffs, distinct[coeffs]) for code, coeffs in poly_of_code.items()
     ]
     entries.sort(key=lambda e: (-e[2].value, e[1], e[0].cycle_len, e[0].trees))
 

@@ -32,3 +32,15 @@ def test_golden_table(table_id, cells):
     assert len(rows) == cells
     worst = max(rows, key=lambda r: r.deviation)
     assert worst.deviation <= TOLERANCE, worst
+
+
+@pytest.mark.parametrize("n", [31, 40, 49, 60])
+def test_lollipop_six_beats_the_cycle_and_odd_lollipops(n):
+    # the theorem beyond the golden tables: for these n, L(n,6) = P_n^6 has
+    # more energy than C_n and every L(n,t) with t odd, and the exact
+    # enclosures are disjoint
+    best = energy_of_poly(charpoly(make_lollipop(n, 6)))
+    rivals = [make_cycle(n)] + [make_lollipop(n, t) for t in range(3, n, 2)]
+    for graph in rivals:
+        other = energy_of_poly(charpoly(graph))
+        assert best.value - best.radius > other.value + other.radius, graph

@@ -1,13 +1,22 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import ucenergy.roots as roots
 from ucenergy.charpoly import charpoly
+from ucenergy.eigensolver import energy_eigensolver
 from ucenergy.enumeration import unicyclic_graphs
-from ucenergy.graphs import make_cycle, make_lollipop, make_path
-from ucenergy.polynomials import IntPolynomial, squarefree_decomposition, sturm_chain
+from ucenergy.graphs import Graph, make_cycle, make_lollipop, make_path
+from ucenergy.polynomials import (
+    IntPolynomial,
+    squarefree_decomposition,
+    squarefree_part,
+    sturm_chain,
+)
 from ucenergy.roots import (
     ConvergenceError,
     _isolate_squarefree,
@@ -160,3 +169,92 @@ def test_isolation_without_split_point_is_a_convergence_error(monkeypatch):
     monkeypatch.setattr(roots, "_nonroot_split", lambda f, lo, hi: None)
     with pytest.raises(ConvergenceError):
         roots._isolate_squarefree(P(-1, 0, 1))
+
+
+@st.composite
+def squarefree_real_rooted(draw):
+    """Square-free part of distinct linear factors times a tree's charpoly."""
+    linear = draw(
+        st.lists(
+            st.tuples(st.integers(1, 4), st.integers(-12, 12)),
+            max_size=6,
+            unique_by=lambda ab: Fraction(ab[1], ab[0]),
+        )
+    )
+    p = IntPolynomial((1,))
+    for a, b in linear:
+        p = p * IntPolynomial((-b, a))  # a x - b
+    k = draw(st.integers(1, 14))
+    parents = [draw(st.integers(0, v - 1)) for v in range(1, k)]
+    tree = Graph.from_edges(k, list(zip(parents, range(1, k))))
+    return squarefree_part(p * charpoly(tree))
+
+
+@given(squarefree_real_rooted())
+def test_jacobi_recurrence_reproduces_the_monic_polynomial(p):
+    alpha, beta = roots._jacobi_coefficients(p)
+    d = p.degree
+    assert len(alpha) == d and len(beta) == d - 1
+    assert all(b > 0 for b in beta)
+    # M_{k-1} = (x - alpha_k) M_k - beta_k M_{k+1}, ascending Fraction lists
+    nxt, cur = [], [Fraction(1)]
+    for k in range(d, 0, -1):
+        shifted = [Fraction(0)] + cur
+        prev = [c - alpha[k - 1] * m for c, m in zip(shifted, cur + [0])]
+        if k < d:
+            prev = [c - beta[k - 1] * m for c, m in zip(prev, nxt + [0, 0])]
+        nxt, cur = cur, prev
+    assert cur == [Fraction(c, p.leading) for c in p.coeffs]
+
+
+def test_jacobi_route_needs_a_full_sturm_chain():
+    for p in (P(1, 0, 1), P(-1, 1) ** 2 * P(2, 1)):  # x^2 + 1, (x - 1)^2 (x + 2)
+        assert roots._jacobi_coefficients(p) is None
+        assert roots._jacobi_seeds(p) is None
+
+
+def _random_unicyclic(n, rng):
+    """A cycle of random length with a random recursive forest hung on it."""
+    cycle = rng.randint(3, n)
+    edges = [(i, (i + 1) % cycle) for i in range(cycle)]
+    edges += [(rng.randrange(v), v) for v in range(cycle, n)]
+    return Graph.from_edges(n, edges)
+
+
+_LARGE = [
+    ("L(50,6)", make_lollipop(50, 6)),
+    ("L(80,6)", make_lollipop(80, 6)),
+    ("C_50", make_cycle(50)),
+    ("C_80", make_cycle(80)),
+] + [
+    ("random %d" % n, _random_unicyclic(n, random.Random(n)))
+    for n in (40, 60, 80)
+]
+
+
+@pytest.mark.parametrize("name, graph", _LARGE, ids=[name for name, _ in _LARGE])
+def test_large_spectra_are_seeded_without_sturm(monkeypatch, name, graph):
+    isolated = []
+
+    def spy(f):
+        isolated.append(f)
+        return _isolate_squarefree(f)
+
+    monkeypatch.setattr(roots, "_isolate_squarefree", spy)
+    exact = energy_of_poly(charpoly(graph), 1e-7)
+    assert isolated == []
+    assert exact.radius <= 1e-7
+    assert abs(exact.value - energy_eigensolver(graph).value) <= 1e-6
+
+
+def test_large_seeded_enclosures_overlap_sturm_enclosures():
+    p = charpoly(make_lollipop(50, 6))
+    core = p.shift_down(p.lowest_power())
+    width = Fraction(1, 2**30)
+    seeded = roots._verified_enclosures(core, width)
+    assert seeded is not None
+    sturm = [refine_enclosure(core, enc, width) for enc in _isolate_squarefree(core)]
+    assert len(seeded) == len(sturm) == core.degree
+    for a, b in zip(seeded, sturm):
+        assert a.width <= width
+        assert a.lo <= b.hi and b.lo <= a.hi, (a, b)
