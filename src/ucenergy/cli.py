@@ -17,6 +17,7 @@ certificate.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -36,7 +37,7 @@ from .graphs import (
     parse_graph6,
 )
 from .roots import ConvergenceError, energy_of_poly
-from .search import max_energy_search
+from .search import search_with_stats
 from .tables import TOLERANCE, compute_table
 
 EXIT_OK = 0
@@ -186,7 +187,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    ranked = max_energy_search(args.n, args.top, args.tol, args.jobs)
+    ranked, stats = search_with_stats(args.n, args.top, args.tol, args.jobs)
     print("winner: %s" % ranked[0].code)
     rows = [
         {
@@ -199,6 +200,8 @@ def _cmd_search(args) -> int:
         for r in ranked
     ]
     _emit(rows, ["rank", "code", "energy", "radius", "tied"], args.format)
+    if args.stats:
+        print(json.dumps(dataclasses.asdict(stats)), file=sys.stderr)
     return EXIT_OK
 
 
@@ -308,6 +311,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--top", type=int, default=5)
     p.add_argument("--jobs", type=int, default=1)
+    p.add_argument(
+        "--stats",
+        action="store_true",
+        help="write the search's counts to stderr as one JSON line",
+    )
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser(

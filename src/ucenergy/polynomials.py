@@ -288,11 +288,16 @@ def poly_div_exact(p: IntPolynomial, d: IntPolynomial) -> IntPolynomial:
 # ---------------------------------------------------------------------------
 
 
-def squarefree_decomposition(p: IntPolynomial) -> list[tuple[IntPolynomial, int]]:
+def squarefree_decomposition(
+    p: IntPolynomial, gcd_with_derivative: IntPolynomial | None = None
+) -> list[tuple[IntPolynomial, int]]:
     """Yun decomposition: pairs (factor, multiplicity), factors primitive.
 
     The product of factor**multiplicity equals p up to a nonzero rational
-    constant; the factors are pairwise coprime and square-free.
+    constant; the factors are pairwise coprime and square-free.  A caller
+    that already holds gcd(p, p') up to a nonzero constant, such as the
+    last member of p's Sturm chain, passes it as ``gcd_with_derivative``,
+    and the remainder sequence is not run again.
     """
     if p.is_zero:
         raise ValueError("zero polynomial")
@@ -300,7 +305,11 @@ def squarefree_decomposition(p: IntPolynomial) -> list[tuple[IntPolynomial, int]
         return []
     work = p.primitive()
     dp = work.derivative()
-    g = poly_gcd(work, dp)
+    if gcd_with_derivative is None:
+        g = poly_gcd(work, dp)
+    else:
+        g = gcd_with_derivative.primitive()
+        g = -g if g.leading < 0 else g
     if g.degree == 0:
         return [(work if work.leading > 0 else -work, 1)]
     # Yun's recurrence; intermediate c, d must not be rescaled or the sums

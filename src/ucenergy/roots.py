@@ -27,7 +27,9 @@ each tried only when the one before it fails.
 
 2. When both seed sources fail (repeated eigenvalues, as in the cycles, or
    complex roots), Yun's algorithm splits the core into square-free factors
-   and each factor is seeded and checked the same way.
+   and each factor is seeded and checked the same way.  Yun starts from the
+   last member of the Sturm chain the Jacobi route built, which is
+   gcd(core, core') up to a constant.
 
 3. A factor whose seeds still fail has its roots isolated by Sturm counting.
 
@@ -202,14 +204,15 @@ def _core_enclosures(
     """(enclosure of width <= budget, multiplicity) for each real root of core."""
     if core.degree == 0:
         return []
-    fast = _verified_enclosures(core, budget)
+    fast, chain = _verified_enclosures(core, budget)
     if fast is not None:
         return [(enc, 1) for enc in fast]
     out = []
-    for factor, mult in squarefree_decomposition(core):
+    # the chain ends in gcd(core, core') up to a constant, Yun's first step
+    for factor, mult in squarefree_decomposition(core, chain[-1]):
         encs = None
         if factor.degree < core.degree:  # else it is the core, which just failed
-            encs = _verified_enclosures(factor, budget)
+            encs, _ = _verified_enclosures(factor, budget)
         if encs is None:
             encs = [
                 refine_enclosure(factor, enc, budget)
@@ -221,19 +224,23 @@ def _core_enclosures(
 
 def _verified_enclosures(
     f: IntPolynomial, budget: Fraction
-) -> list[RootEnclosure] | None:
+) -> tuple[list[RootEnclosure] | None, tuple[IntPolynomial, ...] | None]:
     """Enclosures of width <= budget for all roots of f, from float seeds.
 
-    The Laguerre seeds are tried first and the Jacobi seeds next; None when
-    neither passes the exact check of ``_checked_enclosures``.
+    The Laguerre seeds are tried first.  Only when they fail is the Sturm
+    chain of +-f built, for the Jacobi seeds, and it is returned with the
+    enclosures so the fallbacks can reuse it.  The enclosures are None when
+    neither seed source passes the exact check of ``_checked_enclosures``;
+    the chain is None when the Laguerre seeds passed.
     """
-    for seed_source in (_laguerre_seeds, _jacobi_seeds):
-        seeds = seed_source(f)
-        if seeds is not None:
-            out = _checked_enclosures(f, seeds, budget)
-            if out is not None:
-                return out
-    return None
+    seeds = _laguerre_seeds(f)
+    out = None if seeds is None else _checked_enclosures(f, seeds, budget)
+    if out is not None:
+        return out, None
+    chain = sturm_chain(f if f.leading > 0 else -f)
+    seeds = _jacobi_seeds(chain)
+    out = None if seeds is None else _checked_enclosures(f, seeds, budget)
+    return out, chain
 
 
 def _checked_enclosures(
@@ -334,21 +341,22 @@ def _laguerre_seeds(f: IntPolynomial) -> list[tuple[float, float]] | None:
 
 
 def _jacobi_coefficients(
-    f: IntPolynomial,
+    chain: tuple[IntPolynomial, ...],
 ) -> tuple[list[Fraction], list[Fraction]] | None:
     """Exact entries of a Jacobi matrix with characteristic polynomial f/lc(f).
 
-    Returns (alpha, beta): the diagonal alpha_1..alpha_d and the squared
-    off-diagonal beta_1..beta_{d-1}, all beta_k > 0, or None unless the
-    Sturm chain of +-f is full: d + 1 members of degrees d, d-1, ..., 0, all
-    with positive leading coefficients, which holds exactly when f is
-    square-free with only real roots.  Its monic members M_0 = f/lc(f), ...,
-    M_d = 1 then obey M_{k-1} = (x - alpha_k) M_k - beta_k M_{k+1}
-    (M_{d+1} = 0), and alpha_k, beta_k follow from the two coefficients
-    below the leading one of M_{k-1} and M_k (Schmeisser 1993).
+    ``chain`` is the Sturm chain of +-f, the sign that makes the leading
+    coefficient positive.  Returns (alpha, beta): the diagonal
+    alpha_1..alpha_d and the squared off-diagonal beta_1..beta_{d-1}, all
+    beta_k > 0, or None unless the chain is full: d + 1 members of degrees
+    d, d-1, ..., 0, all with positive leading coefficients, which holds
+    exactly when f is square-free with only real roots.  Its monic members
+    M_0 = f/lc(f), ..., M_d = 1 then obey
+    M_{k-1} = (x - alpha_k) M_k - beta_k M_{k+1} (M_{d+1} = 0), and
+    alpha_k, beta_k follow from the two coefficients below the leading one
+    of M_{k-1} and M_k (Schmeisser 1993).
     """
-    d = f.degree
-    chain = sturm_chain(f if f.leading > 0 else -f)
+    d = chain[0].degree
     if len(chain) != d + 1 or any(
         g.degree != d - k or g.leading <= 0 for k, g in enumerate(chain)
     ):
@@ -372,28 +380,31 @@ def _jacobi_coefficients(
     return alpha, beta
 
 
-def _jacobi_seeds(f: IntPolynomial) -> list[tuple[float, float]] | None:
+def _jacobi_seeds(
+    chain: tuple[IntPolynomial, ...],
+) -> list[tuple[float, float]] | None:
     """(seed, error estimate) for every root of f from its Jacobi matrix.
 
-    The seeds are LAPACK's eigenvalues of the symmetric tridiagonal matrix
-    with diagonal alpha and off-diagonal sqrt(beta); None when f has no such
-    matrix.  The error estimate d * 2**-52 * max|lambda| covers rounding
-    the entries to doubles and the solver's backward error (Weyl); it only
-    sets the bracket width, and the integer sign checks decide.
+    ``chain`` is the Sturm chain of +-f.  The seeds are LAPACK's eigenvalues
+    of the symmetric tridiagonal matrix with diagonal alpha and off-diagonal
+    sqrt(beta); None when f has no such matrix.  The error estimate
+    d * 2**-52 * max|lambda| covers rounding the entries to doubles and the
+    solver's backward error (Weyl); it only sets the bracket width, and the
+    integer sign checks decide.
     """
     # imported on first use: importing numpy with this module, before the
     # package compiles certify.py, adds about 0.8 MiB to the peak RSS of a
     # run that starts without a bytecode cache
     import numpy as np
 
-    coefficients = _jacobi_coefficients(f)
+    coefficients = _jacobi_coefficients(chain)
     if coefficients is None:
         return None
     alpha, beta = coefficients
     off = np.sqrt([float(b) for b in beta])
     matrix = np.diag([float(a) for a in alpha]) + np.diag(off, 1) + np.diag(off, -1)
     eigenvalues = np.linalg.eigvalsh(matrix)
-    err = 2 * f.degree * _UNIT_ROUNDOFF * float(np.abs(eigenvalues).max())
+    err = 2 * len(alpha) * _UNIT_ROUNDOFF * float(np.abs(eigenvalues).max())
     return [(float(x), err) for x in eigenvalues]
 
 

@@ -1,10 +1,31 @@
 """Exhaustive maximal-energy search over connected unicyclic graphs.
 
-Energies come from ``energy_of_poly``: float root seeds of the
-characteristic polynomial, each verified by an exact integer sign change
-(with Yun and Sturm isolation as the fallbacks), so every candidate carries
-a rigorous enclosure.  Graphs are streamed; only code -> coefficients is
-kept.  Cospectral graphs share one energy computation.
+The search encloses only the spectra that can still rank.  By Coulson's
+formula E(G) = (1/pi) * integral over x > 0 of x**-2 ln B_G(x), where
+B_G = ``coulson_bracket(phi_G)`` is an even integer polynomial.  When
+B_H - B_S is nonzero with no negative coefficient, B_H(x) > B_S(x) for every
+x != 0, so E(H) > E(S) strictly: H *dominates* S.  That is an exact integer
+test, with no roots and no floats, and it is the quasi-order on which the
+paper's proof rests, applied to the whole bracket.
+
+The top k entries, and the ``tied`` flag of rank k, read the first k + 1
+entries of the energy order.  A spectrum with k + 1 dominators has k + 1
+distinct spectra, hence at least k + 1 graphs, strictly above it, so it can
+never be among them, and it is dropped before any root work.  The filter
+sorts the spectra by B(1) = |phi(i)|**2, the sum of the bracket's
+coefficients, in descending order; a dominator always has a strictly larger
+B(1), so it comes first.  Each spectrum is compared with the spectra kept so far only, and
+dropped once k + 1 of them dominate it.  That drops exactly the spectra with
+k + 1 dominators anywhere: if a dominator H of S was itself dropped, the
+k + 1 kept spectra that dominate H also dominate S, by transitivity.  Equal
+brackets (phi(x) and +-phi(-x) share one) never dominate each other, so such
+spectra survive or go together, and survivors are flagged as ties below.
+
+Energies of the survivors come from ``energy_of_poly``: float root seeds
+of the characteristic polynomial, each verified by an exact integer sign
+change (with Yun and Sturm isolation as the fallbacks), so every candidate
+carries a rigorous enclosure.  Graphs are streamed; only code -> coefficients
+is kept.  Cospectral graphs share one energy computation.
 Before ranking, any two distinct spectra whose enclosures overlap are
 refined down to radius 1e-12; enclosures that still overlap are flagged as
 ties instead of being ordered silently.
@@ -12,11 +33,14 @@ ties instead of being ordered silently.
 
 from __future__ import annotations
 
+import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import Iterable
 
 from .charpoly import charpoly
+from .coulson import coulson_bracket
 from .enumeration import UnicyclicCode, unicyclic_graphs
 from .polynomials import IntPolynomial
 from .roots import EnergyValue, energy_of_poly
@@ -32,6 +56,17 @@ class RankedEntry:
     tied: bool
 
 
+@dataclass(frozen=True)
+class SearchStats:
+    """What one search did, counted in graphs and distinct spectra."""
+
+    graphs: int
+    distinct_spectra: int
+    dominated: int  # dropped by the bracket filter, never enclosed
+    enclosed: int  # enclosed at the requested tolerance
+    tie_refinements: int  # enclosed again at radius 1e-12
+
+
 def _energy_worker(coeffs: tuple[int, ...], tol: float) -> EnergyValue:
     return energy_of_poly(IntPolynomial(coeffs), tol)
 
@@ -41,32 +76,41 @@ def max_energy_search(
 ) -> list[RankedEntry]:
     """Top-k unicyclic graphs on n vertices by energy, ties flagged.
 
-    Energies run in at most min(jobs, CPU count, distinct spectra) worker
-    processes; one worker means no pool.
+    Only the spectra that fewer than top_k + 1 others bracket-dominate are
+    enclosed (see the module docstring); the result is the one every
+    spectrum's enclosure would give.  Energies run in at most
+    min(jobs, CPU count, enclosed spectra) worker processes; one worker
+    means no pool.
     """
+    return search_with_stats(n, top_k, tol, jobs)[0]
+
+
+def search_with_stats(
+    n: int, top_k: int = 5, tol: float = 1e-7, jobs: int = 1
+) -> tuple[list[RankedEntry], SearchStats]:
+    """``max_energy_search`` together with the counts of what it did."""
     if top_k < 1:
         raise ValueError("top_k must be at least 1")
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     poly_of_code: dict[UnicyclicCode, tuple[int, ...]] = {}
-    distinct: dict[tuple[int, ...], EnergyValue] = {}
     for code, graph in unicyclic_graphs(n):
-        coeffs = charpoly(graph).coeffs
-        poly_of_code[code] = coeffs
-        distinct.setdefault(coeffs, None)
+        poly_of_code[code] = charpoly(graph).coeffs
+    spectra = set(poly_of_code.values())
 
-    polys = sorted(distinct)
+    polys = sorted(_undominated(spectra, top_k + 1))
     workers = min(jobs, os.cpu_count() or 1, len(polys))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             energies = list(pool.map(_energy_worker, polys, [tol] * len(polys)))
     else:
         energies = [_energy_worker(coeffs, tol) for coeffs in polys]
-    for coeffs, energy in zip(polys, energies):
-        distinct[coeffs] = energy
+    distinct = dict(zip(polys, energies))
 
     entries = [
-        (code, coeffs, distinct[coeffs]) for code, coeffs in poly_of_code.items()
+        (code, coeffs, distinct[coeffs])
+        for code, coeffs in poly_of_code.items()
+        if coeffs in distinct
     ]
     entries.sort(key=lambda e: (-e[2].value, e[1], e[0].cycle_len, e[0].trees))
 
@@ -101,7 +145,61 @@ def max_energy_search(
                 if other_poly == poly or _overlap(energy, other_energy):
                     tied = True
         out.append(RankedEntry(i + 1, code, energy, tied))
-    return out
+    stats = SearchStats(
+        graphs=len(poly_of_code),
+        distinct_spectra=len(spectra),
+        dominated=len(spectra) - len(polys),
+        enclosed=len(polys),
+        tie_refinements=len(refined),
+    )
+    return out, stats
+
+
+def _bracket_key(coeffs: tuple[int, ...]) -> tuple[int, ...]:
+    """Coefficients of the Coulson bracket in x**2, padded to deg phi + 1.
+
+    A zero eigenvalue lowers the bracket's degree, so brackets of one order
+    are compared only after padding to a common length.
+    """
+    even = coulson_bracket(IntPolynomial(coeffs)).coeffs[::2]
+    return even + (0,) * (len(coeffs) - len(even))
+
+
+def _dominates(h: tuple[int, ...], s: tuple[int, ...]) -> bool:
+    """True when B_H - B_S is nonzero with no negative coefficient.
+
+    Both arguments are ``_bracket_key`` values of spectra of one order; then
+    E(H) > E(S) strictly.
+    """
+    return h != s and all(map(operator.ge, h, s))
+
+
+def _bracket_at_one(coeffs: tuple[int, ...]) -> int:
+    """B(1) = |phi(i)|**2, the sum of the bracket's coefficients."""
+    re = sum(coeffs[0::4]) - sum(coeffs[2::4])
+    im = sum(coeffs[1::4]) - sum(coeffs[3::4])
+    return re * re + im * im
+
+
+def _undominated(
+    spectra: Iterable[tuple[int, ...]], count: int
+) -> list[tuple[int, ...]]:
+    """The spectra that fewer than ``count`` others bracket-dominate.
+
+    Only the brackets of the spectra kept so far are held.
+    """
+    kept: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    for coeffs in sorted(spectra, key=_bracket_at_one, reverse=True):
+        key = _bracket_key(coeffs)
+        above = 0
+        for other, _ in kept:
+            if _dominates(other, key):
+                above += 1
+                if above == count:
+                    break
+        else:
+            kept.append((key, coeffs))
+    return [coeffs for _, coeffs in kept]
 
 
 def _overlap(a: EnergyValue, b: EnergyValue) -> bool:

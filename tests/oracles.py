@@ -8,10 +8,17 @@ description, the cycle energy comes from the closed-form spectrum of C_n,
 the bipartite sign pattern is read straight off the coefficients, and the
 unicyclic codes come from every composition of the order around the cycle,
 normalised by brute-force minimum over rotations and reflections.
+
+The one exception is ``search_enclose_all``, the search as it was before the
+Coulson-bracket filter.  It takes its graphs, characteristic polynomials and
+enclosures from ucenergy, which other tests check against their own
+oracles, and encloses every distinct spectrum, so it shares no code with the
+filter it is compared against.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
@@ -317,3 +324,59 @@ def unicyclic_codes_brute(n: int) -> list[tuple[int, tuple]]:
                 for trees in itertools.product(*(by_size[k] for k in sizes)):
                     codes.add((l, necklace_normal_form(trees)))
     return sorted(codes)
+
+
+def search_enclose_all(n: int, top_k: int, tol: float = 1e-7) -> list:
+    """Top-k search that encloses every distinct spectrum, ties flagged.
+
+    Ranks, refines overlapping neighbours to radius 1e-12 and flags ties
+    exactly as ``max_energy_search`` does, without dropping any spectrum
+    before its enclosure.
+    """
+    from ucenergy.polynomials import IntPolynomial
+    from ucenergy.roots import energy_of_poly
+    from ucenergy.search import RankedEntry
+
+    def overlap(a, b) -> bool:
+        return abs(a.value - b.value) <= a.radius + b.radius
+
+    def key(e):
+        return (-e[2].value, e[1], e[0].cycle_len, e[0].trees)
+
+    entries = sorted(_enclosed_entries(n, tol), key=key)
+    refined = {}
+    for i in range(min(top_k + 1, len(entries)) - 1):
+        (code_a, poly_a, ea), (code_b, poly_b, eb) = entries[i], entries[i + 1]
+        if poly_a != poly_b and overlap(ea, eb):
+            for poly in (poly_a, poly_b):
+                if poly not in refined:
+                    refined[poly] = energy_of_poly(IntPolynomial(poly), 1e-12)
+            entries[i] = (code_a, poly_a, refined[poly_a])
+            entries[i + 1] = (code_b, poly_b, refined[poly_b])
+    entries.sort(key=key)
+    out = []
+    for i in range(min(top_k, len(entries))):
+        code, poly, e = entries[i]
+        tied = any(
+            entries[j][1] == poly or overlap(e, entries[j][2])
+            for j in (i - 1, i + 1)
+            if 0 <= j < len(entries)
+        )
+        out.append(RankedEntry(i + 1, code, e, tied))
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _enclosed_entries(n: int, tol: float) -> tuple:
+    """(code, coefficients, enclosure) of every graph; shared by every top_k."""
+    from ucenergy.charpoly import charpoly
+    from ucenergy.enumeration import unicyclic_graphs
+    from ucenergy.polynomials import IntPolynomial
+    from ucenergy.roots import energy_of_poly
+
+    poly_of_code = {code: charpoly(g).coeffs for code, g in unicyclic_graphs(n)}
+    energy = {
+        coeffs: energy_of_poly(IntPolynomial(coeffs), tol)
+        for coeffs in set(poly_of_code.values())
+    }
+    return tuple((code, coeffs, energy[coeffs]) for code, coeffs in poly_of_code.items())

@@ -103,3 +103,20 @@ def test_certify_accepts_claim_id_or_prefix(claim, ids, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "claim,ok,evidence,root_counts,detail"
     assert [line.split(",")[0] for line in lines[1:]] == ids
+
+
+def test_search_stats_is_one_json_line_on_stderr(capsys):
+    assert main(["search", "--n", "8", "--format", "csv"]) == 0
+    plain = capsys.readouterr()
+    assert plain.err == ""
+    assert main(["search", "--n", "8", "--format", "csv", "--stats"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == plain.out
+    assert captured.err.count("\n") == 1
+    assert json.loads(captured.err) == {
+        "graphs": 89,
+        "distinct_spectra": 84,
+        "dominated": 74,
+        "enclosed": 10,
+        "tie_refinements": 0,
+    }

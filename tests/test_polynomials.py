@@ -97,6 +97,10 @@ def test_squarefree_decomposition_recovers_multiplicities():
     assert factors[1] == P(1, 1)
     assert factors[2] == P(0, 1)
     assert squarefree_part(p) == P(0, 1) * P(-1, 1) * P(1, 1)
+    # the Sturm chain ends in gcd(p, p') up to a constant; Yun may start there
+    last = sturm_chain(p)[-1]
+    for g in (last, -3 * last):
+        assert squarefree_decomposition(p, g) == squarefree_decomposition(p)
 
 
 def test_sturm_counts_known_roots():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import ucenergy.polynomials as polynomials
 import ucenergy.roots as roots
 from ucenergy.charpoly import charpoly
 from ucenergy.eigensolver import energy_eigensolver
@@ -105,7 +106,7 @@ def test_seeded_enclosures_overlap_sturm_enclosures(spectra_to_nine):
     for p in spectra_to_nine:
         core = p.shift_down(p.lowest_power())
         factors = squarefree_decomposition(core)
-        if roots._verified_enclosures(core, width) is None:
+        if roots._verified_enclosures(core, width)[0] is None:
             # only repeated eigenvalues (the cycles among them) fall back
             assert max(mult for _, mult in factors) > 1, p
             fallbacks += 1
@@ -129,9 +130,9 @@ def test_repeated_and_complex_roots_take_the_fallback(monkeypatch):
     calls = []
     yun = roots.squarefree_decomposition
 
-    def spy(p):
+    def spy(p, *args):
         calls.append(p)
-        return yun(p)
+        return yun(p, *args)
 
     monkeypatch.setattr(roots, "squarefree_decomposition", spy)
     e = energy_of_poly(charpoly(make_cycle(6)))  # eigenvalues 2, 1, 1, -1, -1, -2
@@ -140,6 +141,21 @@ def test_repeated_and_complex_roots_take_the_fallback(monkeypatch):
     with pytest.raises(ValueError):
         energy_of_poly(P(1, 0, 1))
     assert calls == [P(1, 0, 1)]
+
+
+def test_yun_reuses_the_gcd_at_the_end_of_the_sturm_chain(monkeypatch):
+    seen = []
+    gcd = polynomials.poly_gcd
+
+    def spy(a, b):
+        seen.append((a, b))
+        return gcd(a, b)
+
+    monkeypatch.setattr(polynomials, "poly_gcd", spy)
+    p = charpoly(make_cycle(6))  # no zero root, so p is its own core
+    e = energy_of_poly(p)
+    assert abs(e.value - 8.0) <= e.radius
+    assert seen and (p, p.derivative()) not in seen
 
 
 @pytest.mark.parametrize("tol", [1e-7, 1e-12])
@@ -192,7 +208,7 @@ def squarefree_real_rooted(draw):
 
 @given(squarefree_real_rooted())
 def test_jacobi_recurrence_reproduces_the_monic_polynomial(p):
-    alpha, beta = roots._jacobi_coefficients(p)
+    alpha, beta = roots._jacobi_coefficients(sturm_chain(p))
     d = p.degree
     assert len(alpha) == d and len(beta) == d - 1
     assert all(b > 0 for b in beta)
@@ -209,8 +225,8 @@ def test_jacobi_recurrence_reproduces_the_monic_polynomial(p):
 
 def test_jacobi_route_needs_a_full_sturm_chain():
     for p in (P(1, 0, 1), P(-1, 1) ** 2 * P(2, 1)):  # x^2 + 1, (x - 1)^2 (x + 2)
-        assert roots._jacobi_coefficients(p) is None
-        assert roots._jacobi_seeds(p) is None
+        assert roots._jacobi_coefficients(sturm_chain(p)) is None
+        assert roots._jacobi_seeds(sturm_chain(p)) is None
 
 
 def _random_unicyclic(n, rng):
@@ -251,7 +267,7 @@ def test_large_seeded_enclosures_overlap_sturm_enclosures():
     p = charpoly(make_lollipop(50, 6))
     core = p.shift_down(p.lowest_power())
     width = Fraction(1, 2**30)
-    seeded = roots._verified_enclosures(core, width)
+    seeded, _ = roots._verified_enclosures(core, width)
     assert seeded is not None
     sturm = [refine_enclosure(core, enc, width) for enc in _isolate_squarefree(core)]
     assert len(seeded) == len(sturm) == core.degree

@@ -1,11 +1,16 @@
-"""Worker-pool sizing of the exhaustive search."""
+"""The exhaustive search: the Coulson-bracket filter and worker-pool sizing."""
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 import ucenergy.search as search
+from oracles import search_enclose_all
 from ucenergy.charpoly import charpoly
 from ucenergy.enumeration import unicyclic_graphs
-from ucenergy.search import max_energy_search
+from ucenergy.graphs import Graph
+from ucenergy.roots import energy_of_poly
+from ucenergy.search import max_energy_search, search_with_stats
 
 
 def test_worker_count_is_capped(monkeypatch):
@@ -25,7 +30,7 @@ def test_worker_count_is_capped(monkeypatch):
             return map(fn, *iterables)
 
     monkeypatch.setattr(search, "ProcessPoolExecutor", RecordingPool)
-    serial = max_energy_search(6)
+    serial, stats = search_with_stats(6)
     monkeypatch.setattr(search.os, "cpu_count", lambda: 4)
     assert max_energy_search(6, jobs=10**6) == serial
     assert max_energy_search(6, jobs=3) == serial
@@ -33,8 +38,9 @@ def test_worker_count_is_capped(monkeypatch):
     assert max_energy_search(6, jobs=10**6) == serial
     monkeypatch.setattr(search.os, "cpu_count", lambda: None)
     assert max_energy_search(6, jobs=10**6) == serial
-    spectra = len({charpoly(g) for _, g in unicyclic_graphs(6)})
-    assert sizes == [4, 3, spectra]
+    # the pool maps over the spectra left after the bracket filter
+    assert 1 < stats.enclosed < stats.distinct_spectra
+    assert sizes == [4, 3, stats.enclosed]
 
 
 @pytest.mark.parametrize("jobs", [0, -1])
@@ -45,3 +51,83 @@ def test_jobs_below_one_is_rejected(jobs):
 
 def test_two_workers_match_serial():
     assert max_energy_search(6, jobs=2) == max_energy_search(6)
+
+
+@pytest.mark.parametrize("top_k", [1, 2, 5, 10, 500])
+@pytest.mark.parametrize("n", range(3, 11))
+def test_search_equals_enclosing_every_spectrum(n, top_k):
+    assert max_energy_search(n, top_k) == search_enclose_all(n, top_k)
+
+
+def test_stats_count_the_filter():
+    _, stats = search_with_stats(8)
+    assert stats == search.SearchStats(
+        graphs=89, distinct_spectra=84, dominated=74, enclosed=10, tie_refinements=0
+    )
+
+
+@pytest.mark.parametrize("top_k", [1, 2, 5])
+@pytest.mark.parametrize("n", [7, 9])
+def test_filter_keeps_exactly_the_spectra_with_at_most_k_dominators(n, top_k):
+    # the rank-k tie flag reads entry k + 1, so a spectrum goes only when
+    # k + 1 others dominate it; all pairs are compared here, not just the
+    # spectra the filter kept
+    spectra = {charpoly(g).coeffs for _, g in unicyclic_graphs(n)}
+    keys = {c: search._bracket_key(c) for c in spectra}
+    assert all(search._bracket_at_one(c) == sum(keys[c]) for c in spectra)
+    expected = {
+        c
+        for c in spectra
+        if sum(search._dominates(keys[h], keys[c]) for h in spectra) <= top_k
+    }
+    assert set(search._undominated(spectra, top_k + 1)) == expected
+    _, stats = search_with_stats(n, top_k)
+    assert stats.enclosed == len(expected)
+    assert stats.dominated == len(spectra) - len(expected)
+
+
+def _bracket_of(code_text, n):
+    for code, graph in unicyclic_graphs(n):
+        if str(code) == code_text:
+            return search._bracket_key(charpoly(graph).coeffs)
+    raise KeyError(code_text)
+
+
+def test_a_singular_bracket_is_padded_before_comparison():
+    # phi of the first graph has a zero root, so its bracket has degree 10,
+    # not 12.  Compared without padding, its six coefficients all exceed the
+    # first six of the second bracket, yet the second graph has more energy
+    # (7.3006 against 7.1917) and is among the top 6 at n = 6.
+    low = _bracket_of("U[l=3|.,.,0-1-2-2]", 6)
+    high = _bracket_of("U[l=3|0-1,0-1,0-1]", 6)
+    assert len(low) == len(high) == 7 and low[-1] == 0 < high[-1]
+    assert all(a >= b for a, b in zip(low[:-1], high))
+    assert not search._dominates(low, high)
+    top = [str(r.code) for r in max_energy_search(6, top_k=6)]
+    assert "U[l=3|0-1,0-1,0-1]" in top
+
+
+@st.composite
+def unicyclic_pairs(draw):
+    """Two random unicyclic graphs of one order n <= 12."""
+    n = draw(st.integers(3, 12))
+
+    def graph():
+        cycle = draw(st.integers(3, n))
+        edges = [(i, (i + 1) % cycle) for i in range(cycle)]
+        edges += [(draw(st.integers(0, v - 1)), v) for v in range(cycle, n)]
+        return Graph.from_edges(n, edges)
+
+    return graph(), graph()
+
+
+@given(unicyclic_pairs())
+def test_bracket_dominance_orders_the_enclosures(pair):
+    (h, b_h), (g, b_g) = sorted(
+        ((p, search._bracket_key(p.coeffs)) for p in map(charpoly, pair)),
+        key=lambda e: sum(e[1]),
+        reverse=True,
+    )
+    assume(search._dominates(b_h, b_g))
+    e_h, e_g = energy_of_poly(h), energy_of_poly(g)
+    assert e_h.value + e_h.radius >= e_g.value - e_g.radius
