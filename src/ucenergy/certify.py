@@ -46,7 +46,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .charpoly import charpoly
 from .closedforms import (
@@ -156,10 +156,23 @@ def _in_domain(point: Fraction, domain: str) -> bool:
     return point < 0
 
 
-def _domain_count(sf: IntPolynomial, chain, bound: Fraction, domain: str):
-    """Distinct roots of the square-free polynomial sf inside the domain."""
-    v_lo = variations_at(chain, -bound)
-    v_hi = variations_at(chain, bound)
+def _variations_at_infinity(chain) -> tuple[int, int]:
+    """Sign variations of a Sturm chain at -inf and +inf, read off each
+    member's leading coefficient and degree.
+
+    For the chain of a square-free core whose roots all lie in (-B, B),
+    Sturm's theorem on (-inf, -B] and (B, inf) makes these V(-B) and V(+B).
+    """
+    signs_hi = [1 if f.leading > 0 else -1 for f in chain]
+    signs_lo = [s if f.degree % 2 == 0 else -s for s, f in zip(signs_hi, chain)]
+    return tuple(
+        sum(a != b for a, b in zip(signs, signs[1:])) for signs in (signs_lo, signs_hi)
+    )
+
+
+def _domain_count(sf: IntPolynomial, chain, domain: str, v_lo: int, v_hi: int):
+    """Distinct roots of the square-free polynomial sf inside the domain,
+    given the chain's sign variations v_lo at -B and v_hi at +B."""
     labels = [("-B", v_lo), ("+B", v_hi)]
     if domain == "R":
         return v_lo - v_hi, labels
@@ -208,7 +221,8 @@ def certify_poly_sign(
     if core.degree > 0:
         chain = sturm_chain(core)
         bound = cauchy_bound(core)
-        count, labels = _domain_count(core, chain, bound, domain)
+        v_lo, v_hi = _variations_at_infinity(chain)
+        count, labels = _domain_count(core, chain, domain, v_lo, v_hi)
     else:
         chain = (core,)
         bound = Fraction(1)
@@ -369,13 +383,11 @@ def verify_certificate(cert: SignCertificate) -> bool:
         if core.degree > 0:
             if cert.bound < cauchy_bound(core):
                 return False
-            stored = dict(cert.variation_counts)
-            points = {"-B": -cert.bound, "+B": cert.bound, "0": Fraction(0)}
-            for label, stored_count in stored.items():
-                if variations_at(cert.chain, points[label]) != stored_count:
-                    return False
-            count, _ = _domain_count(core, cert.chain, cert.bound, cert.domain)
-            if count != cert.root_count:
+            # evaluated at -B and +B, not read off the leading terms as issued
+            v_lo = variations_at(cert.chain, -cert.bound)
+            v_hi = variations_at(cert.chain, cert.bound)
+            count, labels = _domain_count(core, cert.chain, cert.domain, v_lo, v_hi)
+            if count != cert.root_count or dict(labels) != dict(cert.variation_counts):
                 return False
         return True
     if cert.rule == "z-substitution":
@@ -612,23 +624,33 @@ class ModulusCheck(NamedTuple):
     ok: bool
 
 
-def check_modulus_forms(n: int) -> tuple[ModulusCheck, ...]:
+def check_modulus_forms(
+    n: int, ts: Iterable[int] | None = None
+) -> tuple[ModulusCheck, ...]:
     """Check the closed forms of |phi(L(n,6), ix)|**2 and, for every odd
-    3 <= t <= n, of |phi(L(n,t), ix)|**2 against the characteristic
-    polynomials.
+    3 <= t <= n (only those in ``ts`` when it is given), of
+    |phi(L(n,t), ix)|**2 against the characteristic polynomials.
 
     Each check is a zero numerator of the closed form minus the exact squared
-    modulus at x = z - 1/z, so an ok row holds for every real x.
+    modulus at x = z - 1/z, so an ok row holds for every real x.  Rows come
+    in increasing t, and no term of an unrequested t is built.
     """
     if n < 7:
         raise ValueError("need n >= 7, got %d" % n)
+    odd = range(3, n + 1, 2)
+    if ts is not None:
+        wanted = set(ts)
+        bad = sorted(wanted.difference(odd))
+        if bad:
+            raise ValueError("t must be odd with 3 <= t <= n = %d, got %d" % (n, bad[0]))
+        odd = [t for t in odd if t in wanted]
 
     def check(family: str, l: int, closed: ZTerm) -> ModulusCheck:
         exact = modulus_sq_at_ix(charpoly(make_lollipop(n, l)))
         return ModulusCheck(family, l, (closed - ZTerm.from_x(exact)).p.is_zero)
 
     return (check("L(n,6)", 6, _modulus_p6(*_a_terms(), n)),) + tuple(
-        check("L(n,t)", t, _modulus_pt(*_b_terms(t), n)) for t in range(3, n + 1, 2)
+        check("L(n,t)", t, _modulus_pt(*_b_terms(t), n)) for t in odd
     )
 
 

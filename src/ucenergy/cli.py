@@ -255,13 +255,9 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_closed_form_check(args) -> int:
-    for t in args.t or ():
-        if t % 2 == 0 or not 3 <= t <= args.n:
-            raise ValueError("--t must be odd with 3 <= t <= n = %d, got %d" % (args.n, t))
     rows = [
         {"family": c.family, "t": c.t, "ok": c.ok}
-        for c in check_modulus_forms(args.n)
-        if not args.t or c.family == "L(n,6)" or c.t in args.t
+        for c in check_modulus_forms(args.n, args.t)
     ]
     _emit(rows, ["family", "t", "ok"], args.format)
     failed = sum(not r["ok"] for r in rows)

@@ -6,7 +6,8 @@ operations this module hosts the exact real-root kernel shared by the root
 isolator and the inequality certifier, all of it in integer arithmetic: sign
 evaluation at rational points, pseudo-remainders and exact division, the
 primitive gcd, Yun square-free factorisation, Sturm chains and their sign
-variations at a point.
+variations at a point.  ``IntPolynomial.from_packed`` reads a polynomial back
+from its value at x = 2**b, for callers that compute in that single integer.
 """
 
 from __future__ import annotations
@@ -42,6 +43,30 @@ class IntPolynomial:
     @classmethod
     def constant(cls, c: int) -> "IntPolynomial":
         return cls.from_coeffs([c])
+
+    @classmethod
+    def from_packed(cls, value: int, bits: int, count: int) -> "IntPolynomial":
+        """The polynomial p with p(2**bits) == value and at most ``count``
+        coefficients, each in [-2**(bits-1), 2**(bits-1)): the balanced
+        base-2**bits digits of ``value``.
+
+        ``bits`` is a positive multiple of 8, so a digit is a whole number of
+        bytes and one ``to_bytes`` call reads them all.  A value with more
+        than ``count`` digits raises ValueError rather than losing the rest.
+        """
+        if bits <= 0 or bits % 8:
+            raise ValueError("bits must be a positive multiple of 8, got %d" % bits)
+        width = bits // 8
+        # adding 2**(bits-1) to every digit moves it into [0, 2**bits)
+        half = 1 << (bits - 1)
+        biased = value + int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+        if biased < 0 or biased.bit_length() > bits * count:
+            raise ValueError("value has more than %d digits of %d bits" % (count, bits))
+        raw = biased.to_bytes(width * count, "little")
+        return cls.from_coeffs(
+            int.from_bytes(raw[i : i + width], "little") - half
+            for i in range(0, width * count, width)
+        )
 
     # -- basic queries -------------------------------------------------
 

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from ucenergy.certify import (
@@ -17,6 +17,7 @@ from ucenergy.certify import (
     SignCertificate,
     ZTerm,
     _in_z,
+    _variations_at_infinity,
     assembled_f5_exact,
     certificate_from_json,
     certificate_to_json,
@@ -27,7 +28,13 @@ from ucenergy.certify import (
     verify_certificate,
 )
 from ucenergy.closedforms import F7, F8, P_POLYS, Q_POLYS
-from ucenergy.polynomials import IntPolynomial
+from ucenergy.polynomials import (
+    IntPolynomial,
+    cauchy_bound,
+    squarefree_part,
+    sturm_chain,
+    variations_at,
+)
 
 
 def P(*ascending):
@@ -268,13 +275,6 @@ def test_exact_cross_assembly_identity():
 
 
 def test_sturm_count_respects_cauchy_bound():
-    from ucenergy.polynomials import (
-        cauchy_bound,
-        squarefree_part,
-        sturm_chain,
-        variations_at,
-    )
-
     p = BETA2_ODD * BETA2_EVEN  # plenty of real roots
     chain = sturm_chain(squarefree_part(p))
     bound = cauchy_bound(p)
@@ -287,3 +287,32 @@ def test_sturm_count_respects_cauchy_bound():
     for scale in (1, 3):
         B = scale * bound
         assert on_reals == variations_at(chain, -B) - variations_at(chain, B)
+
+
+@given(st.lists(st.integers(-20, 20), min_size=2, max_size=10))
+def test_variations_at_infinity_are_those_at_the_bound(cs):
+    assume(any(cs))
+    core = squarefree_part(P(*cs))
+    assume(core.degree > 0)
+    chain = sturm_chain(core)
+    bound = cauchy_bound(core)
+    assert _variations_at_infinity(chain) == (
+        variations_at(chain, -bound),
+        variations_at(chain, bound),
+    )
+
+
+def test_only_the_verifier_evaluates_the_chain_at_the_bound(monkeypatch):
+    from ucenergy import certify
+
+    points = []
+    evaluate = certify.variations_at
+    monkeypatch.setattr(
+        certify, "variations_at", lambda chain, pt: points.append(pt) or evaluate(chain, pt)
+    )
+    cert = certify_poly_sign(A_POSITIVITY, "(0,inf)", "positive")
+    assert isinstance(cert, SignCertificate) and cert.chain[0].degree > 0
+    assert points == [0]
+    points.clear()
+    assert verify_certificate(cert)
+    assert sorted(points) == [-cert.bound, 0, cert.bound]

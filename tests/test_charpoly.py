@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import bipartite_b_coeffs, matching_count, matchings_brute
-from ucenergy.charpoly import charpoly, charpoly_reference
+from ucenergy.charpoly import charpoly, charpoly_reference, coefficient_bits
+from ucenergy.enumeration import unicyclic_graphs
 from ucenergy.graphs import (
     Graph,
     make_cycle,
@@ -140,6 +141,45 @@ def test_reference_agreement_random_forests(seed):
     kept = rng.sample(tree, len(tree) - rng.randint(1, min(4, len(tree))))
     forest = _relabelled(n, kept, rng)
     assert charpoly(forest) == charpoly_reference(forest)
+
+
+def _star(n):
+    return Graph.from_edges(n, [(0, v) for v in range(1, n)])
+
+
+def _spare_bit(g):
+    # the Maclaurin bound of charpoly.py: sum_k |c_k| < 2**(b-2), one bit
+    # more than the balanced digits of phi(2**b) need
+    return sum(abs(c) for c in charpoly(g).coeffs) < 2 ** (coefficient_bits(g.n) - 2)
+
+
+def test_coefficient_bound_on_every_small_unicyclic_graph():
+    for n in range(3, 12):
+        for code, g in unicyclic_graphs(n):
+            assert _spare_bit(g), code
+
+
+def test_coefficient_bound_on_families_up_to_200():
+    for n in range(1, 201):
+        family = {"P": make_path(n), "K1": _star(n)}
+        if n >= 3:
+            family.update(C=make_cycle(n), L3=make_lollipop(n, 3))
+        if n >= 6:
+            family.update(L6=make_lollipop(n, 6))
+        for name, g in family.items():
+            assert _spare_bit(g), (name, n)
+
+
+def test_paths_and_cycles_match_their_recurrences_up_to_200():
+    # phi(P_n) = x phi(P_{n-1}) - phi(P_{n-2}) and
+    # phi(C_n) = phi(P_n) - phi(P_{n-2}) - 2, in IntPolynomial arithmetic
+    paths = [P(1), P(0, 1)]
+    while len(paths) <= 200:
+        paths.append(X * paths[-1] - paths[-2])
+    for n in (1, 2, 50, 199, 200):
+        assert charpoly(make_path(n)) == paths[n]
+    for n in (3, 4, 51, 199, 200):
+        assert charpoly(make_cycle(n)) == paths[n] - paths[n - 2] - P(2)
 
 
 def test_reference_rejects_oversized():

@@ -223,6 +223,25 @@ def test_modulus_forms_match_exact_charpoly():
         check_modulus_forms(6)
 
 
+def test_modulus_forms_build_only_the_requested_t(monkeypatch):
+    from ucenergy import certify
+
+    built, orders = [], []
+    b_terms, exact = certify._b_terms, certify.charpoly
+    monkeypatch.setattr(certify, "_b_terms", lambda t: built.append(t) or b_terms(t))
+    monkeypatch.setattr(certify, "charpoly", lambda g: orders.append(g.n) or exact(g))
+    rows = check_modulus_forms(15, [11, 5])
+    assert built == [5, 11]
+    assert orders == [15, 15, 15]  # L(15,6), L(15,5) and L(15,11)
+    monkeypatch.undo()
+    assert rows == tuple(
+        c for c in check_modulus_forms(15) if c.family == "L(n,6)" or c.t in (5, 11)
+    )
+    for t in (4, 1, 17):
+        with pytest.raises(ValueError):
+            check_modulus_forms(15, [3, t])
+
+
 def test_odd_order_vanishing_at_origin():
     # odd-order bipartite lollipop has a zero eigenvalue: both routes give 0
     assert modulus_charpoly(7, 6)(0) == 0
