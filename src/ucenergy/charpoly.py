@@ -1,18 +1,34 @@
 """Exact characteristic polynomials of adjacency matrices.
 
-``charpoly`` dispatches on structure.  Disconnected graphs multiply their
-component polynomials.  A tree and a connected unicyclic graph both go
-through Schwenk's rooted recurrence (Schwenk, "Computing the characteristic
-polynomial of a graph", LNM 406, 1974): for a rooted tree T_v with child
-subtrees T_c,
+``charpoly`` first strips leaves, which is all a tree or a connected
+unicyclic graph needs, and falls back only when stripping gives up: a
+disconnected graph multiplies its component polynomials, and a connected
+graph with more edges than vertices goes to the exact general-purpose
+reference algorithm.  Nothing is cached between calls.
+
+Leaf stripping runs Schwenk's rooted recurrence (Schwenk, "Computing the
+characteristic polynomial of a graph", LNM 406, 1974): for a rooted tree
+T_v with child subtrees T_c,
 
     phi(T_v - v) = prod_c phi(T_c),
     phi(T_v)     = x * prod_c phi(T_c)
                    - sum_c phi(T_c - c) * prod_{c' != c} phi(T_c'),
 
-swept once from the leaves up.  A tree is rooted at vertex 0.  A unicyclic
-graph roots one tree at each cycle vertex c_0 .. c_{l-1}; with
-f_j = phi(T_{c_j}) and r_j = phi(T_{c_j} - c_j), the cycle-edge recurrence
+so a leaf v, once its own children are folded in, is folded into the one
+neighbour it has left.  One pass over the edges gives each vertex its
+degree and nb[v], the XOR of its neighbours; while v keeps one neighbour,
+nb[v] is that neighbour, and the neighbour drops v by XOR-ing it out of its
+own nb.  No adjacency list is built.  A vertex left with no neighbour is
+the root of a whole tree, and its phi(T_v) is phi(G) when every vertex has
+been folded; otherwise G is disconnected.  When no leaf is left, the
+vertices not folded are the 2-core, which holds a cycle, so with fewer than
+n edges G is disconnected.  With n edges, stripping k vertices removes k
+edges, so the core has as many edges as vertices and minimum
+degree 2: every core vertex has degree 2, and the core is one cycle
+exactly when one walk around it (next = nb[cur] ^ prev) covers it.  A
+unicyclic graph then carries one tree at each cycle vertex
+c_0 .. c_{l-1}; with f_j = phi(T_{c_j}) and r_j = phi(T_{c_j} - c_j), the
+cycle-edge recurrence
 phi(G) = phi(G-uv) - phi(G-u-v) - 2*phi(G-C) on the edge uv = c_{l-1} c_0
 needs only
 
@@ -21,28 +37,33 @@ needs only
     phi(G-u-v) = r_0 * r_{l-1} * chain(f[1:-1], r[1:-1]),
 
 where chain is the characteristic polynomial of a path of rooted trees.
-Nothing is cached between calls.  Anything denser falls back to the exact
-general-purpose reference algorithm.
 
 The sweep runs on plain integers: every polynomial is replaced by its value
 at x = 2**b.  Evaluation at 2**b is a ring homomorphism Z[x] -> Z, so each
 +, -, * of the sweep, and each multiplication by x (a left shift by b
 bits), gives exactly phi(G)(2**b).  Intermediate values need no bound.
-Only the final value is unpacked, once, into its balanced base-2**b digits
+Leaves are folded in whatever order the stack pops them, not in a BFS
+order, but folding children into a parent only adds and multiplies in a
+commutative ring, so the value, and every coefficient, is the same.  Only
+the final value is unpacked, once, into its balanced base-2**b digits
 (``IntPolynomial.from_packed``), and those are the coefficients c_k of
 phi(G) as soon as every |c_k| < 2**(b-1).
 
-The bound (``coefficient_bits``): for a graph with n vertices and m <= n
-edges, which covers every tree and unicyclic graph, sum_k |c_k| <
-(5/2)**n.  The eigenvalues l_1 .. l_n are real and c_{n-k} = (-1)**k
-e_k(l), so |c_{n-k}| <= e_k(|l|) <= C(n,k) * (S/n)**k with S = sum |l_i|,
-by Maclaurin's inequality (e_k / C(n,k))**(1/k) <= e_1 / n.  By
-Cauchy-Schwarz, S/n <= sqrt(sum l_i**2 / n) = sqrt(2m/n) <= sqrt(2).
-Summing over k, sum_k |c_k| <= (1 + sqrt 2)**n < (5/2)**n < 2**(b-2) for
-b = bitlen(5**n) - n + 2, since 5**n < 2**bitlen(5**n).  The sweep rounds b
-up to a multiple of 8, the digit width ``from_packed`` reads.  The bound is
-loose (max |c_k| over all unicyclic graphs is 9, 30 and 112 at n = 6, 9
-and 12, against 2**8, 2**12 and 2**16), which keeps the digits short.
+The bound (``coefficient_bits``): sum_k |c_k| <= 2 * F_(n+1) for a tree or
+a connected unicyclic graph on n vertices, the only graphs this route
+unpacks, with Fibonacci numbers F_1 = F_2 = 1.  For a forest,
+phi = sum_k (-1)**k m_k x**(n-2k) with m_k the k-matchings, so
+sum_k |c_k| is the Hosoya index Z.  A forest is a spanning subgraph of a
+tree on the same vertices, and among trees the path has the largest Z, so
+Z(forest on k vertices) <= Z(P_k) = F_(k+1).  For a unicyclic G, the
+cycle-edge recurrence above and the triangle inequality give
+sum_k |c_k| <= Z(G-uv) + Z(G-u-v) + 2*Z(G-C) <= F_(n+1) + F_(n-1)
++ 2*F_(n-2), since G-uv is a tree on n vertices, G-u-v a forest on n - 2
+and G-C a forest on at most n - 3.  F_(n-1) + 2*F_(n-2) = F_n + F_(n-2)
+<= F_(n+1), so the sum is at most 2 * F_(n+1) < 2**(b-2) for
+b = bitlen(2 * F_(n+1)) + 2.  The sweep rounds b up to a multiple of 8, the
+digit width ``from_packed`` reads.  C_3 attains the bound (sum 6 =
+2 * F_4), and a path has half of it.
 
 This is not Kronecker substitution per product, which packs both factors
 and unpacks the result around every multiplication and gained nothing
@@ -56,9 +77,9 @@ division is by a loop index and is checked to be exact.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
-from .graphs import Graph, connected_components, induced_subgraph, unique_cycle
+from .graphs import Graph, connected_components, induced_subgraph
 from .polynomials import ONE, IntPolynomial
 
 
@@ -66,72 +87,79 @@ def charpoly(g: Graph) -> IntPolynomial:
     """Exact characteristic polynomial det(xI - A(g))."""
     if g.n == 0:
         return ONE
+    if g.edge_count <= g.n:
+        bits = -(-coefficient_bits(g.n) // 8) * 8  # whole bytes per digit
+        value = _sparse_value(g, bits)
+        if value is not None:
+            return IntPolynomial.from_packed(value, bits, g.n + 1)
     comps = connected_components(g)
-    if len(comps) > 1:
-        result = ONE
-        for comp in comps:
-            result = result * charpoly(induced_subgraph(g, comp))
-        return result
-    m = g.edge_count
-    if m > g.n:
+    if len(comps) == 1:
         return charpoly_reference(g)
-    bits = -(-coefficient_bits(g.n) // 8) * 8  # whole bytes per digit
-    if m == g.n:
-        value = _unicyclic_value(g, bits)
-    else:  # connected with n - 1 edges: a tree
-        value = _rooted_trees(g, [0], bits)[0][0]
-    return IntPolynomial.from_packed(value, bits, g.n + 1)
+    result = ONE
+    for comp in comps:
+        result = result * charpoly(induced_subgraph(g, comp))
+    return result
 
 
 def coefficient_bits(n: int) -> int:
-    """b with sum_k |c_k| < 2**(b-2) for phi(G), G with n vertices and at
-    most n edges (proof in the module docstring)."""
-    return (5**n).bit_length() - n + 2
+    """b with sum_k |c_k| < 2**(b-2) for phi(G), G a tree or a connected
+    unicyclic graph on n vertices (proof in the module docstring)."""
+    f_prev, f = 0, 1  # F_0, F_1
+    for _ in range(n):
+        f_prev, f = f, f_prev + f
+    return (2 * f).bit_length() + 2
 
 
-def _unicyclic_value(g: Graph, bits: int) -> int:
-    """phi(g)(2**bits) for a connected unicyclic graph."""
-    cycle = unique_cycle(g)
-    assert cycle is not None
-    f, r = _rooted_trees(g, cycle, bits)
+def _sparse_value(g: Graph, bits: int) -> Optional[int]:
+    """phi(g)(2**bits) by leaf stripping, for a tree or a connected
+    unicyclic graph; None for any other graph with at most n edges."""
+    n = g.n
+    deg = [0] * n
+    nb = [0] * n  # XOR of the neighbours not yet folded away
+    for u, v in g.edges:
+        deg[u] += 1
+        deg[v] += 1
+        nb[u] ^= v
+        nb[v] ^= u
+    # over the children folded in so far: prod[v] = prod_c phi(T_c) and
+    # rest[v] = sum_c phi(T_c - c) * prod_{c' != c} phi(T_c'); x * p is p << bits
+    prod = [1] * n
+    rest = [0] * n
+    stack = [v for v in range(n) if deg[v] <= 1]
+    peeled = 0
+    while stack:
+        v = stack.pop()
+        peeled += 1
+        f = (prod[v] << bits) - rest[v]
+        if not deg[v]:  # v is the root of a whole tree
+            return f if peeled == n else None
+        p = nb[v]
+        rest[p] = rest[p] * f + prod[p] * prod[v]
+        prod[p] = prod[p] * f
+        nb[p] ^= v
+        deg[p] -= 1
+        if deg[p] == 1:
+            stack.append(p)
+    if g.edge_count < n:  # a cycle, but too few edges to connect it
+        return None
+    # every vertex not peeled has degree 2 (module docstring); peeled ones
+    # kept degree 1, so an edge with two ends of degree 2 lies on the core
+    start, cur = next((u, v) for u, v in g.edges if deg[u] == 2 == deg[v])
+    cycle = [start]
+    prev = start
+    while cur != start:
+        cycle.append(cur)
+        prev, cur = cur, nb[cur] ^ prev
+    if len(cycle) != n - peeled:  # the core is several cycles
+        return None
+    f = [(prod[c] << bits) - rest[c] for c in cycle]
+    r = [prod[c] for c in cycle]
     without_cycle = 1
     for rj in r:
         without_cycle *= rj
     without_edge = _chain(f, r, bits)
     without_ends = r[0] * r[-1] * _chain(f[1:-1], r[1:-1], bits)
     return without_edge - without_ends - 2 * without_cycle
-
-
-def _rooted_trees(
-    g: Graph, roots: Sequence[int], bits: int
-) -> tuple[list[int], list[int]]:
-    """phi(T_v) and phi(T_v - v) at x = 2**bits for each root v, in the
-    order of ``roots``.
-
-    T_v is the tree hanging from v away from the other roots; a BFS from the
-    roots, swept in reverse, folds each vertex into its parent.
-    """
-    seen = [False] * g.n
-    for v in roots:
-        seen[v] = True
-    parent = [0] * g.n
-    order = list(roots)
-    for v in order:
-        for w in g.neighbors(v):
-            if not seen[w]:
-                seen[w] = True
-                parent[w] = v
-                order.append(w)
-    # over the children folded in so far: prod[v] = prod_c phi(T_c) and
-    # rest[v] = sum_c phi(T_c - c) * prod_{c' != c} phi(T_c'); x * p is p << bits
-    prod = [1] * g.n
-    rest = [0] * g.n
-    for v in reversed(order[len(roots) :]):
-        f = (prod[v] << bits) - rest[v]
-        p = parent[v]
-        rest[p] = rest[p] * f + prod[p] * prod[v]
-        prod[p] = prod[p] * f
-    return [(prod[v] << bits) - rest[v] for v in roots], [prod[v] for v in roots]
 
 
 def _chain(f: Sequence[int], r: Sequence[int], bits: int) -> int:

@@ -29,6 +29,7 @@ from .enumeration import count_unicyclic, unicyclic_graphs
 from .graphs import (
     Graph,
     GraphError,
+    check_graph6_order,
     format_graph6,
     make_cycle,
     make_cycle_with_pendants,
@@ -213,6 +214,7 @@ def _cmd_enumerate(args) -> int:
             args.format,
         )
         return EXIT_OK
+    check_graph6_order(args.n)  # before enumerating, not at the first graph
     if args.emit == "g6":
         for _, g in unicyclic_graphs(args.n):
             print(format_graph6(g))

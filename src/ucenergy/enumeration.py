@@ -60,16 +60,21 @@ class UnicyclicCode:
 def realize(code: UnicyclicCode) -> Graph:
     """Graph for a code: cycle vertices 0..l-1 in order, trees appended."""
     l = code.cycle_len
-    edges = [(i, (i + 1) % l) for i in range(l)]
+    # every edge is written (smaller, larger): a tree vertex gets a label
+    # above its parent's, so the edges need only sorting
+    edges = [(i, i + 1) for i in range(l - 1)]
+    edges.append((0, l - 1))
     nxt = l
     for i, tree in enumerate(code.trees):
+        if len(tree) == 1:
+            continue
         parents = decode_level_sequence(tree)
         labels = [i]  # tree vertex 0 is the cycle vertex itself
         for v in range(1, len(tree)):
             labels.append(nxt)
             edges.append((labels[parents[v]], nxt))
             nxt += 1
-    return Graph.from_edges(code.n, edges)
+    return Graph(code.n, tuple(sorted(edges)))
 
 
 class _Alphabet:

@@ -224,10 +224,18 @@ def unique_cycle(g: Graph) -> Optional[list[int]]:
 # ---------------------------------------------------------------------------
 
 
+GRAPH6_MAX_ORDER = 62
+
+
+def check_graph6_order(n: int) -> None:
+    """Raise GraphError unless graph6 can encode a graph on n vertices."""
+    if n > GRAPH6_MAX_ORDER:
+        raise GraphError("graph6 support is limited to n <= %d" % GRAPH6_MAX_ORDER)
+
+
 def format_graph6(g: Graph) -> str:
     """Standard graph6 encoding of the upper adjacency triangle."""
-    if g.n > 62:
-        raise GraphError("graph6 support is limited to n <= 62")
+    check_graph6_order(g.n)
     bits = []
     for j in range(1, g.n):
         for i in range(j):
@@ -248,7 +256,7 @@ def parse_graph6(text: str) -> Graph:
     if not text:
         raise Graph6Error("empty input", 0)
     n = ord(text[0]) - 63
-    if n < 0 or n > 62:
+    if n < 0 or n > GRAPH6_MAX_ORDER:
         raise Graph6Error("unsupported order byte %r" % text[0], 0)
     nbits = n * (n - 1) // 2
     body_len = (nbits + 5) // 6

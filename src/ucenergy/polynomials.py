@@ -192,9 +192,13 @@ class IntPolynomial:
         """Exact sign at a rational point, computed in integer arithmetic.
 
         Uses the denominator-cleared Horner form p(a/b) * b**deg, an integer.
+        At 0 that is the constant coefficient.
         """
         if self.is_zero:
             return 0
+        if point == 0:
+            c = self.coeffs[0]
+            return (c > 0) - (c < 0)
         q = Fraction(point)
         a, b = q.numerator, q.denominator
         acc = 0

@@ -1,3 +1,4 @@
+import importlib
 import random
 
 import pytest
@@ -5,15 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import bipartite_b_coeffs, matching_count, matchings_brute
+from ucenergy import graphs
 from ucenergy.charpoly import charpoly, charpoly_reference, coefficient_bits
 from ucenergy.enumeration import unicyclic_graphs
 from ucenergy.graphs import (
     Graph,
+    connected_components,
     make_cycle,
     make_lollipop,
     make_path,
 )
 from ucenergy.polynomials import IntPolynomial, X
+
+# the package exports the function charpoly under the module's name
+charpoly_module = importlib.import_module("ucenergy.charpoly")
 
 
 def P(*ascending):
@@ -143,13 +149,100 @@ def test_reference_agreement_random_forests(seed):
     assert charpoly(forest) == charpoly_reference(forest)
 
 
+def _cycle_edges(first, l):
+    return [(first + i, first + (i + 1) % l) for i in range(l)]
+
+
+def _hung(rng, base, first, n):
+    # vertices first..n-1 hung as trees from vertices base..first-1
+    return [(rng.randrange(base, v), v) for v in range(first, n)]
+
+
+def _give_up_cases(n, rng):
+    """(name, edges, m - n) for graphs on n >= 8 vertices on which leaf
+    stripping gives up: a component on 0..k-1 and another on k..n-1."""
+    l = rng.randint(3, n - 4)
+    k = rng.randint(l + 1, n - 3)
+    uni = _cycle_edges(0, l) + _hung(rng, 0, l, k)
+    # a theta graph: the cycle plus a chord path through vertex l
+    core = _cycle_edges(0, l) + [(0, l), (l, l // 2 + 1)]
+    theta = core + _hung(rng, 0, l + 1, k)
+    tree = _hung(rng, k, k + 1, n)
+    triangle = _cycle_edges(k, 3) + _hung(rng, k, k + 3, n)
+    return [
+        ("unicyclic + tree", uni + tree, -1),
+        ("bicyclic + tree", theta + tree, 0),
+        ("two cycles", uni + triangle, 0),
+        ("bicyclic + isolated vertices", theta, k + 1 - n),
+        ("unicyclic + isolated vertices", uni, k - n),
+        ("connected bicyclic", core + _hung(rng, 0, l + 1, n), 1),
+        ("isolated vertices", [], -n),
+    ]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_stripping_that_gives_up_falls_back_exactly(seed):
+    rng = random.Random(300 + seed)
+    for n in range(8, 21):
+        for name, edges, excess in _give_up_cases(n, rng):
+            g = _relabelled(n, edges, rng)
+            assert g.edge_count - n == excess, (name, n)
+            assert charpoly(g) == charpoly_reference(g), (name, n)
+    for g in (Graph(1, ()), Graph(2, ()), Graph(2, ((0, 1),))):
+        assert charpoly(g) == charpoly_reference(g)
+
+
 def _star(n):
     return Graph.from_edges(n, [(0, v) for v in range(1, n)])
 
 
+def test_trees_and_unicyclic_graphs_take_one_pass(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("charpoly left the leaf-stripping route")
+
+    for module, name in (
+        (charpoly_module, "connected_components"),
+        (charpoly_module, "charpoly_reference"),
+        (graphs, "connected_components"),
+        (graphs, "unique_cycle"),
+    ):
+        monkeypatch.setattr(module, name, forbidden)
+    for n in range(3, 10):
+        for code, g in unicyclic_graphs(n):
+            assert charpoly(g).degree == n, code
+    for n in range(1, 40):
+        assert charpoly(make_path(n)).degree == n
+        assert charpoly(_star(n)).degree == n
+
+
+def test_only_trees_and_unicyclic_graphs_are_unpacked(monkeypatch):
+    # coefficient_bits is proved for these two kinds alone
+    unpacked = []
+    sparse_value = charpoly_module._sparse_value
+
+    def spy(g, bits):
+        value = sparse_value(g, bits)
+        if value is not None:
+            unpacked.append(g)
+        return value
+
+    monkeypatch.setattr(charpoly_module, "_sparse_value", spy)
+    rng = random.Random(7)
+    for _ in range(400):
+        n = rng.randint(1, 12)
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        m = min(len(pairs), max(0, n + rng.randint(-3, 1)))
+        g = Graph.from_edges(n, rng.sample(pairs, m))
+        assert charpoly(g) == charpoly_reference(g)
+    assert len(unpacked) > 100
+    for g in unpacked:
+        assert len(connected_components(g)) == 1
+        assert g.edge_count in (g.n - 1, g.n)
+
+
 def _spare_bit(g):
-    # the Maclaurin bound of charpoly.py: sum_k |c_k| < 2**(b-2), one bit
-    # more than the balanced digits of phi(2**b) need
+    # the Fibonacci bound of charpoly.py: sum_k |c_k| <= 2 * F_(n+1) <
+    # 2**(b-2), one bit more than the balanced digits of phi(2**b) need
     return sum(abs(c) for c in charpoly(g).coeffs) < 2 ** (coefficient_bits(g.n) - 2)
 
 

@@ -37,6 +37,8 @@ def test_nonpositive_tolerance_is_a_usage_error(argv, capsys):
         ["enumerate", "--n", "2", "--count-only"],
         ["enumerate", "--n", "2", "--emit", "g6"],
         ["enumerate", "--n", "2"],
+        ["enumerate", "--n", "63"],
+        ["enumerate", "--n", "63", "--emit", "g6"],
     ],
 )
 def test_rejected_input_exits_2_with_one_line(argv, capsys):

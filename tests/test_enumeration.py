@@ -18,7 +18,7 @@ from ucenergy.enumeration import (
     realize,
     unicyclic_graphs,
 )
-from ucenergy.graphs import connected_components, unique_cycle
+from ucenergy.graphs import Graph, connected_components, unique_cycle
 from ucenergy.trees import (
     canonical_level_sequence,
     decode_level_sequence,
@@ -159,6 +159,27 @@ def test_necklace_normalisation_dihedral():
         rotated = codes[shift:] + codes[:shift]
         assert necklace_normal_form(rotated) == normal
         assert necklace_normal_form(rotated[::-1]) == normal
+
+
+def _realize_by_normalising(code):
+    # realize as it stood before it wrote its edges in normal form
+    l = code.cycle_len
+    edges = [(i, (i + 1) % l) for i in range(l)]
+    nxt = l
+    for i, tree in enumerate(code.trees):
+        parents = decode_level_sequence(tree)
+        labels = [i]
+        for v in range(1, len(tree)):
+            labels.append(nxt)
+            edges.append((labels[parents[v]], nxt))
+            nxt += 1
+    return Graph.from_edges(code.n, edges)
+
+
+def test_realize_needs_no_normalisation():
+    for n in range(3, 12):
+        for code, g in unicyclic_graphs(n):
+            assert g == _realize_by_normalising(code), code
 
 
 def test_realize_labels_cycle_first():

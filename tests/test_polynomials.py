@@ -66,6 +66,21 @@ def test_sign_at_matches_exact_evaluation(a, x0):
     assert p.sign_at(x0) == (value > 0) - (value < 0)
 
 
+@given(
+    st.lists(st.integers(-50, 50), max_size=9),
+    st.integers(1, 40),
+)
+def test_sign_at_zero_matches_the_horner_form(a, b):
+    # p(0/b) * b**deg by the general Horner loop, against the shortcut at 0
+    p = P(*a)
+    acc, power = 0, 1
+    for k in range(p.degree, -1, -1):
+        acc = acc * 0 + p.coeffs[k] * power
+        power *= b
+    expected = (acc > 0) - (acc < 0)
+    assert p.sign_at(0) == p.sign_at(Fraction(0, b)) == expected
+
+
 def test_derivative_and_shift():
     p = P(4, 0, -3, 1)  # x^3 - 3x^2 + 4
     assert p.derivative() == P(0, -6, 3)
