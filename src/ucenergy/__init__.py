@@ -31,7 +31,6 @@ from .graphs import (
     make_lollipop,
     make_path,
     parse_graph6,
-    unique_cycle,
 )
 from .polynomials import IntPolynomial
 from .roots import (
@@ -77,6 +76,5 @@ __all__ = [
     "rooted_trees",
     "run_claim_suite",
     "unicyclic_graphs",
-    "unique_cycle",
     "verify_certificate",
 ]

@@ -12,21 +12,21 @@ vertices, sorted by tuple order.  For each l the prenecklace recursion of
 Fredricksen, Kessler and Maiorana (Ruskey, Savage and Wang, "Generating
 necklaces", J. Algorithms 13, 1992) runs over alphabet indices with the
 vertex budget carried along.  Each position takes only trees that leave at
-least one vertex for every later position, and the last position takes
-exactly the vertices left.  A prenecklace of period p is a necklace when
-p divides l, and a necklace is kept when it is no larger than any rotation
-of its reversal, which makes it the smallest in its bracelet.  So each class
-is produced once, and nothing is generated and then discarded as a
-duplicate.
+least one vertex for every later position; the last runs over the trees with
+exactly the vertices left.  A prenecklace of period p is a necklace when p
+divides l, and is kept when no rotation of its reversal is smaller, which
+makes it the smallest in its bracelet; as it starts with its least letter,
+only the rotations tied with it there are compared.  So each class is
+produced once, and none is generated and then discarded as a duplicate.
 
-Codes stream out in increasing (cycle length, trees) order, the order of the
-recursion itself; nothing is sorted or stored.  Memory is bounded by the
-alphabet, the rooted trees on at most n - 2 vertices, plus three integers
-per tree (its size and two trie links) and O(n) recursion state.
+Words stream out in increasing (cycle length, trees) order, the order of the
+recursion; nothing is sorted or stored, and counting builds no code.  Memory
+is the alphabet (trees on at most n - 2 vertices, four ints each) plus O(n).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -89,11 +89,13 @@ class _Alphabet:
     def __init__(self, max_size: int):
         self.trees = sorted(t for k in range(1, max_size + 1) for t in rooted_trees(k))
         self.size = [len(t) for t in self.trees]
+        self.by_size: list[list[int]] = [[] for _ in range(max_size + 1)]
         count = len(self.trees)
         self.parent = [-1] * count
         self.after = [count] * count
         path: list[int] = []
         for j, size in enumerate(self.size):
+            self.by_size[size].append(j)
             while path and self.size[path[-1]] >= size:
                 self.after[path.pop()] = j
             if path:
@@ -123,28 +125,42 @@ def _bracelet_words(alphabet: _Alphabet, l: int, n: int) -> Iterator[list[int]]:
             j, period = next_fit(j, cap), t
         while j < count:
             a[t] = j
-            if t < l:
+            if t < l - 1:
                 yield from extend(t + 1, period, budget - size[j])
-            elif size[j] == cap and l % period == 0:
-                word = a[1:]
-                rev = word[::-1]
-                if all(rev[s:] + rev[:s] >= word for s in range(l)):
-                    yield word
+            else:  # position l: the trees of the size left, from a[l - period] on
+                low, last = a[l - period], alphabet.by_size[budget - size[j]]
+                for k in last[bisect_left(last, low) :]:
+                    a[l] = k
+                    if (k > low or l % period == 0) and _least_reflection(a[1:]):
+                        yield a[1:]
             j, period = next_fit(j, cap), t
 
     yield from extend(1, 1, n)
 
 
-def _codes(n: int) -> Iterator[UnicyclicCode]:
-    """Every unicyclic code of order n, once, in increasing code order."""
+def _least_reflection(word: list[int]) -> bool:
+    """Whether a necklace is no larger than any rotation of its reversal."""
+    l, twice = len(word), word[::-1] * 2
+    s = twice.index(word[0])  # only rotations that start with the least letter tie
+    while s < l and twice[s : s + l] >= word:
+        s = twice.index(word[0], s + 1)
+    return s >= l
+
+
+def _words(n: int) -> tuple[list[tuple[int, ...]], Iterator[tuple[int, list[int]]]]:
+    """Alphabet trees, and (l, word of their indices) per class in code order."""
     if n < 3:
         raise ValueError("unicyclic graphs need n >= 3, got %d" % n)
     # largest possible pendant tree: everything outside a triangle plus root
     alphabet = _Alphabet(n - 2)
-    trees = alphabet.trees
-    for l in range(3, n + 1):
-        for word in _bracelet_words(alphabet, l, n):
-            yield UnicyclicCode(l, tuple(trees[j] for j in word))
+    words = ((l, w) for l in range(3, n + 1) for w in _bracelet_words(alphabet, l, n))
+    return alphabet.trees, words
+
+
+def _codes(n: int) -> Iterator[UnicyclicCode]:
+    """Every unicyclic code of order n, once, in increasing code order."""
+    trees, words = _words(n)
+    return (UnicyclicCode(l, tuple(trees[j] for j in word)) for l, word in words)
 
 
 def unicyclic_graphs(n: int) -> Iterator[tuple[UnicyclicCode, Graph]]:
@@ -159,5 +175,5 @@ def unicyclic_graphs(n: int) -> Iterator[tuple[UnicyclicCode, Graph]]:
 
 
 def count_unicyclic(n: int) -> int:
-    """Number of isomorphism classes of connected unicyclic graphs."""
-    return sum(1 for _ in _codes(n))
+    """Number of unicyclic classes of order n, counted as bracelet words."""
+    return sum(1 for _ in _words(n)[1])

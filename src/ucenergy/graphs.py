@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 
 class GraphError(ValueError):
@@ -178,45 +178,6 @@ def induced_subgraph(g: Graph, vertices: Sequence[int]) -> Graph:
         if u in index and v in index
     ]
     return Graph.from_edges(len(vertices), edges)
-
-
-def unique_cycle(g: Graph) -> Optional[list[int]]:
-    """The unique cycle of a connected unicyclic graph, in traversal order.
-
-    Returns None unless g is connected with exactly n edges.  Leaf stripping
-    leaves the 2-core.  With n edges, g is connected and unicyclic exactly
-    when every core vertex keeps degree 2 and one walk around the core covers
-    it: a tree component would leave another component with more edges than
-    vertices, and its core would have a vertex of degree 3 or more.
-    """
-    if g.n == 0 or g.edge_count != g.n:
-        return None
-    degree = [g.degree(v) for v in range(g.n)]
-    queue = [v for v in range(g.n) if degree[v] == 1]
-    removed = [False] * g.n
-    while queue:
-        v = queue.pop()
-        removed[v] = True
-        for w in g.neighbors(v):
-            if not removed[w]:
-                degree[w] -= 1
-                if degree[w] == 1:
-                    queue.append(w)
-    core = [v for v in range(g.n) if not removed[v]]
-    if any(degree[v] != 2 for v in core):
-        return None
-    start = core[0]
-    order = [start]
-    prev = None
-    while True:
-        nxt = next(
-            w for w in g.neighbors(order[-1]) if not removed[w] and w != prev
-        )
-        if nxt == start:
-            break
-        prev = order[-1]
-        order.append(nxt)
-    return order if len(order) == len(core) else None
 
 
 # ---------------------------------------------------------------------------

@@ -34,16 +34,15 @@ def rooted_trees(k: int) -> list[tuple[int, ...]]:
 
 def _successor(seq: list[int]) -> list[int] | None:
     """Next canonical sequence in decreasing lex order, None after the star."""
-    k = len(seq)
-    p = max((i for i in range(k) if seq[i] > 1), default=None)
-    if p is None:
-        return None
-    q = max(i for i in range(p) if seq[i] == seq[p] - 1)
-    out = seq[:p]
-    pattern = seq[q:p]
-    while len(out) < k:
-        out.extend(pattern[: k - len(out)])
-    return out
+    p = len(seq) - 1  # scan back to the last vertex deeper than 1
+    while seq[p] <= 1:
+        if p == 0:
+            return None
+        p -= 1
+    q = p - 1  # the parent of vertex p
+    while seq[q] != seq[p] - 1:
+        q -= 1
+    return (seq[:p] + seq[q:p] * (len(seq) - p))[: len(seq)]
 
 
 def canonical_level_sequence(

@@ -7,7 +7,9 @@ graph6 reference encoder is a literal transcription of the published format
 description, the cycle energy comes from the closed-form spectrum of C_n,
 the bipartite sign pattern is read straight off the coefficients, and the
 unicyclic codes come from every composition of the order around the cycle,
-normalised by brute-force minimum over rotations and reflections.
+normalised by brute-force minimum over rotations and reflections.  The
+cycle of a unicyclic graph comes from leaf stripping on the edge list, and
+the bracelet rule compares a word with every rotation of its reversal.
 
 The one exception is ``search_enclose_all``, the search as it was before the
 Coulson-bracket filter.  It takes its graphs, characteristic polynomials and
@@ -271,6 +273,56 @@ def bipartite_b_coeffs(p) -> tuple[int, ...]:
                 raise ValueError("sign pattern broken at a_%d" % k)
             bs.append(b)
     return tuple(bs)
+
+
+def unique_cycle(g) -> list[int] | None:
+    """The unique cycle of a connected unicyclic graph, in traversal order.
+
+    Returns None unless g is connected with exactly n edges.  Leaf stripping
+    leaves the 2-core.  With n edges, g is connected and unicyclic exactly
+    when every core vertex keeps degree 2 and one walk around the core covers
+    it: a tree component would leave another component with more edges than
+    vertices, and its core would have a vertex of degree 3 or more.
+    """
+    if g.n == 0 or len(g.edges) != g.n:
+        return None
+    adj = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    degree = [len(nbrs) for nbrs in adj]
+    queue = [v for v in range(g.n) if degree[v] == 1]
+    removed = [False] * g.n
+    while queue:
+        v = queue.pop()
+        removed[v] = True
+        for w in adj[v]:
+            if not removed[w]:
+                degree[w] -= 1
+                if degree[w] == 1:
+                    queue.append(w)
+    core = [v for v in range(g.n) if not removed[v]]
+    if any(degree[v] != 2 for v in core):
+        return None
+    start = core[0]
+    order = [start]
+    prev = None
+    while True:
+        nxt = next(w for w in adj[order[-1]] if not removed[w] and w != prev)
+        if nxt == start:
+            break
+        prev = order[-1]
+        order.append(nxt)
+    return order if len(order) == len(core) else None
+
+
+def least_reflection_all_rotations(word) -> bool:
+    """Whether a word is no larger than every rotation of its reversal.
+
+    Builds and compares all l rotations, whatever their first letter.
+    """
+    rev = word[::-1]
+    return all(rev[s:] + rev[:s] >= word for s in range(len(word)))
 
 
 def necklace_normal_form(codes: tuple) -> tuple:

@@ -204,7 +204,6 @@ def test_trees_and_unicyclic_graphs_take_one_pass(monkeypatch):
         (charpoly_module, "connected_components"),
         (charpoly_module, "charpoly_reference"),
         (graphs, "connected_components"),
-        (graphs, "unique_cycle"),
     ):
         monkeypatch.setattr(module, name, forbidden)
     for n in range(3, 10):

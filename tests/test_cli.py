@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ucenergy
 from ucenergy import certify
 from ucenergy.certify import certificate_from_json, verify_certificate
 from ucenergy.cli import main
@@ -122,3 +127,23 @@ def test_search_stats_is_one_json_line_on_stderr(capsys):
         "enclosed": 10,
         "tie_refinements": 0,
     }
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(ucenergy.__file__).parents[1])
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+
+    def run(n):
+        argv = ["enumerate", "--count-only", "--n", str(n), "--format", "csv"]
+        return subprocess.run(
+            [sys.executable, "-m", "ucenergy", *argv], capture_output=True, text=True, env=env
+        )
+
+    ok = run(6)
+    assert ok.returncode == 0, ok.stderr
+    assert ok.stdout.split() == ["n,count", "6,13"]
+    bad = run(2)
+    assert bad.returncode == 2
+    assert "Traceback" not in bad.stderr
+    assert bad.stderr.startswith("ucenergy enumerate: ")

@@ -5,20 +5,26 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import (
+    least_reflection_all_rotations,
     necklace_normal_form,
     orbit_sum_matches_labeled,
     rooted_level_sequences,
     rooted_tree_class_count,
     unicyclic_class_count_vf2,
     unicyclic_codes_brute,
+    unique_cycle,
 )
+from ucenergy import enumeration
 from ucenergy.enumeration import (
     UnicyclicCode,
+    _Alphabet,
+    _bracelet_words,
+    _codes,
     count_unicyclic,
     realize,
     unicyclic_graphs,
 )
-from ucenergy.graphs import Graph, connected_components, unique_cycle
+from ucenergy.graphs import Graph, connected_components
 from ucenergy.trees import (
     canonical_level_sequence,
     decode_level_sequence,
@@ -39,7 +45,10 @@ def test_rooted_tree_counts_match_brute_force():
 
 
 def test_rooted_tree_known_counts():
-    assert [len(rooted_trees(k)) for k in range(1, 9)] == [1, 1, 2, 4, 9, 20, 48, 115]
+    # OEIS A000081, rooted trees on k = 1..14 vertices
+    assert [len(rooted_trees(k)) for k in range(1, 15)] == [
+        1, 1, 2, 4, 9, 20, 48, 115, 286, 719, 1842, 4766, 12486, 32973
+    ]
     with pytest.raises(ValueError):
         rooted_trees(0)
 
@@ -108,8 +117,30 @@ def test_counts_stable_and_consistent():
 
 
 def test_oracle_rooted_trees_match_generator():
-    for k in range(1, 9):
+    for k in range(1, 11):
         assert rooted_level_sequences(k) == sorted(rooted_trees(k)), k
+
+
+def test_tie_only_reversal_test_is_exact(monkeypatch):
+    # with the reversal test switched off the recursion yields every
+    # necklace; the all-rotations rule must keep exactly the words it yields
+    dropped = 0
+    for n in range(3, 13):
+        alphabet = _Alphabet(n - 2)
+        kept = {l: list(_bracelet_words(alphabet, l, n)) for l in range(3, n + 1)}
+        with monkeypatch.context() as patch:
+            patch.setattr(enumeration, "_least_reflection", lambda word: True)
+            for l in range(3, n + 1):
+                necklaces = list(_bracelet_words(alphabet, l, n))
+                bracelets = [w for w in necklaces if least_reflection_all_rotations(w)]
+                assert bracelets == kept[l], (l, n)
+                dropped += len(necklaces) - len(bracelets)
+    assert dropped > 0
+
+
+def test_count_equals_codes():
+    for n in range(3, 13):
+        assert count_unicyclic(n) == sum(1 for _ in _codes(n)), n
 
 
 def test_codes_equal_brute_force_list():

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import graph6_reference
+from oracles import graph6_reference, unique_cycle
 from ucenergy.graphs import (
     Graph,
     Graph6Error,
@@ -14,7 +14,6 @@ from ucenergy.graphs import (
     make_lollipop,
     make_path,
     parse_graph6,
-    unique_cycle,
 )
 
 
