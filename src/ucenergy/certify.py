@@ -700,16 +700,6 @@ class ClaimResult:
 class ClaimSuiteReport:
     results: tuple[ClaimResult, ...]
 
-    @property
-    def all_ok(self) -> bool:
-        return all(r.ok for r in self.results)
-
-    def result(self, claim_id: str) -> ClaimResult:
-        for r in self.results:
-            if r.claim_id == claim_id:
-                return r
-        raise KeyError(claim_id)
-
 
 def _poly_claim(
     claim_id: str,

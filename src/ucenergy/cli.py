@@ -189,7 +189,6 @@ def _cmd_table(args) -> int:
 
 def _cmd_search(args) -> int:
     ranked, stats = search_with_stats(args.n, args.top, args.tol, args.jobs)
-    print("winner: %s" % ranked[0].code)
     rows = [
         {
             "rank": r.rank,

@@ -1,14 +1,16 @@
 """Coulson-integral energies and energy differences.
 
-Both improper integrals are reduced to smooth integrands on [0, 1]:
+Both routes are one log-ratio integral: E(G1) - E(G2) is (1/pi) times the
+integral over x > 0 of ln(m1(x) / m2(x)), where m = |phi(ix)|**2, and E(G)
+is the difference from the empty graph, whose phi is x**n and whose energy
+is 0.  The improper integral is reduced to smooth integrands on [0, 1]:
 
-* the integrand is even in x, so only [0, infinity) is integrated;
-* on [1, infinity) the substitution x -> 1/y maps to (0, 1] and splits off
-  an exactly integrable  log(y)  term (integral of -log y over [0,1] is 1),
-  leaving the logarithm of a positive polynomial;
-* near 0 the removable singularity is evaluated cancellation-free through
-  log1p of an exactly stripped polynomial, and any zero eigenvalues are
-  factored out of the squared modulus before logs are taken.
+* on [0, 1] the zero eigenvalues are factored out of each squared modulus
+  as a power of x before logs are taken, and their log x term is integrated
+  exactly (the integral of log x over [0, 1] is -1);
+* on [1, infinity) the substitution x -> 1/y maps to (0, 1], where each
+  modulus reversed at degree 2n is 1 + y**2 t(y) for an exactly stripped
+  t, evaluated cancellation-free through log1p.
 
 The workhorse is an adaptive Gauss-Kronrod (G7, K15) rule with an
 embedded error estimate.
@@ -144,33 +146,18 @@ def coulson_bracket(p: IntPolynomial) -> IntPolynomial:
 def energy_coulson(g: Graph, tol: float = 1e-7) -> EnergyValue:
     """Graph energy via the explicit Coulson integral formula.
 
-    The radius is an estimate, not a bound: the adaptive quadrature's own
-    error estimates plus a flat |E| * 2**-48 for float rounding.
+    This is E(g) - E(empty graph on g.n vertices), whose phi is x**n and
+    whose energy is 0.  The radius is an estimate, not a bound: the adaptive
+    quadrature's own error estimates plus a flat |E| * 2**-48 for float
+    rounding.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     if g.n == 0:
         return EnergyValue(0.0, 0.0)
-    p = charpoly(g)
-    bracket = coulson_bracket(p)
-    half_deg = bracket.degree // 2
-    stripped = (bracket - IntPolynomial((1,))).shift_down(2)
-    tail_poly = reverse(bracket, bracket.degree)
-
-    def integrand_near(x: float) -> float:
-        if x == 0.0:
-            return float(stripped(0.0))
-        return math.log1p(x * x * stripped(x)) / (x * x)
-
-    def integrand_far(y: float) -> float:
-        return math.log(tail_poly(y))
-
-    budget = 0.45 * tol * math.pi
-    i_near, e_near = integrate_adaptive(integrand_near, 0.0, 1.0, budget)
-    i_far, e_far = integrate_adaptive(integrand_far, 0.0, 1.0, budget)
-    value = (i_near + 2.0 * half_deg + i_far) / math.pi
-    radius = (e_near + e_far) / math.pi + abs(value) * 2.0 ** -48
-    return EnergyValue(value, radius)
+    empty = IntPolynomial((0,) * 2 * g.n + (1,))  # |(ix)**n|**2 = x**(2n)
+    value, err = _log_ratio_integral(modulus_sq_at_ix(charpoly(g)), empty, tol)
+    return EnergyValue(value, err + abs(value) * 2.0 ** -48)
 
 
 def energy_diff_coulson(g1: Graph, g2: Graph, tol: float = 1e-7) -> float:
@@ -185,14 +172,24 @@ def energy_diff_coulson(g1: Graph, g2: Graph, tol: float = 1e-7) -> float:
     m2 = modulus_sq_at_ix(charpoly(g2))
     if m1 == m2:
         return 0.0
+    return _log_ratio_integral(m1, m2, tol)[0]
 
+
+def _log_ratio_integral(
+    m1: IntPolynomial, m2: IntPolynomial, tol: float
+) -> tuple[float, float]:
+    """(1/pi) * integral over x > 0 of ln(m1(x) / m2(x)), with its error.
+
+    m1 and m2 are squared moduli |phi(ix)|**2 of monic phi of one degree n,
+    so both reverse at degree 2n to polynomials with constant term 1.
+    """
     z1, z2 = m1.lowest_power(), m2.lowest_power()
     core1, core2 = m1.shift_down(z1), m2.shift_down(z2)
 
     def integrand_near(x: float) -> float:
         return math.log(core1(x)) - math.log(core2(x))
 
-    n2 = 2 * g1.n
+    n2 = m1.degree
     tail1 = (reverse(m1, n2) - IntPolynomial((1,))).shift_down(2)
     tail2 = (reverse(m2, n2) - IntPolynomial((1,))).shift_down(2)
 
@@ -203,7 +200,7 @@ def energy_diff_coulson(g1: Graph, g2: Graph, tol: float = 1e-7) -> float:
         return (math.log1p(y2 * tail1(y)) - math.log1p(y2 * tail2(y))) / y2
 
     budget = 0.45 * tol * math.pi
-    i_near, _ = integrate_adaptive(integrand_near, 0.0, 1.0, budget)
-    i_far, _ = integrate_adaptive(integrand_far, 0.0, 1.0, budget)
+    i_near, e_near = integrate_adaptive(integrand_near, 0.0, 1.0, budget)
+    i_far, e_far = integrate_adaptive(integrand_far, 0.0, 1.0, budget)
     log_term = -(z1 - z2)  # exact integral of (z1 - z2) * log x over [0, 1]
-    return (i_near + log_term + i_far) / math.pi
+    return (i_near + log_term + i_far) / math.pi, (e_near + e_far) / math.pi

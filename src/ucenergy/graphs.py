@@ -68,9 +68,6 @@ class Graph:
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._adjacency[v]
 
-    def degree(self, v: int) -> int:
-        return len(self._adjacency[v])
-
     def has_edge(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self._edge_set
 

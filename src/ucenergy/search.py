@@ -12,23 +12,35 @@ The top k entries, and the ``tied`` flag of rank k, read the first k + 1
 entries of the energy order.  A spectrum with k + 1 dominators has k + 1
 distinct spectra, hence at least k + 1 graphs, strictly above it, so it can
 never be among them, and it is dropped before any root work.  The filter
-sorts the spectra by B(1) = |phi(i)|**2, the sum of the bracket's
-coefficients, in descending order; a dominator always has a strictly larger
-B(1), so it comes first.  Each spectrum is compared with the spectra kept so far only, and
-dropped once k + 1 of them dominate it.  That drops exactly the spectra with
-k + 1 dominators anywhere: if a dominator H of S was itself dropped, the
-k + 1 kept spectra that dominate H also dominate S, by transitivity.  Equal
-brackets (phi(x) and +-phi(-x) share one) never dominate each other, so such
-spectra survive or go together, and survivors are flagged as ties below.
+runs in the one pass over the graphs.  It holds only a kept set K of
+spectra, each with its bracket, a dominator count and its codes.  A graph
+whose spectrum is in K adds its code.  Any other spectrum counts its
+dominators in K, and stops at k + 1; with fewer it joins K with that count,
+raises the count of every member it dominates and drops any member whose
+count reaches k + 1.  That keeps exactly the spectra with at most k
+dominators among all spectra, in any order of arrival:
+
+1. A count counts only members of K, each a distinct spectrum that truly
+   dominates, so nothing with at most k dominators is ever dropped.
+2. If D dominates M and both are in K, then count(M) >= count(D) + 1, since
+   every dominator of D also dominates M.  So a member reaches k + 1 only
+   when it dominates no live member, and every count equals the member's
+   dominators that are still in K.
+3. When X is dropped, k + 1 members of K dominate it.  If one of them is
+   dropped later, its own k + 1 dominators dominate X too.  So X keeps
+   k + 1 dominators in K, and it is dropped again if it arrives again.
+
+No set of all spectra and no map of all codes is held.  Equal brackets
+(phi(x) and +-phi(-x) share one) never dominate each other, so such spectra
+survive or go together, and survivors are flagged as ties below.
 
 Energies of the survivors come from ``energy_of_poly``: float root seeds
 of the characteristic polynomial, each verified by an exact integer sign
 change (with Yun and Sturm isolation as the fallbacks), so every candidate
-carries a rigorous enclosure.  Graphs are streamed; only code -> coefficients
-is kept.  Cospectral graphs share one energy computation.
-Before ranking, any two distinct spectra whose enclosures overlap are
-refined down to radius 1e-12; enclosures that still overlap are flagged as
-ties instead of being ordered silently.
+carries a rigorous enclosure.  Cospectral graphs share one energy
+computation.  Before ranking, any two distinct spectra whose enclosures
+overlap are refined down to radius 1e-12; enclosures that still overlap are
+flagged as ties instead of being ordered silently.
 """
 
 from __future__ import annotations
@@ -58,12 +70,11 @@ class RankedEntry:
 
 @dataclass(frozen=True)
 class SearchStats:
-    """What one search did, counted in graphs and distinct spectra."""
+    """What one search did: graphs streamed and spectra kept or enclosed."""
 
     graphs: int
-    distinct_spectra: int
-    dominated: int  # dropped by the bracket filter, never enclosed
-    enclosed: int  # enclosed at the requested tolerance
+    held_max: int  # the most spectra the bracket filter held at once
+    enclosed: int  # kept by the filter, enclosed at the requested tolerance
     tie_refinements: int  # enclosed again at radius 1e-12
 
 
@@ -77,10 +88,10 @@ def max_energy_search(
     """Top-k unicyclic graphs on n vertices by energy, ties flagged.
 
     Only the spectra that fewer than top_k + 1 others bracket-dominate are
-    enclosed (see the module docstring); the result is the one every
-    spectrum's enclosure would give.  Energies run in at most
-    min(jobs, CPU count, enclosed spectra) worker processes; one worker
-    means no pool.
+    kept while the graphs stream past, and only those are enclosed (see the
+    module docstring); the result is the one every spectrum's enclosure
+    would give.  Energies run in at most min(jobs, CPU count, enclosed
+    spectra) worker processes; one worker means no pool.
     """
     return search_with_stats(n, top_k, tol, jobs)[0]
 
@@ -93,24 +104,20 @@ def search_with_stats(
         raise ValueError("top_k must be at least 1")
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
-    poly_of_code: dict[UnicyclicCode, tuple[int, ...]] = {}
-    for code, graph in unicyclic_graphs(n):
-        poly_of_code[code] = charpoly(graph).coeffs
-    spectra = set(poly_of_code.values())
+    stream = ((code, charpoly(g).coeffs) for code, g in unicyclic_graphs(n))
+    codes_of, graphs, held_max = _undominated(stream, top_k + 1)
 
-    polys = sorted(_undominated(spectra, top_k + 1))
+    polys = list(codes_of)
     workers = min(jobs, os.cpu_count() or 1, len(polys))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             energies = list(pool.map(_energy_worker, polys, [tol] * len(polys)))
     else:
         energies = [_energy_worker(coeffs, tol) for coeffs in polys]
-    distinct = dict(zip(polys, energies))
-
     entries = [
-        (code, coeffs, distinct[coeffs])
-        for code, coeffs in poly_of_code.items()
-        if coeffs in distinct
+        (code, coeffs, energy)
+        for coeffs, energy in zip(polys, energies)
+        for code in codes_of[coeffs]
     ]
     entries.sort(key=lambda e: (-e[2].value, e[1], e[0].cycle_len, e[0].trees))
 
@@ -146,9 +153,8 @@ def search_with_stats(
                     tied = True
         out.append(RankedEntry(i + 1, code, energy, tied))
     stats = SearchStats(
-        graphs=len(poly_of_code),
-        distinct_spectra=len(spectra),
-        dominated=len(spectra) - len(polys),
+        graphs=graphs,
+        held_max=held_max,
         enclosed=len(polys),
         tie_refinements=len(refined),
     )
@@ -174,32 +180,39 @@ def _dominates(h: tuple[int, ...], s: tuple[int, ...]) -> bool:
     return h != s and all(map(operator.ge, h, s))
 
 
-def _bracket_at_one(coeffs: tuple[int, ...]) -> int:
-    """B(1) = |phi(i)|**2, the sum of the bracket's coefficients."""
-    re = sum(coeffs[0::4]) - sum(coeffs[2::4])
-    im = sum(coeffs[1::4]) - sum(coeffs[3::4])
-    return re * re + im * im
-
-
 def _undominated(
-    spectra: Iterable[tuple[int, ...]], count: int
-) -> list[tuple[int, ...]]:
+    stream: Iterable[tuple[UnicyclicCode, tuple[int, ...]]], count: int
+) -> tuple[dict[tuple[int, ...], list[UnicyclicCode]], int, int]:
     """The spectra that fewer than ``count`` others bracket-dominate.
 
-    Only the brackets of the spectra kept so far are held.
+    Takes (code, coefficients) pairs in any order and returns the kept
+    spectra with their codes, the number of pairs and the most spectra held
+    at once.  Only the kept set is held (see the module docstring).
     """
-    kept: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    for coeffs in sorted(spectra, key=_bracket_at_one, reverse=True):
+    kept: dict[tuple[int, ...], list] = {}  # coeffs -> [bracket, count, codes]
+    seen = held_max = 0
+    for code, coeffs in stream:
+        seen += 1
+        member = kept.get(coeffs)
+        if member is not None:
+            member[2].append(code)
+            continue
         key = _bracket_key(coeffs)
         above = 0
-        for other, _ in kept:
+        for other, _, _ in kept.values():
             if _dominates(other, key):
                 above += 1
                 if above == count:
                     break
         else:
-            kept.append((key, coeffs))
-    return [coeffs for _, coeffs in kept]
+            for other_coeffs, member in list(kept.items()):
+                if _dominates(key, member[0]):
+                    member[1] += 1
+                    if member[1] == count:
+                        del kept[other_coeffs]
+            kept[coeffs] = [key, above, [code]]
+            held_max = max(held_max, len(kept))
+    return {c: member[2] for c, member in kept.items()}, seen, held_max
 
 
 def _overlap(a: EnergyValue, b: EnergyValue) -> bool:

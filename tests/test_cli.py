@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -122,11 +124,19 @@ def test_search_stats_is_one_json_line_on_stderr(capsys):
     assert captured.err.count("\n") == 1
     assert json.loads(captured.err) == {
         "graphs": 89,
-        "distinct_spectra": 84,
-        "dominated": 74,
+        "held_max": 10,
         "enclosed": 10,
         "tie_refinements": 0,
     }
+
+
+def test_search_output_parses_as_its_format(capsys):
+    assert main(["search", "--n", "5", "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert rows[0]["rank"] == 1
+    assert main(["search", "--n", "5", "--format", "csv"]) == 0
+    header, first, *_ = csv.reader(io.StringIO(capsys.readouterr().out))
+    assert header[0] == "rank" and first[0] == "1"
 
 
 def test_python_dash_m_runs_the_cli():

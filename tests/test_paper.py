@@ -8,10 +8,10 @@ from ucenergy.roots import energy_of_poly
 from ucenergy.search import max_energy_search
 from ucenergy.tables import TOLERANCE, compute_table
 
-# The cycle wins for n = 3, 5, 6, 7, 9, 10, 11.  At n = 4 the paw L(4,3) wins
+# The cycle wins for n = 3, 5, 6, 7, 9, 10, 11, 13.  At n = 4 the paw L(4,3) wins
 # (4.962389 against C_4's 4.0), and at n = 8 and 12 the lollipop
 # L(n,6) = P_n^6.
-WINNERS = {n: ("U[l=%d|%s]" % (n, ",".join("." * n)), make_cycle(n)) for n in range(3, 12)}
+WINNERS = {n: ("U[l=%d|%s]" % (n, ",".join("." * n)), make_cycle(n)) for n in range(3, 14)}
 WINNERS[4] = ("U[l=3|.,.,0-1]", make_lollipop(4, 3))
 WINNERS[8] = ("U[l=6|.,.,.,.,.,0-1-2]", make_lollipop(8, 6))
 WINNERS[12] = ("U[l=6|.,.,.,.,.,0-1-2-3-4-5-6]", make_lollipop(12, 6))

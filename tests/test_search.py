@@ -1,5 +1,7 @@
 """The exhaustive search: the Coulson-bracket filter and worker-pool sizing."""
 
+import random
+
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
@@ -39,7 +41,7 @@ def test_worker_count_is_capped(monkeypatch):
     monkeypatch.setattr(search.os, "cpu_count", lambda: None)
     assert max_energy_search(6, jobs=10**6) == serial
     # the pool maps over the spectra left after the bracket filter
-    assert 1 < stats.enclosed < stats.distinct_spectra
+    assert 1 < stats.enclosed < stats.graphs
     assert sizes == [4, 3, stats.enclosed]
 
 
@@ -61,29 +63,31 @@ def test_search_equals_enclosing_every_spectrum(n, top_k):
 
 def test_stats_count_the_filter():
     _, stats = search_with_stats(8)
-    assert stats == search.SearchStats(
-        graphs=89, distinct_spectra=84, dominated=74, enclosed=10, tie_refinements=0
-    )
+    assert stats == search.SearchStats(graphs=89, held_max=10, enclosed=10, tie_refinements=0)
 
 
-@pytest.mark.parametrize("top_k", [1, 2, 5])
+@pytest.mark.parametrize("top_k", [1, 2, 5, 10])
 @pytest.mark.parametrize("n", [7, 9])
 def test_filter_keeps_exactly_the_spectra_with_at_most_k_dominators(n, top_k):
     # the rank-k tie flag reads entry k + 1, so a spectrum goes only when
     # k + 1 others dominate it; all pairs are compared here, not just the
-    # spectra the filter kept
-    spectra = {charpoly(g).coeffs for _, g in unicyclic_graphs(n)}
+    # spectra the filter kept, and the stream arrives in code order and
+    # shuffled
+    pairs = [(code, charpoly(g).coeffs) for code, g in unicyclic_graphs(n)]
+    spectra = {coeffs for _, coeffs in pairs}
     keys = {c: search._bracket_key(c) for c in spectra}
-    assert all(search._bracket_at_one(c) == sum(keys[c]) for c in spectra)
     expected = {
-        c
+        c: sorted((code for code, coeffs in pairs if coeffs == c), key=str)
         for c in spectra
         if sum(search._dominates(keys[h], keys[c]) for h in spectra) <= top_k
     }
-    assert set(search._undominated(spectra, top_k + 1)) == expected
+    orders = [pairs] + [random.Random(seed).sample(pairs, len(pairs)) for seed in range(3)]
+    for order in orders:
+        kept, graphs, held_max = search._undominated(order, top_k + 1)
+        assert {c: sorted(codes, key=str) for c, codes in kept.items()} == expected
+        assert graphs == len(pairs) and len(expected) <= held_max < len(spectra)
     _, stats = search_with_stats(n, top_k)
     assert stats.enclosed == len(expected)
-    assert stats.dominated == len(spectra) - len(expected)
 
 
 def _bracket_of(code_text, n):
