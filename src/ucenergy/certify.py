@@ -68,7 +68,6 @@ from .polynomials import (
     cauchy_bound,
     reverse,
     squarefree_decomposition,
-    squarefree_part,
     sturm_chain,
     variations_at,
 )
@@ -210,14 +209,13 @@ def certify_poly_sign(
     if p.is_zero:
         raise ValueError("zero polynomial has no sign certificate")
 
-    if _strict(asserted_sign):
-        core = squarefree_part(p)
-    else:
-        # weak signs tolerate even-multiplicity touch points
-        core = IntPolynomial((1,))
-        for f, mult in squarefree_decomposition(p):
-            if mult % 2 == 1:
-                core = core * f
+    # one Yun pass: a strict sign counts the roots of every factor; a weak
+    # sign tolerates even-multiplicity touch points, so only odd ones count
+    strict = _strict(asserted_sign)
+    core = ONE
+    for f, mult in squarefree_decomposition(p):
+        if strict or mult % 2:
+            core = core * f
     if core.degree > 0:
         chain = sturm_chain(core)
         bound = cauchy_bound(core)

@@ -61,9 +61,8 @@ sum_k |c_k| <= Z(G-uv) + Z(G-u-v) + 2*Z(G-C) <= F_(n+1) + F_(n-1)
 + 2*F_(n-2), since G-uv is a tree on n vertices, G-u-v a forest on n - 2
 and G-C a forest on at most n - 3.  F_(n-1) + 2*F_(n-2) = F_n + F_(n-2)
 <= F_(n+1), so the sum is at most 2 * F_(n+1) < 2**(b-2) for
-b = bitlen(2 * F_(n+1)) + 2.  The sweep rounds b up to a multiple of 8, the
-digit width ``from_packed`` reads.  C_3 attains the bound (sum 6 =
-2 * F_4), and a path has half of it.
+b = bitlen(2 * F_(n+1)) + 2, the digit width the sweep runs at.  C_3
+attains the bound (sum 6 = 2 * F_4), and a path has half of it.
 
 This is not Kronecker substitution per product, which packs both factors
 and unpacks the result around every multiplication and gained nothing
@@ -88,7 +87,7 @@ def charpoly(g: Graph) -> IntPolynomial:
     if g.n == 0:
         return ONE
     if g.edge_count <= g.n:
-        bits = -(-coefficient_bits(g.n) // 8) * 8  # whole bytes per digit
+        bits = coefficient_bits(g.n)
         value = _sparse_value(g, bits)
         if value is not None:
             return IntPolynomial.from_packed(value, bits, g.n + 1)

@@ -11,14 +11,21 @@ Graph selector syntax:
 Exit codes: 0 success, 2 bad selector or argument (any ValueError the
 library raises for its input), 3 convergence failure, 4 golden-table
 mismatch or a lollipop closed form that is not an identity in z, 5 refuted
-certificate.
+certificate.  A reader that closes standard output early (``| head``) ends
+the command quietly with 0: the rest of the output is dropped, and no
+traceback is printed.
+
+``--format csv`` writes its rows with ``csv.writer``, so a cell that holds a
+comma, such as a unicyclic code, is quoted.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import json
+import os
 import sys
 
 from .certify import certificate_to_json, check_modulus_forms, run_claim_suite
@@ -95,9 +102,9 @@ def _emit(rows: list[dict], columns: list[str], fmt: str) -> None:
         print(json.dumps(rows, indent=2))
         return
     if fmt == "csv":
-        print(",".join(columns))
-        for row in rows:
-            print(",".join(_cell(row.get(c), full=True) for c in columns))
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([_cell(row.get(c), full=True) for c in columns] for row in rows)
         return
     widths = {
         c: max(len(c), *(len(_cell(r.get(c))) for r in rows)) if rows else len(c)
@@ -344,7 +351,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here rather than at exit
+        return status
+    except BrokenPipeError:  # the reader has all it wants: stop quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except ValueError as exc:  # SpecError, and input the library rejects
         print("ucenergy %s: %s" % (args.command, exc), file=sys.stderr)
         return EXIT_PARSE

@@ -48,25 +48,23 @@ class IntPolynomial:
     def from_packed(cls, value: int, bits: int, count: int) -> "IntPolynomial":
         """The polynomial p with p(2**bits) == value and at most ``count``
         coefficients, each in [-2**(bits-1), 2**(bits-1)): the balanced
-        base-2**bits digits of ``value``.
+        base-2**bits digits of ``value``, for any positive ``bits``.
 
-        ``bits`` is a positive multiple of 8, so a digit is a whole number of
-        bytes and one ``to_bytes`` call reads them all.  A value with more
-        than ``count`` digits raises ValueError rather than losing the rest.
+        A value with more than ``count`` digits raises ValueError rather
+        than losing the rest.
         """
-        if bits <= 0 or bits % 8:
-            raise ValueError("bits must be a positive multiple of 8, got %d" % bits)
-        width = bits // 8
+        if bits <= 0:
+            raise ValueError("bits must be positive, got %d" % bits)
         # adding 2**(bits-1) to every digit moves it into [0, 2**bits)
         half = 1 << (bits - 1)
-        biased = value + int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+        mask = (1 << bits) - 1
+        biased = value + half * (((1 << bits * count) - 1) // mask)
         if biased < 0 or biased.bit_length() > bits * count:
             raise ValueError("value has more than %d digits of %d bits" % (count, bits))
-        raw = biased.to_bytes(width * count, "little")
-        return cls.from_coeffs(
-            int.from_bytes(raw[i : i + width], "little") - half
-            for i in range(0, width * count, width)
-        )
+        digits = [((biased >> shift) & mask) - half for shift in range(0, bits * count, bits)]
+        while digits and not digits[-1]:
+            digits.pop()
+        return cls(tuple(digits))
 
     # -- basic queries -------------------------------------------------
 
@@ -355,16 +353,6 @@ def squarefree_decomposition(
         d = poly_div_exact(d, f) - c.derivative()
         i += 1
     return out
-
-
-def squarefree_part(p: IntPolynomial) -> IntPolynomial:
-    """Product of the distinct irreducible factors (radical of p)."""
-    result = ONE
-    for f, _ in squarefree_decomposition(p):
-        result = result * f
-    if not result.is_zero and result.leading < 0:
-        result = -result
-    return result.primitive()
 
 
 # ---------------------------------------------------------------------------

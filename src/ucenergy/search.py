@@ -37,10 +37,12 @@ survive or go together, and survivors are flagged as ties below.
 Energies of the survivors come from ``energy_of_poly``: float root seeds
 of the characteristic polynomial, each verified by an exact integer sign
 change (with Yun and Sturm isolation as the fallbacks), so every candidate
-carries a rigorous enclosure.  Cospectral graphs share one energy
-computation.  Before ranking, any two distinct spectra whose enclosures
-overlap are refined down to radius 1e-12; enclosures that still overlap are
-flagged as ties instead of being ordered silently.
+carries a rigorous enclosure.  The ranking works per spectrum: all codes
+of a spectrum share one enclosure, and every kept spectrum whose enclosure
+overlaps another's is enclosed again at radius 1e-12 before the one sort.
+So a loose tolerance changes no order between spectra that 1e-12 separates.
+A code next to one of its own spectrum, or to an enclosure that still
+overlaps its own, is flagged as tied instead of being ordered silently.
 """
 
 from __future__ import annotations
@@ -75,7 +77,7 @@ class SearchStats:
     graphs: int
     held_max: int  # the most spectra the bracket filter held at once
     enclosed: int  # kept by the filter, enclosed at the requested tolerance
-    tie_refinements: int  # enclosed again at radius 1e-12
+    tie_refinements: int  # spectra enclosed again at radius 1e-12 (overlaps)
 
 
 def _energy_worker(coeffs: tuple[int, ...], tol: float) -> EnergyValue:
@@ -99,7 +101,8 @@ def max_energy_search(
 def search_with_stats(
     n: int, top_k: int = 5, tol: float = 1e-7, jobs: int = 1
 ) -> tuple[list[RankedEntry], SearchStats]:
-    """``max_energy_search`` together with the counts of what it did."""
+    """``max_energy_search`` together with the counts of what it did; codes
+    rank by one enclosure per spectrum (see the module docstring)."""
     if top_k < 1:
         raise ValueError("top_k must be at least 1")
     if jobs < 1:
@@ -114,49 +117,26 @@ def search_with_stats(
             energies = list(pool.map(_energy_worker, polys, [tol] * len(polys)))
     else:
         energies = [_energy_worker(coeffs, tol) for coeffs in polys]
-    entries = [
-        (code, coeffs, energy)
-        for coeffs, energy in zip(polys, energies)
-        for code in codes_of[coeffs]
-    ]
-    entries.sort(key=lambda e: (-e[2].value, e[1], e[0].cycle_len, e[0].trees))
-
-    # refine neighbouring entries with different spectra until separated
-    refined: dict[tuple[int, ...], EnergyValue] = {}
-
-    def refined_energy(coeffs: tuple[int, ...]) -> EnergyValue:
-        if coeffs not in refined:
-            refined[coeffs] = _energy_worker(coeffs, _TIE_RADIUS)
-        return refined[coeffs]
-
-    for i in range(min(top_k + 1, len(entries)) - 1):
-        code_a, poly_a, ea = entries[i]
-        code_b, poly_b, eb = entries[i + 1]
-        if poly_a == poly_b:
-            continue
-        if _overlap(ea, eb):
-            ea = refined_energy(poly_a)
-            eb = refined_energy(poly_b)
-            entries[i] = (code_a, poly_a, ea)
-            entries[i + 1] = (code_b, poly_b, eb)
-    entries.sort(key=lambda e: (-e[2].value, e[1], e[0].cycle_len, e[0].trees))
+    energy_of = dict(zip(polys, energies))
+    overlapping = _overlapping(energy_of)
+    for coeffs in overlapping:
+        energy_of[coeffs] = _energy_worker(coeffs, _TIE_RADIUS)
+    entries = sorted(
+        ((code, coeffs) for coeffs in polys for code in codes_of[coeffs]),
+        key=lambda e: (-energy_of[e[1]].value, e[1], e[0].cycle_len, e[0].trees),
+    )
 
     out: list[RankedEntry] = []
-    limit = min(top_k, len(entries))
-    for i in range(limit):
-        code, poly, energy = entries[i]
-        tied = False
-        for j in (i - 1, i + 1):
-            if 0 <= j < len(entries):
-                other_poly, other_energy = entries[j][1], entries[j][2]
-                if other_poly == poly or _overlap(energy, other_energy):
-                    tied = True
+    for i, (code, coeffs) in enumerate(entries[:top_k]):
+        energy = energy_of[coeffs]
+        neighbours = entries[max(i - 1, 0) : i] + entries[i + 1 : i + 2]
+        tied = any(c == coeffs or _overlap(energy, energy_of[c]) for _, c in neighbours)
         out.append(RankedEntry(i + 1, code, energy, tied))
     stats = SearchStats(
         graphs=graphs,
         held_max=held_max,
         enclosed=len(polys),
-        tie_refinements=len(refined),
+        tie_refinements=len(overlapping),
     )
     return out, stats
 
@@ -213,6 +193,22 @@ def _undominated(
             kept[coeffs] = [key, above, [code]]
             held_max = max(held_max, len(kept))
     return {c: member[2] for c, member in kept.items()}, seen, held_max
+
+
+def _overlapping(energy_of: dict) -> set:
+    """The keys whose enclosure overlaps another's, in one sweep by lower
+    end rather than K**2 pairs: an enclosure overlaps an earlier one exactly
+    when it starts at or below the highest upper end so far, and then it
+    overlaps the one that reached there, which is marked with it."""
+    out = set()
+    reach = (float("-inf"), None)  # the highest upper end so far, and its key
+    for lo, hi, key in sorted(
+        (e.value - e.radius, e.value + e.radius, k) for k, e in energy_of.items()
+    ):
+        if lo <= reach[0]:
+            out |= {key, reach[1]}
+        reach = max(reach, (hi, key))
+    return out
 
 
 def _overlap(a: EnergyValue, b: EnergyValue) -> bool:

@@ -11,7 +11,9 @@ normalised by brute-force minimum over rotations and reflections.  The
 cycle of a unicyclic graph comes from leaf stripping on the edge list, and
 the bracelet rule compares a word with every rotation of its reversal.
 
-The one exception is ``search_enclose_all``, the search as it was before the
+Two helpers are exceptions.  ``squarefree_part``, the radical of p that
+tests of the Sturm and root code start from, multiplies ucenergy's own Yun
+factors.  ``search_enclose_all`` is the search as it was before the
 Coulson-bracket filter.  It takes its graphs, characteristic polynomials and
 enclosures from ucenergy, which other tests check against their own
 oracles, and encloses every distinct spectrum, so it shares no code with the
@@ -275,6 +277,19 @@ def bipartite_b_coeffs(p) -> tuple[int, ...]:
     return tuple(bs)
 
 
+def squarefree_part(p):
+    """Product of the distinct irreducible factors (radical of p), primitive
+    with a positive leading coefficient, from ucenergy's Yun factors."""
+    from ucenergy.polynomials import ONE, squarefree_decomposition
+
+    result = ONE
+    for f, _ in squarefree_decomposition(p):
+        result = result * f
+    if not result.is_zero and result.leading < 0:
+        result = -result
+    return result.primitive()
+
+
 def unique_cycle(g) -> list[int] | None:
     """The unique cycle of a connected unicyclic graph, in traversal order.
 
@@ -381,9 +396,9 @@ def unicyclic_codes_brute(n: int) -> list[tuple[int, tuple]]:
 def search_enclose_all(n: int, top_k: int, tol: float = 1e-7) -> list:
     """Top-k search that encloses every distinct spectrum, ties flagged.
 
-    Ranks, refines overlapping neighbours to radius 1e-12 and flags ties
-    exactly as ``max_energy_search`` does, without dropping any spectrum
-    before its enclosure.
+    Encloses every spectrum whose enclosure overlaps another's again at
+    radius 1e-12, ranks and flags ties as ``max_energy_search`` does, without
+    dropping any spectrum before its enclosure.
     """
     from ucenergy.polynomials import IntPolynomial
     from ucenergy.roots import energy_of_poly
@@ -392,20 +407,18 @@ def search_enclose_all(n: int, top_k: int, tol: float = 1e-7) -> list:
     def overlap(a, b) -> bool:
         return abs(a.value - b.value) <= a.radius + b.radius
 
-    def key(e):
-        return (-e[2].value, e[1], e[0].cycle_len, e[0].trees)
-
-    entries = sorted(_enclosed_entries(n, tol), key=key)
-    refined = {}
-    for i in range(min(top_k + 1, len(entries)) - 1):
-        (code_a, poly_a, ea), (code_b, poly_b, eb) = entries[i], entries[i + 1]
-        if poly_a != poly_b and overlap(ea, eb):
-            for poly in (poly_a, poly_b):
-                if poly not in refined:
-                    refined[poly] = energy_of_poly(IntPolynomial(poly), 1e-12)
-            entries[i] = (code_a, poly_a, refined[poly_a])
-            entries[i + 1] = (code_b, poly_b, refined[poly_b])
-    entries.sort(key=key)
+    entries = _enclosed_entries(n, tol)
+    coarse = {poly: e for _, poly, e in entries}
+    energy = {
+        poly: energy_of_poly(IntPolynomial(poly), 1e-12)
+        if any(other != poly and overlap(e, f) for other, f in coarse.items())
+        else e
+        for poly, e in coarse.items()
+    }
+    entries = sorted(
+        ((code, poly, energy[poly]) for code, poly, _ in entries),
+        key=lambda e: (-e[2].value, e[1], e[0].cycle_len, e[0].trees),
+    )
     out = []
     for i in range(min(top_k, len(entries))):
         code, poly, e = entries[i]

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from oracles import squarefree_part
 from ucenergy.certify import (
     A_POSITIVITY,
     BETA2_EVEN,
@@ -31,7 +32,6 @@ from ucenergy.closedforms import F7, F8, P_POLYS, Q_POLYS
 from ucenergy.polynomials import (
     IntPolynomial,
     cauchy_bound,
-    squarefree_part,
     sturm_chain,
     variations_at,
 )

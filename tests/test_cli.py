@@ -101,7 +101,7 @@ def test_closed_form_check_exits_4_on_a_wrong_form(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err
     assert captured.err.count("\n") == 1
-    assert captured.out.splitlines()[1] == "L(n,6),6,False"
+    assert list(csv.reader(io.StringIO(captured.out)))[1] == ["L(n,6)", "6", "False"]
 
 
 @pytest.mark.parametrize(
@@ -135,14 +135,35 @@ def test_search_output_parses_as_its_format(capsys):
     rows = json.loads(capsys.readouterr().out)
     assert rows[0]["rank"] == 1
     assert main(["search", "--n", "5", "--format", "csv"]) == 0
-    header, first, *_ = csv.reader(io.StringIO(capsys.readouterr().out))
-    assert header[0] == "rank" and first[0] == "1"
+    header, *table = csv.reader(io.StringIO(capsys.readouterr().out))
+    assert header[0] == "rank" and table[0][0] == "1"
+    # codes hold commas, so the CSV must quote them
+    assert [row[header.index("code")] for row in table] == [r["code"] for r in rows]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["search", "--n", "5"],
+        ["enumerate", "--n", "6"],
+        ["certify"],
+        ["closed-form-check", "--n", "9"],
+    ],
+)
+def test_every_csv_row_is_as_wide_as_its_header(argv, capsys):
+    assert main(argv + ["--format", "csv"]) == 0
+    header, *table = csv.reader(io.StringIO(capsys.readouterr().out))
+    assert table and all(len(row) == len(header) for row in table)
+
+
+def _cli_env():
+    src = str(Path(ucenergy.__file__).parents[1])
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
 
 
 def test_python_dash_m_runs_the_cli():
-    src = str(Path(ucenergy.__file__).parents[1])
-    path = [src, os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    env = _cli_env()
 
     def run(n):
         argv = ["enumerate", "--count-only", "--n", str(n), "--format", "csv"]
@@ -157,3 +178,31 @@ def test_python_dash_m_runs_the_cli():
     assert bad.returncode == 2
     assert "Traceback" not in bad.stderr
     assert bad.stderr.startswith("ucenergy enumerate: ")
+
+
+@pytest.mark.parametrize(
+    "argv, lines",
+    [
+        # about 200 kB, more than a pipe holds: cut while writing
+        (["enumerate", "--n", "13", "--emit", "g6"], 1),
+        # a few rows, still buffered when the command returns: cut at the flush
+        (["search", "--n", "5"], 0),
+    ],
+)
+def test_a_reader_that_stops_early_gets_no_traceback(argv, lines):
+    env = _cli_env()
+    env.pop("PYTHONUNBUFFERED", None)  # a buffered stdout, as in a shell pipe
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ucenergy", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+    )
+    for _ in range(lines):
+        assert proc.stdout.readline().strip()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert "Traceback" not in err and "Exception ignored" not in err

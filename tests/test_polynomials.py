@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import bipartite_b_coeffs
+from oracles import bipartite_b_coeffs, squarefree_part
 from ucenergy.polynomials import (
     IntPolynomial,
     cauchy_bound,
@@ -12,7 +12,6 @@ from ucenergy.polynomials import (
     poly_gcd,
     pseudo_remainder,
     squarefree_decomposition,
-    squarefree_part,
     sturm_chain,
     variations_at,
 )
@@ -95,7 +94,7 @@ def test_derivative_and_shift():
 def packable(draw):
     """(coefficients, bits, count): every |c| <= 2**(bits-1) - 1, with inner
     zeros, a leading coefficient of either sign, and spare digits."""
-    bits = draw(st.sampled_from([8, 16, 24, 64]))
+    bits = draw(st.sampled_from([2, 5, 8, 12, 16, 24, 37, 64]))
     top = 2 ** (bits - 1) - 1
     digit = st.integers(-top, top)
     body = draw(st.lists(st.one_of(st.just(0), digit), max_size=12))
@@ -127,8 +126,12 @@ def test_unpacking_with_too_few_bits_raises():
         IntPolynomial.from_packed(P(1, 128)(1 << 8), 8, 2)
     with pytest.raises(ValueError):
         IntPolynomial.from_packed(-129, 8, 1)
-    with pytest.raises(ValueError):  # digits are whole bytes
-        IntPolynomial.from_packed(p(1 << 12), 12, 4)
+    with pytest.raises(ValueError):  # the top digit leaves [-16, 16)
+        IntPolynomial.from_packed(P(1, 16)(1 << 5), 5, 2)
+    with pytest.raises(ValueError):
+        IntPolynomial.from_packed(1, 0, 1)
+    # digits need not be whole bytes
+    assert IntPolynomial.from_packed(p(1 << 12), 12, 4) == p
 
 
 def test_division_and_gcd():

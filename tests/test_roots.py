@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import squarefree_part
 import ucenergy.polynomials as polynomials
 import ucenergy.roots as roots
 from ucenergy.charpoly import charpoly
@@ -15,7 +16,6 @@ from ucenergy.graphs import Graph, make_cycle, make_lollipop, make_path
 from ucenergy.polynomials import (
     IntPolynomial,
     squarefree_decomposition,
-    squarefree_part,
     sturm_chain,
 )
 from ucenergy.roots import (

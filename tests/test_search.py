@@ -1,4 +1,4 @@
-"""The exhaustive search: the Coulson-bracket filter and worker-pool sizing."""
+"""The exhaustive search: the Coulson-bracket filter, the ranking and worker-pool sizing."""
 
 import random
 
@@ -11,7 +11,7 @@ from oracles import search_enclose_all
 from ucenergy.charpoly import charpoly
 from ucenergy.enumeration import unicyclic_graphs
 from ucenergy.graphs import Graph
-from ucenergy.roots import energy_of_poly
+from ucenergy.roots import EnergyValue, energy_of_poly
 from ucenergy.search import max_energy_search, search_with_stats
 
 
@@ -59,6 +59,27 @@ def test_two_workers_match_serial():
 @pytest.mark.parametrize("n", range(3, 11))
 def test_search_equals_enclosing_every_spectrum(n, top_k):
     assert max_energy_search(n, top_k) == search_enclose_all(n, top_k)
+
+
+@given(st.lists(st.tuples(st.integers(-64, 64), st.integers(0, 16)), max_size=12))
+def test_the_sweep_finds_exactly_the_overlapping_enclosures(cells):
+    # midpoints and radii on a grid of 1/8, where every sum is exact
+    energy_of = {i: EnergyValue(v / 8, r / 8) for i, (v, r) in enumerate(cells)}
+    pairwise = {
+        a
+        for a in energy_of
+        for b in energy_of
+        if a != b and search._overlap(energy_of[a], energy_of[b])
+    }
+    assert search._overlapping(energy_of) == pairwise
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_a_loose_search_re_encloses_exactly_the_overlapping_spectra(n):
+    # at tol 0.5 most enclosures overlap, many of them not as neighbours;
+    # top_k = 500 keeps every spectrum, so the oracle's all-pairs test must
+    # pick the same spectra to enclose again, or some energy differs
+    assert max_energy_search(n, 500, 0.5) == search_enclose_all(n, 500, 0.5)
 
 
 def test_stats_count_the_filter():
@@ -135,3 +156,23 @@ def test_bracket_dominance_orders_the_enclosures(pair):
     assume(search._dominates(b_h, b_g))
     e_h, e_g = energy_of_poly(h), energy_of_poly(g)
     assert e_h.value + e_h.radius >= e_g.value - e_g.radius
+
+
+@pytest.mark.parametrize("n, top_k, tol", [(10, 5, 0.5), (10, 3, 0.1), (8, 10, 0.5)])
+def test_a_loose_tolerance_ranks_as_a_tight_one(n, top_k, tol):
+    # each case has codes of different spectra whose loose enclosures
+    # overlap; every such spectrum is enclosed again, not just the ones
+    # that happen to be adjacent in the coarse order
+    loose, stats = search_with_stats(n, top_k, tol)
+    tight = max_energy_search(n, top_k)
+    assert [(r.code, r.tied) for r in loose] == [(r.code, r.tied) for r in tight]
+    assert stats.tie_refinements > 0
+
+
+def test_every_code_of_a_spectrum_carries_one_enclosure():
+    spectrum = {code: charpoly(g).coeffs for code, g in unicyclic_graphs(8)}
+    energy_of = {}
+    ranked = max_energy_search(8, 20, 0.1)
+    for r in ranked:
+        assert energy_of.setdefault(spectrum[r.code], r.energy) == r.energy
+    assert len(energy_of) < len(ranked)  # some spectrum has several codes
