@@ -126,18 +126,6 @@ def modulus_sq_at_ix(p: IntPolynomial) -> IntPolynomial:
     return re * re + im * im
 
 
-def coulson_bracket(p: IntPolynomial) -> IntPolynomial:
-    """Bracket of the explicit energy formula, an even positive polynomial.
-
-    This is |x**n p(i/x)|**2 for p of degree n, that is the reversal of
-    |p(ix)|**2 at degree 2n; it is 1 at x = 0 when p is monic.  Its degree
-    is 2n - 2m, where m is the multiplicity of the root 0 of p, so brackets
-    of one order are compared coefficient by coefficient only after padding
-    with zeros.
-    """
-    return reverse(modulus_sq_at_ix(p), 2 * p.degree)
-
-
 # ---------------------------------------------------------------------------
 # Energy routes.
 # ---------------------------------------------------------------------------

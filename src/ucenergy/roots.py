@@ -33,9 +33,14 @@ each tried only when the one before it fails.
 
 3. A factor whose seeds still fail has its roots isolated by Sturm counting.
 
-Enclosures narrower than the requested width come from sign bisection.
-Every route decides every sign exactly, so the reported energy carries a
-rigorous error radius.
+Enclosures narrower than the requested width come from sign bisection,
+which carries both ends as integer numerators over one denominator D and
+doubles D at each step, so every sign is that of an integer Horner sum.
+The energy adds the enclosures' ends the same way, as integers over the
+least common denominator of all ends (2**k on the seeded route), and
+builds one ``Fraction`` for the value and one for the radius.  Every route
+decides every sign exactly, so the reported energy carries a rigorous
+error radius.
 """
 
 from __future__ import annotations
@@ -138,23 +143,49 @@ def _nonroot_split(f: IntPolynomial, lo: Fraction, hi: Fraction):
 def refine_enclosure(
     f: IntPolynomial, enc: RootEnclosure, width: Fraction
 ) -> RootEnclosure:
-    """Bisect until the enclosure is narrower than ``width``."""
+    """Bisect until the enclosure is narrower than ``width``.
+
+    The ends are integer numerators over one denominator D, which each step
+    doubles; the midpoint of lo / D and hi / D is then (lo + hi) / 2D, and
+    its sign is that of f(m / D) * D**d = sum_i c_i m**i D**(d-i), an
+    integer.  Only the returned ends are built as ``Fraction``s.
+    """
     if enc.width <= width:
         return enc
-    lo, hi = enc.lo, enc.hi
-    sign_lo = f.sign_at(lo)  # every later lo has this sign too
-    for _ in range(_MAX_BISECTIONS):
-        mid = (lo + hi) / 2
-        s = f.sign_at(mid)
+    den = math.lcm(enc.lo.denominator, enc.hi.denominator)
+    lo = enc.lo.numerator * (den // enc.lo.denominator)
+    hi = enc.hi.numerator * (den // enc.hi.denominator)
+    # every step keeps hi - lo and doubles den, so after t steps the width is
+    # (hi - lo) / (den * 2**t): smallest t with 2**t >= (hi - lo) / (den * width)
+    steps = _MAX_BISECTIONS + 1  # a width <= 0 ends only at an exact root
+    if width > 0:
+        ratio = -(-(hi - lo) * width.denominator // (den * width.numerator))
+        steps = (ratio - 1).bit_length()
+    d = f.degree
+    scaled = [c * den ** (d - i) for i, c in enumerate(f.coeffs)]
+
+    def sign(m: int, t: int) -> int:  # sign of f(m / (den * 2**t))
+        acc = 0
+        for i in range(d, -1, -1):
+            acc = acc * m + (scaled[i] << t * (d - i))
+        return (acc > 0) - (acc < 0)
+
+    sign_lo = sign(lo, 0)  # every later lo has this sign too
+    for t in range(1, min(steps, _MAX_BISECTIONS) + 1):
+        mid = lo + hi
+        s = sign(mid, t)
         if s == 0:
-            return RootEnclosure(mid, mid, enc.multiplicity)
+            root = Fraction(mid, den << t)
+            return RootEnclosure(root, root, enc.multiplicity)
         if s == sign_lo:
-            lo = mid
+            lo, hi = mid, hi << 1
         else:
-            hi = mid
-        if hi - lo <= width:
-            return RootEnclosure(lo, hi, enc.multiplicity)
-    raise ConvergenceError("bisection budget exhausted")
+            lo, hi = lo << 1, mid
+    if steps > _MAX_BISECTIONS:
+        raise ConvergenceError("bisection budget exhausted")
+    return RootEnclosure(
+        Fraction(lo, den << steps), Fraction(hi, den << steps), enc.multiplicity
+    )
 
 
 def energy_of_poly(p: IntPolynomial, tol: float = 1e-7) -> EnergyValue:
@@ -183,9 +214,17 @@ def energy_of_poly(p: IntPolynomial, tol: float = 1e-7) -> EnergyValue:
             "polynomial has complex roots (%d real of degree %d)"
             % (real_roots, p.degree)
         )
-    # | |x| - |mid| | <= |x - mid| <= width / 2, also for brackets around 0
-    value = sum((mult * abs(enc.midpoint) for enc, mult in found), Fraction(0))
-    radius = sum((mult * enc.width for enc, mult in found), Fraction(0)) / 2
+    # | |x| - |mid| | <= |x - mid| <= width / 2, also for brackets around 0.
+    # The ends are summed as integer numerators over one common denominator.
+    den = math.lcm(*(end.denominator for enc, _ in found for end in (enc.lo, enc.hi)))
+    total = spread = 0
+    for enc, mult in found:
+        lo = enc.lo.numerator * (den // enc.lo.denominator)
+        hi = enc.hi.numerator * (den // enc.hi.denominator)
+        total += mult * abs(lo + hi)
+        spread += mult * (hi - lo)
+    value = Fraction(total, 2 * den)
+    radius = Fraction(spread, 2 * den)
     val = float(value)
     radius += abs(Fraction(val) - value)
     rad = float(radius)

@@ -1,12 +1,35 @@
 """Exhaustive maximal-energy search over connected unicyclic graphs.
 
 The search encloses only the spectra that can still rank.  By Coulson's
-formula E(G) = (1/pi) * integral over x > 0 of x**-2 ln B_G(x), where
-B_G = ``coulson_bracket(phi_G)`` is an even integer polynomial.  When
+formula E(G) = (1/pi) * integral over x > 0 of x**-2 ln B_G(x), where the
+bracket B_G(x) = |x**n phi_G(i/x)|**2 is an even integer polynomial.  When
 B_H - B_S is nonzero with no negative coefficient, B_H(x) > B_S(x) for every
 x != 0, so E(H) > E(S) strictly: H *dominates* S.  That is an exact integer
 test, with no roots and no floats, and it is the quasi-order on which the
 paper's proof rests, applied to the whole bracket.
+
+Each bracket is one integer.  In y = x**2, |phi(ix)|**2 is
+M(y) = R(y)**2 + y * I(y)**2 with R(y) = sum_j c_(2j) (-1)**j y**j and
+I(y) = sum_j c_(2j+1) (-1)**j y**j, and B_G in y is M with its n + 1
+coefficients M_0 .. M_n reversed, so comparing M coefficient by coefficient
+decides the same dominance.  A zero eigenvalue gives M_0 = c_0**2 = 0, a
+coefficient like any other, so brackets of one order need no padding.
+``_bracket_key`` evaluates R and I at y = 2**w, with w = 2b + 2 and
+b = ``coefficient_bits(n)``, and returns M(2**w) plus a bias of 2**(w-2) in
+each of the n + 1 digits.  With G the bit 2**(w-1) of every digit
+(``_guard``), H dominates S exactly when H != S and
+((H | G) - S) & G == G:
+
+* |M_i| <= (sum_j |R_j|)**2 + (sum_j |I_j|)**2 <= (sum_k |c_k|)**2
+  < 2**(2b-4), since R and I together hold each c_k once.  ``charpoly``
+  proves sum_k |c_k| < 2**(b-2) for every connected unicyclic graph;
+  ``_bracket_key`` checks it for each spectrum and raises OverflowError if
+  it fails.  So every biased digit h_i = M_i + 2**(w-2) lies in
+  [0, 2**(w-1)), and the key's base-2**w digits are exactly these.
+* (H | G) - S is the sum of (h_i + 2**(w-1) - s_i) * 2**(w*i), and each
+  term in parentheses lies in (0, 2**w).  So no digit borrows from the next
+  one, and these terms are the digits of the difference.
+* Such a digit keeps its guard bit 2**(w-1) exactly when h_i >= s_i.
 
 The top k entries, and the ``tied`` flag of rank k, read the first k + 1
 entries of the energy order.  A spectrum with k + 1 dominators has k + 1
@@ -29,6 +52,13 @@ dominators among all spectra, in any order of arrival:
 3. When X is dropped, k + 1 members of K dominate it.  If one of them is
    dropped later, its own k + 1 dominators dominate X too.  So X keeps
    k + 1 dominators in K, and it is dropped again if it arrives again.
+4. While K holds at most k + 1 spectra, a count, which counts other
+   members, stays below k + 1, so nothing is dropped.  Arrivals therefore
+   join K untested until it first holds k + 1, and then one pass over its
+   pairs (``_settle``) sets every count: the state the tests would have
+   reached.  K never holds fewer than k + 1 again: in any linear order of
+   the spectra that have arrived that extends dominance, the first k + 1
+   have at most k dominators each, so K keeps them.
 
 No set of all spectra and no map of all codes is held.  Equal brackets
 (phi(x) and +-phi(-x) share one) never dominate each other, so such spectra
@@ -47,14 +77,12 @@ overlaps its own, is flagged as tied instead of being ordered silently.
 
 from __future__ import annotations
 
-import operator
+import itertools
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable
 
-from .charpoly import charpoly
-from .coulson import coulson_bracket
+from .charpoly import charpoly, coefficient_bits
 from .enumeration import UnicyclicCode, unicyclic_graphs
 from .polynomials import IntPolynomial
 from .roots import EnergyValue, energy_of_poly
@@ -76,6 +104,8 @@ class SearchStats:
 
     graphs: int
     held_max: int  # the most spectra the bracket filter held at once
+    compared: int  # bracket dominance tests the filter made
+    dropped: int  # spectra the filter dropped; one dropped twice counts twice
     enclosed: int  # kept by the filter, enclosed at the requested tolerance
     tie_refinements: int  # spectra enclosed again at radius 1e-12 (overlaps)
 
@@ -108,11 +138,14 @@ def search_with_stats(
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     stream = ((code, charpoly(g).coeffs) for code, g in unicyclic_graphs(n))
-    codes_of, graphs, held_max = _undominated(stream, top_k + 1)
+    codes_of, counts = _undominated(stream, top_k + 1, _guard(n))
 
     polys = list(codes_of)
     workers = min(jobs, os.cpu_count() or 1, len(polys))
     if workers > 1:
+        # imported here: the pool's modules add to every import of the package
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             energies = list(pool.map(_energy_worker, polys, [tol] * len(polys)))
     else:
@@ -133,44 +166,62 @@ def search_with_stats(
         tied = any(c == coeffs or _overlap(energy, energy_of[c]) for _, c in neighbours)
         out.append(RankedEntry(i + 1, code, energy, tied))
     stats = SearchStats(
-        graphs=graphs,
-        held_max=held_max,
-        enclosed=len(polys),
-        tie_refinements=len(overlapping),
+        **counts, enclosed=len(polys), tie_refinements=len(overlapping)
     )
     return out, stats
 
 
-def _bracket_key(coeffs: tuple[int, ...]) -> tuple[int, ...]:
-    """Coefficients of the Coulson bracket in x**2, padded to deg phi + 1.
+def _guard(n: int) -> int:
+    """G: the top bit 2**(w-1) of each of the n + 1 digits of a bracket key
+    of order n (see the module docstring)."""
+    w = 2 * coefficient_bits(n) + 2
+    return ((1 << w * (n + 1)) - 1) // ((1 << w) - 1) << (w - 1)
 
-    A zero eigenvalue lowers the bracket's degree, so brackets of one order
-    are compared only after padding to a common length.
+
+def _bracket_key(coeffs: tuple[int, ...]) -> int:
+    """The Coulson bracket of phi as one integer: M(2**w) with each digit
+    biased by 2**(w-2), where M(x**2) = |phi(ix)|**2 (module docstring).
+
+    Raises OverflowError when sum_k |c_k| reaches 2**(b-2), where a digit
+    could leave [0, 2**(w-1)).
     """
-    even = coulson_bracket(IntPolynomial(coeffs)).coeffs[::2]
-    return even + (0,) * (len(coeffs) - len(even))
+    n = len(coeffs) - 1
+    b = coefficient_bits(n)
+    w = 2 * b + 2
+    if sum(map(abs, coeffs)) >= 1 << (b - 2):
+        raise OverflowError("coefficients too large for %d-bit bracket digits" % w)
+    real = imag = 0  # R(2**w) and I(2**w) by Horner, c_k signed by (-1)**(k // 2)
+    for k in range(n, -1, -1):
+        c = -coeffs[k] if k & 2 else coeffs[k]
+        if k & 1:
+            imag = (imag << w) + c
+        else:
+            real = (real << w) + c
+    return real * real + (imag * imag << w) + (_guard(n) >> 1)
 
 
-def _dominates(h: tuple[int, ...], s: tuple[int, ...]) -> bool:
+def _dominates(h: int, s: int, guard: int) -> bool:
     """True when B_H - B_S is nonzero with no negative coefficient.
 
-    Both arguments are ``_bracket_key`` values of spectra of one order; then
-    E(H) > E(S) strictly.
+    h and s are ``_bracket_key`` values of spectra of one order n and guard
+    is ``_guard(n)``; then E(H) > E(S) strictly.
     """
-    return h != s and all(map(operator.ge, h, s))
+    return h != s and ((h | guard) - s) & guard == guard
 
 
 def _undominated(
-    stream: Iterable[tuple[UnicyclicCode, tuple[int, ...]]], count: int
-) -> tuple[dict[tuple[int, ...], list[UnicyclicCode]], int, int]:
+    stream: Iterable[tuple[UnicyclicCode, tuple[int, ...]]], count: int, guard: int
+) -> tuple[dict[tuple[int, ...], list[UnicyclicCode]], dict[str, int]]:
     """The spectra that fewer than ``count`` others bracket-dominate.
 
-    Takes (code, coefficients) pairs in any order and returns the kept
-    spectra with their codes, the number of pairs and the most spectra held
-    at once.  Only the kept set is held (see the module docstring).
+    Takes (code, coefficients) pairs of one order n in any order, and
+    ``guard`` = ``_guard(n)``.  Returns the kept spectra with their codes,
+    and the ``SearchStats`` counts of the filter: pairs seen, the most
+    spectra held at once, dominance tests and drops.  Only the kept set is
+    held (see the module docstring).
     """
     kept: dict[tuple[int, ...], list] = {}  # coeffs -> [bracket, count, codes]
-    seen = held_max = 0
+    seen = held_max = compared = dropped = 0
     for code, coeffs in stream:
         seen += 1
         member = kept.get(coeffs)
@@ -178,21 +229,48 @@ def _undominated(
             member[2].append(code)
             continue
         key = _bracket_key(coeffs)
-        above = 0
-        for other, _, _ in kept.values():
-            if _dominates(other, key):
-                above += 1
-                if above == count:
-                    break
+        if len(kept) < count:  # nothing can be dropped yet (point 4)
+            kept[coeffs] = [key, 0, [code]]
+            if len(kept) == count:
+                compared += _settle(list(kept.values()), guard)
         else:
+            above = 0
+            for other, _, _ in kept.values():
+                compared += 1
+                if _dominates(other, key, guard):
+                    above += 1
+                    if above == count:
+                        break
+            if above == count:
+                dropped += 1
+                continue
             for other_coeffs, member in list(kept.items()):
-                if _dominates(key, member[0]):
+                compared += 1
+                if _dominates(key, member[0], guard):
                     member[1] += 1
                     if member[1] == count:
                         del kept[other_coeffs]
+                        dropped += 1
             kept[coeffs] = [key, above, [code]]
-            held_max = max(held_max, len(kept))
-    return {c: member[2] for c, member in kept.items()}, seen, held_max
+        held_max = max(held_max, len(kept))
+    codes_of = {c: member[2] for c, member in kept.items()}
+    counts = dict(graphs=seen, held_max=held_max, compared=compared, dropped=dropped)
+    return codes_of, counts
+
+
+def _settle(members: list[list], guard: int) -> int:
+    """Add to each member's count its dominators among ``members``, in one
+    pass over the pairs; returns the number of dominance tests made."""
+    tests = 0
+    for a, b in itertools.combinations(members, 2):
+        tests += 1
+        if _dominates(a[0], b[0], guard):
+            b[1] += 1
+            continue
+        tests += 1
+        if _dominates(b[0], a[0], guard):
+            a[1] += 1
+    return tests
 
 
 def _overlapping(energy_of: dict) -> set:

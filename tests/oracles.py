@@ -11,13 +11,16 @@ normalised by brute-force minimum over rotations and reflections.  The
 cycle of a unicyclic graph comes from leaf stripping on the edge list, and
 the bracelet rule compares a word with every rotation of its reversal.
 
-Two helpers are exceptions.  ``squarefree_part``, the radical of p that
+Some helpers are exceptions.  ``squarefree_part``, the radical of p that
 tests of the Sturm and root code start from, multiplies ucenergy's own Yun
-factors.  ``search_enclose_all`` is the search as it was before the
-Coulson-bracket filter.  It takes its graphs, characteristic polynomials and
-enclosures from ucenergy, which other tests check against their own
-oracles, and encloses every distinct spectrum, so it shares no code with the
-filter it is compared against.
+factors.  ``coulson_bracket`` and the tuple bracket helpers expand
+|p(ix)|**2 term by term and only wrap the result in an ``IntPolynomial``.
+``bisect_reference`` halves ``Fraction`` intervals and reads signs from
+``IntPolynomial.sign_at``.  ``search_enclose_all`` is the search as it was
+before the Coulson-bracket filter.  It takes its graphs, characteristic
+polynomials and enclosures from ucenergy, which other tests check against
+their own oracles, and encloses every distinct spectrum, so it shares no
+code with the filter it is compared against.
 """
 
 from __future__ import annotations
@@ -275,6 +278,58 @@ def bipartite_b_coeffs(p) -> tuple[int, ...]:
                 raise ValueError("sign pattern broken at a_%d" % k)
             bs.append(b)
     return tuple(bs)
+
+
+def coulson_bracket(p):
+    """|x**n p(i/x)|**2 for p of degree n, as an ``IntPolynomial``.
+
+    Expanded term by term: |p(ix)|**2 = sum_(j,k) c_j c_k i**(j-k) x**(j+k),
+    where the terms with j - k odd cancel in pairs, so the coefficient of
+    x**m is the sum of c_j c_k (-1)**((j-k)/2) over j + k = m with m even.
+    The bracket is that polynomial reversed at degree 2n.
+    """
+    from ucenergy.polynomials import IntPolynomial
+
+    c = p.coeffs
+    n = len(c) - 1
+    out = [0] * (2 * n + 1)
+    for j, k in itertools.product(range(n + 1), repeat=2):
+        if (j - k) % 2 == 0:
+            out[2 * n - j - k] += c[j] * c[k] * (-1) ** ((j - k) // 2)
+    return IntPolynomial.from_coeffs(out)
+
+
+def bracket_coefficients(coeffs: tuple[int, ...]) -> tuple[int, ...]:
+    """The Coulson bracket of the polynomial with these coefficients, in
+    x**2, padded with zeros to deg p + 1 entries."""
+    from ucenergy.polynomials import IntPolynomial
+
+    even = coulson_bracket(IntPolynomial(coeffs)).coeffs[::2]
+    return even + (0,) * (len(coeffs) - len(even))
+
+
+def bracket_dominates(h: tuple[int, ...], s: tuple[int, ...]) -> bool:
+    """Dominance of ``bracket_coefficients`` values, entry by entry."""
+    return h != s and all(a >= b for a, b in zip(h, s))
+
+
+def bisect_reference(f, enc, width):
+    """``refine_enclosure`` as plain ``Fraction`` bisection: halve at the
+    midpoint, keep the half whose ends change sign, stop at a root or once
+    the width is at most ``width``."""
+    from ucenergy.roots import RootEnclosure
+
+    lo, hi = enc.lo, enc.hi
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        s = f.sign_at(mid)
+        if s == 0:
+            return RootEnclosure(mid, mid, enc.multiplicity)
+        if s == f.sign_at(lo):
+            lo = mid
+        else:
+            hi = mid
+    return RootEnclosure(lo, hi, enc.multiplicity)
 
 
 def squarefree_part(p):

@@ -125,6 +125,8 @@ def test_search_stats_is_one_json_line_on_stderr(capsys):
     assert json.loads(captured.err) == {
         "graphs": 89,
         "held_max": 10,
+        "compared": 737,
+        "dropped": 78,
         "enclosed": 10,
         "tie_refinements": 0,
     }

@@ -3,10 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import cycle_energy_reference
+from oracles import coulson_bracket, cycle_energy_reference
 from ucenergy.charpoly import charpoly
 from ucenergy.coulson import (
-    coulson_bracket,
     energy_coulson,
     energy_diff_coulson,
     integrate_adaptive,

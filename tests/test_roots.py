@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import squarefree_part
+from oracles import bisect_reference, squarefree_part
 import ucenergy.polynomials as polynomials
 import ucenergy.roots as roots
 from ucenergy.charpoly import charpoly
@@ -20,6 +20,7 @@ from ucenergy.polynomials import (
 )
 from ucenergy.roots import (
     ConvergenceError,
+    RootEnclosure,
     _isolate_squarefree,
     energy_of_poly,
     refine_enclosure,
@@ -181,6 +182,68 @@ def test_radius_covers_rounding_to_a_double():
         energy_of_poly(charpoly(make_path(3)), 1e-17)
 
 
+# (3x - 1)(2x + 5)(x^2 - 7) (5x + 2)^2 x^2: non-monic, with Yun factors whose
+# Cauchy bounds 1 + 44/6 = 25/3 and 1 + 2/5 = 7/5 have coprime odd parts
+_NON_DYADIC = P(-1, 3) * P(5, 2) * P(-7, 0, 1) * P(2, 5) ** 2 * P(0, 0, 1)
+
+
+@pytest.mark.parametrize("tol", [1e-7, 1e-12])
+@pytest.mark.parametrize(
+    "route, p",
+    [
+        ("seeds", charpoly(make_lollipop(8, 6))),
+        ("seeds", charpoly(make_path(5))),  # a zero root
+        ("yun", charpoly(make_cycle(8))),  # repeated eigenvalues
+        ("sturm", _NON_DYADIC),
+    ],
+)
+def test_energy_is_the_exact_sum_of_its_enclosures(monkeypatch, route, p, tol):
+    found, factored, isolated = [], [], []
+    core_enclosures, yun = roots._core_enclosures, roots.squarefree_decomposition
+
+    def record(core, budget):
+        found.extend(core_enclosures(core, budget))
+        return found
+
+    def spy_yun(*args):
+        factored.append(args[0])
+        return yun(*args)
+
+    def spy_isolate(f):
+        isolated.append(f)
+        return _isolate_squarefree(f)
+
+    monkeypatch.setattr(roots, "_core_enclosures", record)
+    monkeypatch.setattr(roots, "squarefree_decomposition", spy_yun)
+    monkeypatch.setattr(roots, "_isolate_squarefree", spy_isolate)
+    if route == "sturm":
+        monkeypatch.setattr(roots, "_laguerre_seeds", lambda f: None)
+        monkeypatch.setattr(roots, "_jacobi_seeds", lambda chain: None)
+    e = energy_of_poly(p, tol)
+    assert (bool(factored), bool(isolated)) == {
+        "seeds": (False, False), "yun": (True, False), "sturm": (True, True)
+    }[route]
+    ends = {end.denominator for enc, _ in found for end in (enc.lo, enc.hi)}
+    assert any(den & (den - 1) for den in ends) == (route == "sturm")  # not 2**k
+    value = sum((mult * abs(enc.midpoint) for enc, mult in found), Fraction(0))
+    radius = sum((mult * enc.width for enc, mult in found), Fraction(0)) / 2
+    radius += abs(Fraction(float(value)) - value)
+    rounded = float(radius)
+    if Fraction(rounded) < radius:
+        rounded = math.nextafter(rounded, math.inf)
+    assert (e.value, e.radius) == (float(value), rounded)
+
+
+def test_bisection_stops_at_a_root_or_its_budget():
+    # the first midpoint of [0, 1] is the root of 2x - 1
+    unit, half = RootEnclosure(Fraction(0), Fraction(1), 1), Fraction(1, 2)
+    assert refine_enclosure(P(-1, 2), unit, Fraction(1, 8)) == RootEnclosure(half, half, 1)
+    with pytest.raises(ConvergenceError):
+        refine_enclosure(
+            P(-2, 0, 1), RootEnclosure(Fraction(1), Fraction(2), 1), Fraction(1, 2**5000)
+        )
+
+
 def test_isolation_without_split_point_is_a_convergence_error(monkeypatch):
     monkeypatch.setattr(roots, "_nonroot_split", lambda f, lo, hi: None)
     with pytest.raises(ConvergenceError):
@@ -204,6 +267,13 @@ def squarefree_real_rooted(draw):
     parents = [draw(st.integers(0, v - 1)) for v in range(1, k)]
     tree = Graph.from_edges(k, list(zip(parents, range(1, k))))
     return squarefree_part(p * charpoly(tree))
+
+
+@given(squarefree_real_rooted(), st.sampled_from([1, 3, 10**6, 7 * 10**12]), st.booleans())
+def test_integer_bisection_matches_fraction_bisection(p, inverse_width, relative):
+    for enc in _isolate_squarefree(p):
+        width = enc.width / inverse_width if relative else Fraction(1, inverse_width)
+        assert refine_enclosure(p, enc, width) == bisect_reference(p, enc, width)
 
 
 @given(squarefree_real_rooted())

@@ -1,14 +1,16 @@
 """The exhaustive search: the Coulson-bracket filter, the ranking and worker-pool sizing."""
 
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import ucenergy.search as search
-from oracles import search_enclose_all
-from ucenergy.charpoly import charpoly
+from oracles import bracket_coefficients, bracket_dominates, search_enclose_all
+from ucenergy.charpoly import charpoly, coefficient_bits
 from ucenergy.enumeration import unicyclic_graphs
 from ucenergy.graphs import Graph
 from ucenergy.roots import EnergyValue, energy_of_poly
@@ -31,7 +33,7 @@ def test_worker_count_is_capped(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(search, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     serial, stats = search_with_stats(6)
     monkeypatch.setattr(search.os, "cpu_count", lambda: 4)
     assert max_energy_search(6, jobs=10**6) == serial
@@ -53,6 +55,18 @@ def test_jobs_below_one_is_rejected(jobs):
 
 def test_two_workers_match_serial():
     assert max_energy_search(6, jobs=2) == max_energy_search(6)
+
+
+def test_importing_the_package_loads_no_process_pool():
+    # the pool is imported only by a search that starts one
+    script = (
+        "import sys, ucenergy; "
+        "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"
 
 
 @pytest.mark.parametrize("top_k", [1, 2, 5, 10, 500])
@@ -84,52 +98,94 @@ def test_a_loose_search_re_encloses_exactly_the_overlapping_spectra(n):
 
 def test_stats_count_the_filter():
     _, stats = search_with_stats(8)
-    assert stats == search.SearchStats(graphs=89, held_max=10, enclosed=10, tie_refinements=0)
+    assert stats == search.SearchStats(
+        graphs=89, held_max=10, compared=737, dropped=78, enclosed=10, tie_refinements=0
+    )
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_a_filter_that_can_drop_nothing_compares_nothing(n):
+    # top_k + 1 exceeds the number of spectra, so no spectrum ever has
+    # top_k + 1 dominators and none is tested
+    spectra = len({charpoly(g).coeffs for _, g in unicyclic_graphs(n)})
+    _, stats = search_with_stats(n, spectra)
+    assert stats.compared == stats.dropped == 0
+    assert stats.enclosed == stats.held_max == spectra
+    # with one fewer, K fills up with every spectrum and is settled in one
+    # pass over its pairs, at one or two tests a pair
+    _, stats = search_with_stats(n, spectra - 1)
+    pairs = spectra * (spectra - 1) // 2
+    assert pairs <= stats.compared <= 2 * pairs and stats.dropped == 0
 
 
 @pytest.mark.parametrize("top_k", [1, 2, 5, 10])
 @pytest.mark.parametrize("n", [7, 9])
 def test_filter_keeps_exactly_the_spectra_with_at_most_k_dominators(n, top_k):
     # the rank-k tie flag reads entry k + 1, so a spectrum goes only when
-    # k + 1 others dominate it; all pairs are compared here, not just the
-    # spectra the filter kept, and the stream arrives in code order and
-    # shuffled
+    # k + 1 others dominate it; all pairs are compared here with the tuple
+    # brackets, not just the spectra the filter kept, and the stream
+    # arrives in code order and shuffled
     pairs = [(code, charpoly(g).coeffs) for code, g in unicyclic_graphs(n)]
     spectra = {coeffs for _, coeffs in pairs}
-    keys = {c: search._bracket_key(c) for c in spectra}
+    keys = {c: bracket_coefficients(c) for c in spectra}
     expected = {
         c: sorted((code for code, coeffs in pairs if coeffs == c), key=str)
         for c in spectra
-        if sum(search._dominates(keys[h], keys[c]) for h in spectra) <= top_k
+        if sum(bracket_dominates(keys[h], keys[c]) for h in spectra) <= top_k
     }
     orders = [pairs] + [random.Random(seed).sample(pairs, len(pairs)) for seed in range(3)]
     for order in orders:
-        kept, graphs, held_max = search._undominated(order, top_k + 1)
+        kept, counts = search._undominated(order, top_k + 1, search._guard(n))
         assert {c: sorted(codes, key=str) for c, codes in kept.items()} == expected
-        assert graphs == len(pairs) and len(expected) <= held_max < len(spectra)
+        assert counts["graphs"] == len(pairs)
+        assert len(expected) <= counts["held_max"] < len(spectra)
+        assert counts["dropped"] >= len(spectra) - len(expected)
     _, stats = search_with_stats(n, top_k)
     assert stats.enclosed == len(expected)
+
+
+def _digits(key, n):
+    """The n + 1 base-2**w digits of a bracket key, bias removed: M_0 .. M_n."""
+    w = 2 * coefficient_bits(n) + 2
+    return [((key >> w * i) & ((1 << w) - 1)) - (1 << (w - 2)) for i in range(n + 1)]
 
 
 def _bracket_of(code_text, n):
     for code, graph in unicyclic_graphs(n):
         if str(code) == code_text:
-            return search._bracket_key(charpoly(graph).coeffs)
+            coeffs = charpoly(graph).coeffs
+            return search._bracket_key(coeffs), bracket_coefficients(coeffs)
     raise KeyError(code_text)
 
 
 def test_a_singular_bracket_is_padded_before_comparison():
     # phi of the first graph has a zero root, so its bracket has degree 10,
-    # not 12.  Compared without padding, its six coefficients all exceed the
-    # first six of the second bracket, yet the second graph has more energy
-    # (7.3006 against 7.1917) and is among the top 6 at n = 6.
-    low = _bracket_of("U[l=3|.,.,0-1-2-2]", 6)
-    high = _bracket_of("U[l=3|0-1,0-1,0-1]", 6)
-    assert len(low) == len(high) == 7 and low[-1] == 0 < high[-1]
-    assert all(a >= b for a, b in zip(low[:-1], high))
-    assert not search._dominates(low, high)
+    # not 12, and the key's digit M_0 = c_0**2 is 0.  Compared without that
+    # digit, its six coefficients all exceed those of the second bracket,
+    # yet the second graph has more energy (7.3006 against 7.1917) and is
+    # among the top 6 at n = 6.
+    (low, low_tuple), (high, high_tuple) = (
+        _bracket_of("U[l=3|.,.,0-1-2-2]", 6),
+        _bracket_of("U[l=3|0-1,0-1,0-1]", 6),
+    )
+    low_digits, high_digits = _digits(low, 6), _digits(high, 6)
+    assert low_digits[::-1] == list(low_tuple) and high_digits[::-1] == list(high_tuple)
+    assert low_digits[0] == 0 < high_digits[0]
+    assert all(a >= b for a, b in zip(low_digits[1:], high_digits[1:]))
+    guard = search._guard(6)
+    assert not search._dominates(low, high, guard)
+    assert not search._dominates(high, low, guard)
     top = [str(r.code) for r in max_energy_search(6, top_k=6)]
     assert "U[l=3|0-1,0-1,0-1]" in top
+
+
+def test_a_bracket_beyond_the_digit_bound_raises():
+    # sum |c_k| < 2**(b - 2) holds for every unicyclic spectrum; past it a
+    # digit could leave its range, so the key is refused
+    limit = 1 << (coefficient_bits(3) - 2)
+    search._bracket_key((-(limit - 2), 0, 0, 1))  # sum limit - 1: accepted
+    with pytest.raises(OverflowError):
+        search._bracket_key((-(limit - 1), 0, 0, 1))
 
 
 @st.composite
@@ -147,13 +203,23 @@ def unicyclic_pairs(draw):
 
 
 @given(unicyclic_pairs())
+def test_packed_dominance_equals_tuple_dominance(pair):
+    g, h = (charpoly(graph).coeffs for graph in pair)
+    guard = search._guard(len(g) - 1)
+    packed = search._bracket_key(g), search._bracket_key(h)
+    tuples = bracket_coefficients(g), bracket_coefficients(h)
+    assert search._dominates(*packed, guard) == bracket_dominates(*tuples)
+    assert search._dominates(*packed[::-1], guard) == bracket_dominates(*tuples[::-1])
+    assert (packed[0] == packed[1]) == (tuples[0] == tuples[1])
+
+
+@given(unicyclic_pairs())
 def test_bracket_dominance_orders_the_enclosures(pair):
-    (h, b_h), (g, b_g) = sorted(
-        ((p, search._bracket_key(p.coeffs)) for p in map(charpoly, pair)),
-        key=lambda e: sum(e[1]),
-        reverse=True,
+    h, g = sorted(
+        map(charpoly, pair), key=lambda p: sum(bracket_coefficients(p.coeffs)), reverse=True
     )
-    assume(search._dominates(b_h, b_g))
+    guard = search._guard(h.degree)
+    assume(search._dominates(search._bracket_key(h.coeffs), search._bracket_key(g.coeffs), guard))
     e_h, e_g = energy_of_poly(h), energy_of_poly(g)
     assert e_h.value + e_h.radius >= e_g.value - e_g.radius
 
