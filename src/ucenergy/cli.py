@@ -25,6 +25,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -276,10 +277,10 @@ def _cmd_closed_form_check(args) -> int:
 
 
 def positive_float(text: str) -> float:
-    """argparse type for --tol: a float > 0, else a usage error (exit 2)."""
+    """argparse type for --tol: a finite float > 0, else a usage error (exit 2)."""
     value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError("must be positive, got %r" % text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError("must be positive and finite, got %r" % text)
     return value
 
 

@@ -5,31 +5,25 @@ each tried only when the one before it fails.
 
 1. Verified float seeds for the whole core (p without its zero roots), in
    the manner of Rump ("Verification methods: rigorous results using
-   floating-point arithmetic", Acta Numerica 2010).  Each seed is rounded to
-   a dyadic bracket [m - 1, m + 1] / 2**k, and the sign of p at both ends is
-   checked in integer arithmetic: p(j / 2**k) * 2**(k*d) is an integer.
-   When a polynomial of degree d has d disjoint brackets, each with a strict
-   sign change, each bracket holds exactly one simple root: all roots are
-   real, isolated, and the polynomial is square-free.  Two seed sources are
-   tried in turn:
+   floating-point arithmetic", Acta Numerica 2010).  The seeds are LAPACK's
+   eigenvalues of the Jacobi matrix of the Sturm chain (Schmeisser, "A real
+   symmetric tridiagonal matrix with a given characteristic polynomial",
+   Linear Algebra Appl. 193, 1993).  A square-free, real-rooted polynomial
+   has a full Sturm chain, whose monic members obey a three-term
+   recurrence; its coefficients, computed exactly from the chain's integer
+   coefficients, are the entries of a symmetric tridiagonal matrix with
+   characteristic polynomial p.  Each seed is rounded to a dyadic bracket
+   [m - 1, m + 1] / 2**k, and the sign of p at both ends is checked in
+   integer arithmetic: p(j / 2**k) * 2**(k*d) is an integer.  When a
+   polynomial of degree d has d disjoint brackets, each with a strict sign
+   change, each bracket holds exactly one simple root: all roots are real,
+   isolated, and the polynomial is square-free.
 
-   * pure-Python Laguerre iteration with deflation, polished by Newton steps
-     on the undeflated polynomial.  For the small spectra of the search it
-     is the cheaper source, but deflation in doubles loses the roots from
-     about 40 vertices on;
-   * the Jacobi matrix of the Sturm chain (Schmeisser, "A real symmetric
-     tridiagonal matrix with a given characteristic polynomial", Linear
-     Algebra Appl. 193, 1993).  A square-free, real-rooted polynomial has a
-     full Sturm chain, whose monic members obey a three-term recurrence.
-     Its coefficients, computed exactly, are the entries of a symmetric
-     tridiagonal matrix with characteristic polynomial p, and LAPACK's
-     ``eigvalsh`` of that matrix seeds every root.
-
-2. When both seed sources fail (repeated eigenvalues, as in the cycles, or
-   complex roots), Yun's algorithm splits the core into square-free factors
-   and each factor is seeded and checked the same way.  Yun starts from the
-   last member of the Sturm chain the Jacobi route built, which is
-   gcd(core, core') up to a constant.
+2. When the seeds fail (repeated eigenvalues, as in the cycles, or complex
+   roots), Yun's algorithm splits the core into square-free factors and
+   each factor is seeded and checked the same way.  Yun starts from the
+   last member of the core's Sturm chain, which is gcd(core, core') up to
+   a constant.
 
 3. A factor whose seeds still fail has its roots isolated by Sturm counting.
 
@@ -59,8 +53,6 @@ from .polynomials import (
 
 _MAX_BISECTIONS = 4096
 _UNIT_ROUNDOFF = 2.0 ** -53
-_LAGUERRE_STEPS = 64
-_NEWTON_STEPS = 4
 
 
 class ConvergenceError(RuntimeError):
@@ -193,15 +185,16 @@ def energy_of_poly(p: IntPolynomial, tol: float = 1e-7) -> EnergyValue:
 
     Requires every root of p to be real, which holds for characteristic
     polynomials of symmetric matrices; a complex pair raises ValueError.
-    The enclosures come from verified seeds for the whole core (Laguerre
-    first, then the eigenvalues of the Jacobi matrix built from the Sturm
-    chain, after Schmeisser 1993), else from seeds per Yun factor, else from
+    The enclosures come from verified seeds for the whole core (the
+    eigenvalues of the Jacobi matrix built from the Sturm chain, after
+    Schmeisser 1993), else from the same seeds per Yun factor, else from
     Sturm isolation; see the module docstring.
     The radius covers the enclosures and the rounding of the value to a
-    float; ConvergenceError is raised when tol is too tight for a double.
+    float; ConvergenceError is raised when tol is too tight for a double,
+    and ValueError when tol is not a positive finite number.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tolerance must be positive and finite")
     if p.is_zero:
         raise ValueError("zero polynomial")
     zero_mult = p.lowest_power()
@@ -263,19 +256,14 @@ def _core_enclosures(
 
 def _verified_enclosures(
     f: IntPolynomial, budget: Fraction
-) -> tuple[list[RootEnclosure] | None, tuple[IntPolynomial, ...] | None]:
+) -> tuple[list[RootEnclosure] | None, tuple[IntPolynomial, ...]]:
     """Enclosures of width <= budget for all roots of f, from float seeds.
 
-    The Laguerre seeds are tried first.  Only when they fail is the Sturm
-    chain of +-f built, for the Jacobi seeds, and it is returned with the
-    enclosures so the fallbacks can reuse it.  The enclosures are None when
-    neither seed source passes the exact check of ``_checked_enclosures``;
-    the chain is None when the Laguerre seeds passed.
+    The seeds are the Jacobi seeds of the Sturm chain of +-f, and the chain
+    is returned with the enclosures so the fallbacks can reuse it.  The
+    enclosures are None when f has no Jacobi matrix or its seeds fail the
+    exact check of ``_checked_enclosures``.
     """
-    seeds = _laguerre_seeds(f)
-    out = None if seeds is None else _checked_enclosures(f, seeds, budget)
-    if out is not None:
-        return out, None
     chain = sturm_chain(f if f.leading > 0 else -f)
     seeds = _jacobi_seeds(chain)
     out = None if seeds is None else _checked_enclosures(f, seeds, budget)
@@ -332,64 +320,18 @@ def _budget_bits(budget: Fraction) -> int:
     return (t - 1).bit_length() if t > 1 else 0
 
 
-def _laguerre_seeds(f: IntPolynomial) -> list[tuple[float, float]] | None:
-    """(seed, error estimate) for every root of f, or None on float failure.
-
-    Laguerre iteration converges monotonically from above the largest root
-    of a real-rooted polynomial.  It starts at the spectral bound
-    sqrt(a1**2 - 2*a2) of the monic polynomial (the root-sum-square) and,
-    after each deflation, at the root just found.  The error estimate of a
-    polished seed x is Horner's rounding bound for f(x) over |f'(x)|, plus
-    the rounding of x itself.  Nothing here is trusted: the integer sign
-    checks decide.
-    """
-    d = f.degree
-    try:
-        monic = [c / f.leading for c in reversed(f.coeffs)]
-    except OverflowError:
-        return None
-    a1 = monic[1]
-    a2 = monic[2] if d >= 2 else 0.0
-    bound = math.sqrt(max(a1 * a1 - 2.0 * a2, 0.0))
-    x = bound
-    work = monic
-    rough = []
-    for _ in range(d):
-        x = _laguerre(work, x)
-        # a real root lies in [-bound, bound]; deflation may have gone astray
-        if x is None or not abs(x) <= bound * (1 + 2.0 ** -20):
-            return None
-        rough.append(x)
-        work = _deflate(work, x)
-    seeds = []
-    for x in rough:
-        for _ in range(_NEWTON_STEPS):
-            px, dpx, _ = _horner(monic, x)
-            if dpx == 0.0:
-                return None
-            step = px / dpx
-            x -= step
-            if abs(step) <= _UNIT_ROUNDOFF * abs(x):
-                break
-        _, dpx, mag = _horner(monic, x)
-        err = _UNIT_ROUNDOFF * (2 * d * mag / abs(dpx) + abs(x)) if dpx else math.inf
-        if not (math.isfinite(x) and 0.0 < err < math.inf):
-            return None
-        seeds.append((x, err))
-    return seeds
-
-
 def _jacobi_coefficients(
     chain: tuple[IntPolynomial, ...],
-) -> tuple[list[Fraction], list[Fraction]] | None:
+) -> tuple[list[tuple[int, int]], list[tuple[int, int]]] | None:
     """Exact entries of a Jacobi matrix with characteristic polynomial f/lc(f).
 
     ``chain`` is the Sturm chain of +-f, the sign that makes the leading
     coefficient positive.  Returns (alpha, beta): the diagonal
-    alpha_1..alpha_d and the squared off-diagonal beta_1..beta_{d-1}, all
-    beta_k > 0, or None unless the chain is full: d + 1 members of degrees
-    d, d-1, ..., 0, all with positive leading coefficients, which holds
-    exactly when f is square-free with only real roots.  Its monic members
+    alpha_1..alpha_d and the squared off-diagonal beta_1..beta_{d-1}, each
+    an integer (numerator, positive denominator) pair and all beta_k > 0,
+    or None unless the chain is full: d + 1 members of degrees d, d-1, ...,
+    0, all with positive leading coefficients, which holds exactly when f is
+    square-free with only real roots.  Its monic members
     M_0 = f/lc(f), ..., M_d = 1 then obey
     M_{k-1} = (x - alpha_k) M_k - beta_k M_{k+1} (M_{d+1} = 0), and
     alpha_k, beta_k follow from the two coefficients below the leading one
@@ -400,22 +342,23 @@ def _jacobi_coefficients(
         g.degree != d - k or g.leading <= 0 for k, g in enumerate(chain)
     ):
         return None
-    tops = [
-        (Fraction(g.coeff(g.degree - 1), g.leading),
-         Fraction(g.coeff(g.degree - 2), g.leading))
-        for g in chain
-    ]
-    alpha: list[Fraction] = []
-    beta: list[Fraction] = []
-    for (a1, a2), (c1, c2) in zip(tops, tops[1:]):
-        # match (x - alpha) M_k - beta M_{k+1} with M_{k-1} at x**m and
-        # x**(m-1), where m = deg M_k
-        alpha.append(c1 - a1)
+    alpha: list[tuple[int, int]] = []
+    beta: list[tuple[int, int]] = []
+    for g, h in zip(chain, chain[1:]):
+        # M_{k-1} = g / lg and M_k = h / lh, lg and lh the leading
+        # coefficients; matching (x - alpha) M_k - beta M_{k+1} with M_{k-1}
+        # at x**m and x**(m-1), where m = deg h, gives alpha = h1/lh - g1/lg
+        # and beta = h2/lh - alpha h1/lh - g2/lg, here over lg lh and lg lh**2
+        lg, lh = g.leading, h.leading
+        g1, g2 = g.coeff(g.degree - 1), g.coeff(g.degree - 2)
+        h1, h2 = h.coeff(h.degree - 1), h.coeff(h.degree - 2)
+        a = h1 * lg - g1 * lh
+        alpha.append((a, lg * lh))
         if len(alpha) < d:
-            b = c2 - alpha[-1] * c1 - a2
+            b = h2 * lg * lh - a * h1 - g2 * lh * lh
             if b <= 0:
                 return None
-            beta.append(b)
+            beta.append((b, lg * lh * lh))
     return alpha, beta
 
 
@@ -440,54 +383,11 @@ def _jacobi_seeds(
     if coefficients is None:
         return None
     alpha, beta = coefficients
-    off = np.sqrt([float(b) for b in beta])
-    matrix = np.diag([float(a) for a in alpha]) + np.diag(off, 1) + np.diag(off, -1)
+    # int / int rounds correctly, so each entry is the double nearest it
+    diagonal = [num / den for num, den in alpha]
+    off = np.sqrt([num / den for num, den in beta])
+    matrix = np.diag(diagonal) + np.diag(off, 1) + np.diag(off, -1)
     eigenvalues = np.linalg.eigvalsh(matrix)
     err = 2 * len(alpha) * _UNIT_ROUNDOFF * float(np.abs(eigenvalues).max())
     return [(float(x), err) for x in eigenvalues]
 
-
-def _laguerre(b: list[float], x: float) -> float | None:
-    """One root of the descending float polynomial b, iterating from x."""
-    n = len(b) - 1
-    last = math.inf
-    for _ in range(_LAGUERRE_STEPS):
-        p, dp, half_ddp = b[0], 0.0, 0.0
-        for c in b[1:]:
-            half_ddp = half_ddp * x + dp
-            dp = dp * x + p
-            p = p * x + c
-        if p == 0.0:
-            return x
-        g = dp / p
-        h = g * g - 2.0 * half_ddp / p
-        root = math.sqrt(max((n - 1) * (n * h - g * g), 0.0))
-        denom = g + root if g >= 0 else g - root
-        if denom == 0.0 or not math.isfinite(denom):
-            return None
-        step = n / denom
-        x -= step
-        # steps shrink until rounding noise takes over (or x is exact)
-        if abs(step) <= _UNIT_ROUNDOFF * abs(x) or abs(step) >= last:
-            break
-        last = abs(step)
-    return x
-
-
-def _deflate(b: list[float], r: float) -> list[float]:
-    """Quotient of b by (x - r), remainder dropped."""
-    out = [b[0]]
-    for c in b[1:-1]:
-        out.append(c + r * out[-1])
-    return out
-
-
-def _horner(b: list[float], x: float) -> tuple[float, float, float]:
-    """b(x), b'(x) and sum |b_j| |x|**j for the descending polynomial b."""
-    p, dp, mag = b[0], 0.0, abs(b[0])
-    ax = abs(x)
-    for c in b[1:]:
-        dp = dp * x + p
-        p = p * x + c
-        mag = mag * ax + abs(c)
-    return p, dp, mag

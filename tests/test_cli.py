@@ -21,6 +21,7 @@ from ucenergy.polynomials import IntPolynomial
         ["energy", "C:5", "--tol", "0"],
         ["energy", "C:5", "--method", "eig", "--tol", "-1"],
         ["energy", "C:5", "--tol", "nan"],
+        ["energy", "C:5", "--tol", "inf"],
     ],
 )
 def test_nonpositive_tolerance_is_a_usage_error(argv, capsys):

@@ -62,6 +62,12 @@ def test_bipartite_spectrum_symmetry():
         assert abs(lo_val + hi_val) < 1e-8
 
 
+def test_non_finite_tolerance_rejected():
+    for tol in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            energy_of_poly(charpoly(make_cycle(5)), tol)
+
+
 def test_zero_polynomial_rejected():
     for entry in (squarefree_decomposition, sturm_chain, energy_of_poly):
         with pytest.raises(ValueError):
@@ -161,11 +167,11 @@ def test_yun_reuses_the_gcd_at_the_end_of_the_sturm_chain(monkeypatch):
 
 @pytest.mark.parametrize("tol", [1e-7, 1e-12])
 def test_squarefree_spectrum_never_reaches_sturm(monkeypatch, tol):
-    def forbidden(p):
+    def forbidden(p, *args):
         raise AssertionError("fallback route taken for %s" % p)
 
     monkeypatch.setattr(roots, "squarefree_decomposition", forbidden)
-    monkeypatch.setattr(roots, "sturm_chain", forbidden)
+    monkeypatch.setattr(roots, "_isolate_squarefree", forbidden)
     e = energy_of_poly(charpoly(make_lollipop(8, 6)), tol)
     assert round(e.value, 5) == 10.42429
     assert e.radius <= tol
@@ -217,7 +223,6 @@ def test_energy_is_the_exact_sum_of_its_enclosures(monkeypatch, route, p, tol):
     monkeypatch.setattr(roots, "squarefree_decomposition", spy_yun)
     monkeypatch.setattr(roots, "_isolate_squarefree", spy_isolate)
     if route == "sturm":
-        monkeypatch.setattr(roots, "_laguerre_seeds", lambda f: None)
         monkeypatch.setattr(roots, "_jacobi_seeds", lambda chain: None)
     e = energy_of_poly(p, tol)
     assert (bool(factored), bool(isolated)) == {
@@ -278,7 +283,10 @@ def test_integer_bisection_matches_fraction_bisection(p, inverse_width, relative
 
 @given(squarefree_real_rooted())
 def test_jacobi_recurrence_reproduces_the_monic_polynomial(p):
-    alpha, beta = roots._jacobi_coefficients(sturm_chain(p))
+    alpha, beta = (
+        [Fraction(num, den) for num, den in pairs]
+        for pairs in roots._jacobi_coefficients(sturm_chain(p))
+    )
     d = p.degree
     assert len(alpha) == d and len(beta) == d - 1
     assert all(b > 0 for b in beta)
