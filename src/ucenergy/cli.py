@@ -327,7 +327,11 @@ def build_parser() -> argparse.ArgumentParser:
         "enumerate", parents=[common], help="list unicyclic graphs up to isomorphism"
     )
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--count-only", action="store_true")
+    p.add_argument(
+        "--count-only",
+        action="store_true",
+        help="print only the number of classes, counted by Polya's theorem",
+    )
     p.add_argument("--emit", choices=("g6",))
     p.set_defaults(func=_cmd_enumerate)
 

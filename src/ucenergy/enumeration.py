@@ -20,18 +20,26 @@ only the rotations tied with it there are compared.  So each class is
 produced once, and none is generated and then discarded as a duplicate.
 
 Words stream out in increasing (cycle length, trees) order, the order of the
-recursion; nothing is sorted or stored, and counting builds no code.  Memory
-is the alphabet (trees on at most n - 2 vertices, four ints each) plus O(n).
+recursion; nothing is sorted or stored.  Memory is the alphabet (trees on at
+most n - 2 vertices, four ints each) plus O(n).
+
+Counting generates nothing.  By Polya's theorem the classes with cycle length
+l number [x^n] Z(D_l; R(x), R(x^2), ...), the cycle index of the dihedral
+group with R(x) the series of rooted trees by size (Polya 1937; Harary and
+Palmer, "Graphical Enumeration", 1973), computed in Python ints.  The count
+shares no code with the generator, so a stream of that many distinct codes,
+such as the one the search reads, holds every class.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from math import gcd
 from typing import Iterator
 
 from .graphs import Graph
-from .trees import decode_level_sequence, rooted_trees
+from .trees import decode_level_sequence, rooted_tree_counts, rooted_trees
 
 
 @dataclass(frozen=True)
@@ -147,20 +155,22 @@ def _least_reflection(word: list[int]) -> bool:
     return s >= l
 
 
-def _words(n: int) -> tuple[list[tuple[int, ...]], Iterator[tuple[int, list[int]]]]:
-    """Alphabet trees, and (l, word of their indices) per class in code order."""
+def _check_order(n: int) -> None:
     if n < 3:
         raise ValueError("unicyclic graphs need n >= 3, got %d" % n)
-    # largest possible pendant tree: everything outside a triangle plus root
-    alphabet = _Alphabet(n - 2)
-    words = ((l, w) for l in range(3, n + 1) for w in _bracelet_words(alphabet, l, n))
-    return alphabet.trees, words
 
 
 def _codes(n: int) -> Iterator[UnicyclicCode]:
     """Every unicyclic code of order n, once, in increasing code order."""
-    trees, words = _words(n)
-    return (UnicyclicCode(l, tuple(trees[j] for j in word)) for l, word in words)
+    _check_order(n)
+    # largest possible pendant tree: everything outside a triangle plus root
+    alphabet = _Alphabet(n - 2)
+    trees = alphabet.trees
+    return (
+        UnicyclicCode(l, tuple(trees[j] for j in word))
+        for l in range(3, n + 1)
+        for word in _bracelet_words(alphabet, l, n)
+    )
 
 
 def unicyclic_graphs(n: int) -> Iterator[tuple[UnicyclicCode, Graph]]:
@@ -175,5 +185,54 @@ def unicyclic_graphs(n: int) -> Iterator[tuple[UnicyclicCode, Graph]]:
 
 
 def count_unicyclic(n: int) -> int:
-    """Number of unicyclic classes of order n, counted as bracelet words."""
-    return sum(1 for _ in _words(n)[1])
+    """Number of unicyclic classes of order n (OEIS A001429).
+
+    The sum over cycle lengths l = 3..n of [x^n] Z(D_l; R(x), R(x^2), ...),
+    by Polya's theorem (Harary and Palmer, "Graphical Enumeration", 1973);
+    no graph or code is generated.
+    """
+    return sum(_count_by_cycle_length(n).values())
+
+
+def _count_by_cycle_length(n: int) -> dict[int, int]:
+    """Unicyclic classes of order n per cycle length l, by Polya's theorem.
+
+    A class is an orbit of the dihedral group D_l on the l rooted trees
+    round the cycle, with sizes summing to n.  By Burnside's lemma, 2l times
+    the number of orbits is the sum over the group of the weight each
+    element fixes, which is [x^n] of
+      R(x^(l/g))^g for the rotation by k, g = gcd(k, l);
+      R(x) R(x^2)^((l-1)/2) for each of the l reflections when l is odd;
+      R(x^2)^(l/2) and R(x)^2 R(x^2)^(l/2-1) for l/2 reflections each when
+      l is even,
+    with R(x) = sum r_s x^s counting rooted trees by size.  As
+    [x^k] R(x^d)^m is [x^(k/d)] R(x)^m when d divides k and 0 otherwise,
+    only the powers of R(x), truncated at x^n, are built, each from the last.
+    """
+    _check_order(n)
+    r = rooted_tree_counts(n)
+    powers = [[1] + [0] * n]  # R(x)^m for m = 0..n; R^m starts at x^m
+    for m in range(1, n + 1):
+        last = powers[-1]
+        powers.append(
+            [sum(last[i] * r[k - i] for i in range(m - 1, k)) for k in range(n + 1)]
+        )
+
+    def fixed(m: int, d: int, k: int) -> int:  # [x^k] R(x^d)^m
+        return 0 if k % d else powers[m][k // d]
+
+    counts = {}
+    for l in range(3, n + 1):
+        total = sum(fixed(g, l // g, n) for g in (gcd(k, l) for k in range(l)))
+        half = l // 2
+        if l % 2:
+            total += l * sum(r[s] * fixed(half, 2, n - s) for s in range(1, n + 1))
+        else:
+            total += half * fixed(half, 2, n)
+            total += half * sum(powers[2][j] * fixed(half - 1, 2, n - j) for j in range(n + 1))
+        counts[l], rest = divmod(total, 2 * l)
+        if rest:
+            raise ArithmeticError(
+                "Burnside sum %d is not a multiple of 2l = %d (n = %d)" % (total, 2 * l, n)
+            )
+    return counts

@@ -9,6 +9,7 @@ makes the sequences usable both as generator output and as memoisation keys.
 ``rooted_trees`` generates all canonical sequences of a given size with the
 constant-amortised-time successor rule of Beyer and Hedetniemi (sequences are
 emitted in decreasing lexicographic order, path first, star last).
+``rooted_tree_counts`` counts them without generating any.
 """
 
 from __future__ import annotations
@@ -30,6 +31,23 @@ def rooted_trees(k: int) -> list[tuple[int, ...]]:
             return out
         seq = nxt
         out.append(tuple(seq))
+
+
+def rooted_tree_counts(n: int) -> list[int]:
+    """Numbers r_0..r_n of rooted trees on 0..n vertices (OEIS A000081).
+
+    r_0 = 0, so the list is the series R(x) = sum r_k x^k truncated at x^n.
+    The recurrence k r_(k+1) = sum_(j=1..k) (sum_(d|j) d r_d) r_(k+1-j)
+    follows from R(x) = x exp(sum_(i>=1) R(x^i)/i); the division is exact.
+    """
+    r = [0] * (n + 1)
+    divisor_sums = [0] * (n + 1)  # sum_(d|j) d r_d
+    if n >= 1:
+        r[1] = 1
+    for k in range(1, n):
+        divisor_sums[k] = sum(d * r[d] for d in range(1, k + 1) if k % d == 0)
+        r[k + 1] = sum(divisor_sums[j] * r[k + 1 - j] for j in range(1, k + 1)) // k
+    return r
 
 
 def _successor(seq: list[int]) -> list[int] | None:

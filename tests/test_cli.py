@@ -174,9 +174,10 @@ def test_python_dash_m_runs_the_cli():
             [sys.executable, "-m", "ucenergy", *argv], capture_output=True, text=True, env=env
         )
 
-    ok = run(6)
-    assert ok.returncode == 0, ok.stderr
-    assert ok.stdout.split() == ["n,count", "6,13"]
+    for n, count in ((6, 13), (17, 880840)):
+        ok = run(n)
+        assert ok.returncode == 0, ok.stderr
+        assert ok.stdout.split() == ["n,count", "%d,%d" % (n, count)]
     bad = run(2)
     assert bad.returncode == 2
     assert "Traceback" not in bad.stderr

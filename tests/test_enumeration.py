@@ -20,6 +20,7 @@ from ucenergy.enumeration import (
     _Alphabet,
     _bracelet_words,
     _codes,
+    _count_by_cycle_length,
     count_unicyclic,
     realize,
     unicyclic_graphs,
@@ -29,14 +30,19 @@ from ucenergy.trees import (
     canonical_level_sequence,
     decode_level_sequence,
     free_tree_code,
+    rooted_tree_counts,
     rooted_trees,
     tree_centers,
 )
 
-# OEIS A001429, connected unicyclic graphs on n = 3..14 vertices; the labeled
+# OEIS A001429, connected unicyclic graphs on n = 3..17 vertices; the labeled
 # brute-force census agrees up to n = 8 (VF2 dedup live for n <= 6, orbit
-# identity for n = 7, and the n = 8 value confirmed once by the same oracles)
-A001429 = (1, 2, 5, 13, 33, 89, 240, 657, 1806, 5026, 13999, 39260)
+# identity for n = 7, and the n = 8 value confirmed once by the same oracles).
+# The generator matches it here up to n = 14; it matched it once for n = 15,
+# 16 and 17, which take seconds to generate.
+A001429 = (
+    1, 2, 5, 13, 33, 89, 240, 657, 1806, 5026, 13999, 39260, 110381, 311465, 880840
+)
 
 
 def test_rooted_tree_counts_match_brute_force():
@@ -45,10 +51,11 @@ def test_rooted_tree_counts_match_brute_force():
 
 
 def test_rooted_tree_known_counts():
-    # OEIS A000081, rooted trees on k = 1..14 vertices
-    assert [len(rooted_trees(k)) for k in range(1, 15)] == [
-        1, 1, 2, 4, 9, 20, 48, 115, 286, 719, 1842, 4766, 12486, 32973
-    ]
+    # OEIS A000081, rooted trees on k = 1..14 vertices, generated and counted
+    a000081 = [1, 1, 2, 4, 9, 20, 48, 115, 286, 719, 1842, 4766, 12486, 32973]
+    assert [len(rooted_trees(k)) for k in range(1, 15)] == a000081
+    assert rooted_tree_counts(14) == [0] + a000081
+    assert rooted_tree_counts(0) == [0]
     with pytest.raises(ValueError):
         rooted_trees(0)
 
@@ -108,7 +115,15 @@ def test_count_seven_by_orbit_identity(unicyclic_by_order):
 
 
 def test_counts_frozen_values():
-    assert tuple(count_unicyclic(n) for n in range(3, 15)) == A001429
+    assert tuple(count_unicyclic(n) for n in range(3, 18)) == A001429
+
+
+def test_burnside_sum_must_divide(monkeypatch):
+    # a wrong cycle index (every rotation taken as one l-cycle) gives a
+    # Burnside sum that 2l does not divide; the count raises, never floors
+    monkeypatch.setattr(enumeration, "gcd", lambda k, l: 1)
+    with pytest.raises(ArithmeticError):
+        count_unicyclic(4)
 
 
 def test_counts_stable_and_consistent():
@@ -139,8 +154,13 @@ def test_tie_only_reversal_test_is_exact(monkeypatch):
 
 
 def test_count_equals_codes():
-    for n in range(3, 13):
-        assert count_unicyclic(n) == sum(1 for _ in _codes(n)), n
+    # Polya's count against the generator, in total and per cycle length
+    for n in range(3, 15):
+        assert count_unicyclic(n) == sum(1 for _ in _codes(n)) == A001429[n - 3], n
+        if n <= 12:
+            alphabet = _Alphabet(n - 2)
+            for l, count in _count_by_cycle_length(n).items():
+                assert count == len(list(_bracelet_words(alphabet, l, n))), (l, n)
 
 
 def test_codes_equal_brute_force_list():

@@ -3,9 +3,10 @@
 import pytest
 
 from ucenergy.charpoly import charpoly
+from ucenergy.enumeration import count_unicyclic
 from ucenergy.graphs import make_cycle, make_lollipop
 from ucenergy.roots import energy_of_poly
-from ucenergy.search import max_energy_search
+from ucenergy.search import search_with_stats
 from ucenergy.tables import TOLERANCE, compute_table
 
 # The cycle wins for n = 3, 5, 6, 7, 9, 10, 11, 13.  At n = 4 the paw L(4,3) wins
@@ -20,7 +21,10 @@ WINNERS[12] = ("U[l=6|.,.,.,.,.,0-1-2-3-4-5-6]", make_lollipop(12, 6))
 @pytest.mark.parametrize("n", sorted(WINNERS))
 def test_search_winner(n):
     code, graph = WINNERS[n]
-    top = max_energy_search(n)[0]
+    ranked, stats = search_with_stats(n)
+    # the search saw as many graphs as there are classes: it was exhaustive
+    assert stats.graphs == count_unicyclic(n)
+    top = ranked[0]
     assert str(top.code) == code
     assert not top.tied
     # the code names the graph: same energy as the graph built directly
