@@ -8,6 +8,15 @@ Graph selector syntax:
     g6:<string>          graph6-encoded graph
     g6:-                 read graph6 strings from stdin, one per line
 
+The order n of a C:, P:, L: or CP: selector is at most MAX_SELECTOR_ORDER =
+500, checked before any graph is built (exit 2), so a mistyped order cannot
+exhaust memory; graph6 stops at n = 62.  At n = 500 the slowest selector
+measured, ``diff L:500:6 L:500:499 --method all``, takes 8.7 s and 57 MiB of
+peak RSS on a 2-CPU x86-64 machine.  Above it the Coulson route soon
+overflows a double (``energy C:750 --method coulson`` does), and the exact
+route keeps growing: ``energy C:1000`` takes 2.8 s and 57 MiB,
+``energy C:2000`` 13 s and 174 MiB.
+
 Exit codes: 0 success, 2 bad selector or argument (any ValueError the
 library raises for its input), 3 convergence failure, 4 golden-table
 mismatch or a lollipop closed form that is not an identity in z, 5 refuted
@@ -55,6 +64,8 @@ EXIT_CONVERGENCE = 3
 EXIT_GOLDEN = 4
 EXIT_REFUTED = 5
 
+MAX_SELECTOR_ORDER = 500
+
 
 class SpecError(ValueError):
     pass
@@ -65,21 +76,30 @@ def parse_graph_spec(spec: str) -> Graph:
     try:
         kind, _, rest = spec.partition(":")
         if kind == "C":
-            return make_cycle(int(rest))
+            return make_cycle(_order(rest))
         if kind == "P":
-            return make_path(int(rest))
+            return make_path(_order(rest))
         if kind == "L":
             n_str, _, l_str = rest.partition(":")
-            return make_lollipop(int(n_str), int(l_str))
+            return make_lollipop(_order(n_str), int(l_str))
         if kind == "CP":
             n_str, l_str, counts = rest.split(":", 2)
+            n = _order(n_str)
             attachment = [int(c) for c in counts.split(",")] if counts else []
-            return make_cycle_with_pendants(int(n_str), int(l_str), attachment)
+            return make_cycle_with_pendants(n, int(l_str), attachment)
         if kind == "g6":
             return parse_graph6(rest)
     except (ValueError, GraphError) as exc:
         raise SpecError("bad graph selector %r: %s" % (spec, exc)) from exc
     raise SpecError("unknown selector kind in %r" % spec)
+
+
+def _order(text: str) -> int:
+    """A selector's order n, at most MAX_SELECTOR_ORDER."""
+    n = int(text)
+    if n > MAX_SELECTOR_ORDER:
+        raise ValueError("order %d exceeds the limit %d" % (n, MAX_SELECTOR_ORDER))
+    return n
 
 
 def _expand_specs(spec: str) -> list[tuple[str, Graph]]:

@@ -5,9 +5,10 @@ x**k, and the zero polynomial is the empty tuple.  On top of the ring
 operations this module hosts the exact real-root kernel shared by the root
 isolator and the inequality certifier, all of it in integer arithmetic: sign
 evaluation at rational points, pseudo-remainders and exact division, the
-primitive gcd, Yun square-free factorisation, Sturm chains and their sign
-variations at a point.  ``IntPolynomial.from_packed`` reads a polynomial back
-from its value at x = 2**b, for callers that compute in that single integer.
+primitive gcd, Yun square-free factorisation (which only the certifier
+uses), Sturm chains and their sign variations at a point.
+``IntPolynomial.from_packed`` reads a polynomial back from its value at
+x = 2**b, for callers that compute in that single integer.
 """
 
 from __future__ import annotations
@@ -262,19 +263,25 @@ def pseudo_remainder(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
     """
     if b.is_zero:
         raise ZeroDivisionError("polynomial division by zero")
-    db, lead = b.degree, b.leading
+    return IntPolynomial(tuple(_pseudo_remainder(a.coeffs, b.coeffs)))
+
+
+def _pseudo_remainder(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """``pseudo_remainder`` on coefficient lists, b nonzero; trailing zeros
+    are stripped."""
+    db, lead = len(b) - 1, b[-1]
     scale, sign = abs(lead), (1 if lead > 0 else -1)
-    low = b.coeffs[:-1]
-    r = list(a.coeffs)
+    low = b[:-1]
+    r = list(a)
     for k in range(len(r) - 1, db - 1, -1):
         # r <- scale * r - sign * r[k] * x**(k - db) * b, which clears r[k]
         c = sign * r.pop()
-        if scale != 1:
-            r = [scale * x for x in r]
-        if c:
-            for j, bj in enumerate(low, k - db):
-                r[j] -= c * bj
-    return IntPolynomial.from_coeffs(r)
+        off = k - db
+        head = r[:off] if scale == 1 else [scale * x for x in r[:off]]
+        r = head + [scale * x - c * y for x, y in zip(r[off:], low)]
+    while r and not r[-1]:
+        r.pop()
+    return r
 
 
 def poly_gcd(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
@@ -315,16 +322,12 @@ def poly_div_exact(p: IntPolynomial, d: IntPolynomial) -> IntPolynomial:
 # ---------------------------------------------------------------------------
 
 
-def squarefree_decomposition(
-    p: IntPolynomial, gcd_with_derivative: IntPolynomial | None = None
-) -> list[tuple[IntPolynomial, int]]:
+def squarefree_decomposition(p: IntPolynomial) -> list[tuple[IntPolynomial, int]]:
     """Yun decomposition: pairs (factor, multiplicity), factors primitive.
 
     The product of factor**multiplicity equals p up to a nonzero rational
-    constant; the factors are pairwise coprime and square-free.  A caller
-    that already holds gcd(p, p') up to a nonzero constant, such as the
-    last member of p's Sturm chain, passes it as ``gcd_with_derivative``,
-    and the remainder sequence is not run again.
+    constant; the factors are pairwise coprime and square-free.  The
+    certifier uses it; ``energy_of_poly`` needs only the Sturm chain.
     """
     if p.is_zero:
         raise ValueError("zero polynomial")
@@ -332,11 +335,7 @@ def squarefree_decomposition(
         return []
     work = p.primitive()
     dp = work.derivative()
-    if gcd_with_derivative is None:
-        g = poly_gcd(work, dp)
-    else:
-        g = gcd_with_derivative.primitive()
-        g = -g if g.leading < 0 else g
+    g = poly_gcd(work, dp)
     if g.degree == 0:
         return [(work if work.leading > 0 else -work, 1)]
     # Yun's recurrence; intermediate c, d must not be rescaled or the sums
@@ -361,16 +360,31 @@ def squarefree_decomposition(
 
 
 def sturm_chain(p: IntPolynomial) -> tuple[IntPolynomial, ...]:
-    """Sturm sequence of a square-free polynomial, primitive at each step."""
+    """Sturm sequence p, p', -prem(p, p'), ..., primitive at each step.
+
+    The chain ends in gcd(p, p') up to a constant, a nonzero constant when p
+    is square-free.  The members are built as coefficient lists and wrapped
+    as ``IntPolynomial``s once, at the end.
+    """
     if p.is_zero:
         raise ValueError("zero polynomial")
-    chain = [p.primitive(), p.derivative().primitive()]
-    while not chain[-1].is_zero and chain[-1].degree > 0:
-        nxt = -pseudo_remainder(chain[-2], chain[-1]).primitive()
-        if nxt.is_zero:
+    a = _primitive(list(p.coeffs))
+    b = _primitive([k * c for k, c in enumerate(p.coeffs)][1:])
+    chain = [a]
+    while b:
+        chain.append(b)
+        if len(b) == 1:
             break
-        chain.append(nxt)
-    return tuple(c for c in chain if not c.is_zero)
+        a, b = b, _primitive(_pseudo_remainder(a, b), negate=True)
+    return tuple(IntPolynomial(tuple(c)) for c in chain)
+
+
+def _primitive(cs: list[int], negate: bool = False) -> list[int]:
+    """The coefficients divided by their content, negated if asked."""
+    g = gcd(*cs)  # stops taking gcds once it reaches 1
+    if negate:
+        g = -g
+    return cs if g in (0, 1) else [c // g for c in cs]
 
 
 def variations_at(chain: Sequence[IntPolynomial], point) -> int:

@@ -1,40 +1,42 @@
 """Real-root isolation and graph energy from exact root enclosures.
 
-``energy_of_poly`` takes up to three routes to the same rigorous enclosures,
-each tried only when the one before it fails.
+``energy_of_poly`` encloses the roots of the core (p without its zero
+roots) one multiplicity level at a time: one Sturm chain per level, then
+Sturm isolation for a level whose seeds fail.
 
-1. Verified float seeds for the whole core (p without its zero roots), in
-   the manner of Rump ("Verification methods: rigorous results using
-   floating-point arithmetic", Acta Numerica 2010).  The seeds are LAPACK's
-   eigenvalues of the Jacobi matrix of the Sturm chain (Schmeisser, "A real
-   symmetric tridiagonal matrix with a given characteristic polynomial",
-   Linear Algebra Appl. 193, 1993).  A square-free, real-rooted polynomial
-   has a full Sturm chain, whose monic members obey a three-term
-   recurrence; its coefficients, computed exactly from the chain's integer
-   coefficients, are the entries of a symmetric tridiagonal matrix with
-   characteristic polynomial p.  Each seed is rounded to a dyadic bracket
-   [m - 1, m + 1] / 2**k, and the sign of p at both ends is checked in
-   integer arithmetic: p(j / 2**k) * 2**(k*d) is an integer.  When a
-   polynomial of degree d has d disjoint brackets, each with a strict sign
-   change, each bracket holds exactly one simple root: all roots are real,
-   isolated, and the polynomial is square-free.
+1. The Sturm chain f, f', ... of the level's polynomial f ends in
+   g = gcd(f, f') up to a constant.  Its monic members, divided by g, obey
+   a three-term recurrence, so when the chain has degrees d, d-1, ...,
+   deg g with positive leading coefficients, its recurrence coefficients,
+   computed exactly from the chain's integer coefficients, are the entries
+   of a Jacobi matrix whose eigenvalues are the distinct roots of f
+   (Schmeisser, "A real symmetric tridiagonal matrix with a given
+   characteristic polynomial", Linear Algebra Appl. 193, 1993).  LAPACK's
+   eigenvalues of that matrix are verified as seeds in the manner of Rump
+   ("Verification methods: rigorous results using floating-point
+   arithmetic", Acta Numerica 2010) on the square-free part s = f / g.
+   Each seed is rounded to a dyadic bracket [m - 1, m + 1] / 2**k, and the
+   sign of s at both ends is checked in integer arithmetic:
+   s(j / 2**k) * 2**(k*r) is an integer.  When s of degree r has r disjoint
+   brackets, each with a strict sign change, each bracket holds exactly one
+   simple root: all roots of s are real and isolated.
 
-2. When the seeds fail (repeated eigenvalues, as in the cycles, or complex
-   roots), Yun's algorithm splits the core into square-free factors and
-   each factor is seeded and checked the same way.  Yun starts from the
-   last member of the core's Sturm chain, which is gcd(core, core') up to
-   a constant.
+2. A level whose chain gives no Jacobi matrix (complex roots) or whose
+   seeds fail the check has the roots of s isolated by Sturm counting.
 
-3. A factor whose seeds still fail has its roots isolated by Sturm counting.
+The next level is g.  As multisets the roots of f are those of s and those
+of g, so E(f) = E(s) + E(g), and no multiplicity has to be matched to a
+root; the levels end when g is a constant.  A root of multiplicity m thus
+has one enclosure in each of the first m levels.
 
 Enclosures narrower than the requested width come from sign bisection,
 which carries both ends as integer numerators over one denominator D and
 doubles D at each step, so every sign is that of an integer Horner sum.
-The energy adds the enclosures' ends the same way, as integers over the
-least common denominator of all ends (2**k on the seeded route), and
-builds one ``Fraction`` for the value and one for the radius.  Every route
-decides every sign exactly, so the reported energy carries a rigorous
-error radius.
+Each level returns its enclosures as integer numerators over one
+denominator (2**k on the seeded route), and the energy adds them as
+integers over the least common multiple of those denominators, building
+one ``Fraction`` for the value and one for the radius.  Every route decides
+every sign exactly, so the reported energy carries a rigorous error radius.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from fractions import Fraction
 from .polynomials import (
     IntPolynomial,
     cauchy_bound,
-    squarefree_decomposition,
+    poly_div_exact,
     sturm_chain,
     variations_at,
 )
@@ -185,10 +187,10 @@ def energy_of_poly(p: IntPolynomial, tol: float = 1e-7) -> EnergyValue:
 
     Requires every root of p to be real, which holds for characteristic
     polynomials of symmetric matrices; a complex pair raises ValueError.
-    The enclosures come from verified seeds for the whole core (the
-    eigenvalues of the Jacobi matrix built from the Sturm chain, after
-    Schmeisser 1993), else from the same seeds per Yun factor, else from
-    Sturm isolation; see the module docstring.
+    The enclosures come one multiplicity level at a time: verified seeds
+    from the Jacobi matrix of the level's Sturm chain, which may end at
+    gcd(f, f') and whose weights are the multiplicities (after Schmeisser
+    1993), else Sturm isolation; see the module docstring.
     The radius covers the enclosures and the rounding of the value to a
     float; ConvergenceError is raised when tol is too tight for a double,
     and ValueError when tol is not a positive finite number.
@@ -200,8 +202,8 @@ def energy_of_poly(p: IntPolynomial, tol: float = 1e-7) -> EnergyValue:
     zero_mult = p.lowest_power()
     core = p.shift_down(zero_mult)
     budget = Fraction(tol) / (2 * (p.degree + 1))
-    found = _core_enclosures(core, budget)
-    real_roots = zero_mult + sum(mult for _, mult in found)
+    levels = _core_enclosures(core, budget)
+    real_roots = zero_mult + sum(len(ends) for _, ends in levels)
     if real_roots != p.degree:
         raise ValueError(
             "polynomial has complex roots (%d real of degree %d)"
@@ -209,13 +211,12 @@ def energy_of_poly(p: IntPolynomial, tol: float = 1e-7) -> EnergyValue:
         )
     # | |x| - |mid| | <= |x - mid| <= width / 2, also for brackets around 0.
     # The ends are summed as integer numerators over one common denominator.
-    den = math.lcm(*(end.denominator for enc, _ in found for end in (enc.lo, enc.hi)))
+    den = math.lcm(*(level_den for level_den, _ in levels))
     total = spread = 0
-    for enc, mult in found:
-        lo = enc.lo.numerator * (den // enc.lo.denominator)
-        hi = enc.hi.numerator * (den // enc.hi.denominator)
-        total += mult * abs(lo + hi)
-        spread += mult * (hi - lo)
+    for level_den, ends in levels:
+        scale = den // level_den
+        total += scale * sum(abs(lo + hi) for lo, hi in ends)
+        spread += scale * sum(hi - lo for lo, hi in ends)
     value = Fraction(total, 2 * den)
     radius = Fraction(spread, 2 * den)
     val = float(value)
@@ -230,88 +231,89 @@ def energy_of_poly(p: IntPolynomial, tol: float = 1e-7) -> EnergyValue:
     return EnergyValue(val, rad)
 
 
-def _core_enclosures(
-    core: IntPolynomial, budget: Fraction
-) -> list[tuple[RootEnclosure, int]]:
-    """(enclosure of width <= budget, multiplicity) for each real root of core."""
-    if core.degree == 0:
-        return []
-    fast, chain = _verified_enclosures(core, budget)
-    if fast is not None:
-        return [(enc, 1) for enc in fast]
-    out = []
-    # the chain ends in gcd(core, core') up to a constant, Yun's first step
-    for factor, mult in squarefree_decomposition(core, chain[-1]):
-        encs = None
-        if factor.degree < core.degree:  # else it is the core, which just failed
-            encs, _ = _verified_enclosures(factor, budget)
-        if encs is None:
-            encs = [
-                refine_enclosure(factor, enc, budget)
-                for enc in _isolate_squarefree(factor)
-            ]
-        out.extend((enc, mult) for enc in encs)
-    return out
+_Level = tuple[int, list[tuple[int, int]]]
 
 
-def _verified_enclosures(
-    f: IntPolynomial, budget: Fraction
-) -> tuple[list[RootEnclosure] | None, tuple[IntPolynomial, ...]]:
-    """Enclosures of width <= budget for all roots of f, from float seeds.
+def _core_enclosures(core: IntPolynomial, budget: Fraction) -> list[_Level]:
+    """Enclosures of width <= budget of the real roots of core, per level.
 
-    The seeds are the Jacobi seeds of the Sturm chain of +-f, and the chain
-    is returned with the enclosures so the fallbacks can reuse it.  The
-    enclosures are None when f has no Jacobi matrix or its seeds fail the
-    exact check of ``_checked_enclosures``.
+    Level i holds one enclosure per distinct root of multiplicity >= i, as
+    (den, ends): ``ends`` lists the integer numerators (lo, hi) of each
+    enclosure's ends over the positive denominator den.
     """
-    chain = sturm_chain(f if f.leading > 0 else -f)
-    seeds = _jacobi_seeds(chain)
-    out = None if seeds is None else _checked_enclosures(f, seeds, budget)
-    return out, chain
+    levels = []
+    f = core
+    while f.degree > 0:
+        chain = sturm_chain(f if f.leading > 0 else -f)
+        g = chain[-1]  # gcd(f, f') up to a constant
+        s = chain[0] if g.degree == 0 else poly_div_exact(chain[0], g)
+        seeds = _jacobi_seeds(chain)
+        level = None if seeds is None else _checked_enclosures(s, *seeds, budget)
+        if level is None:
+            level = _over_one_denominator(
+                [refine_enclosure(s, enc, budget) for enc in _isolate_squarefree(s)]
+            )
+        levels.append(level)
+        f = g
+    return levels
+
+
+def _over_one_denominator(encs: list[RootEnclosure]) -> _Level:
+    """(den, ends) for enclosures with ``Fraction`` ends: den is the least
+    common denominator of all ends."""
+    den = math.lcm(*(end.denominator for enc in encs for end in (enc.lo, enc.hi)))
+    return den, [
+        (
+            enc.lo.numerator * (den // enc.lo.denominator),
+            enc.hi.numerator * (den // enc.hi.denominator),
+        )
+        for enc in encs
+    ]
 
 
 def _checked_enclosures(
-    f: IntPolynomial, seeds: list[tuple[float, float]], budget: Fraction
-) -> list[RootEnclosure] | None:
-    """Enclosures of width <= budget around the (seed, error) pairs, or None.
+    f: IntPolynomial, seeds: list[float], err: float, budget: Fraction
+) -> _Level | None:
+    """Enclosures of width <= budget around the ascending seeds, or None.
 
-    Returns None unless deg f disjoint dyadic brackets around the seeds each
-    show a strict sign change of f, checked in integer arithmetic.
+    ``err`` estimates every seed's error.  Returns None unless deg f
+    disjoint dyadic brackets around the seeds each show a strict sign change
+    of f, checked in integer arithmetic.
     """
-    seeds = sorted(seeds)
     # 2**-k is the bracket's half-width: above four times the largest seed
     # error, below a quarter of the smallest seed gap, and no wider than the
     # budget allows unless the seeds cannot resolve the budget.  These are
     # float estimates; the exact checks below decide.
-    k_fine = -math.frexp(max(err for _, err in seeds))[1] - 2
+    k_fine = -math.frexp(err)[1] - 2
     k_sep = 0
-    for (a, _), (b, _) in zip(seeds, seeds[1:]):
-        k_sep = max(k_sep, 3 - math.frexp(b - a)[1])
-    k = min(max(_budget_bits(budget), k_sep), k_fine)
+    if len(seeds) > 1:
+        gap = min(b - a for a, b in zip(seeds, seeds[1:]))
+        k_sep = max(0, 3 - math.frexp(gap)[1])
+    budget_bits = _budget_bits(budget)
+    k = min(max(budget_bits, k_sep), k_fine)
     if k < k_sep:
         return None
-    ms = [round(math.ldexp(x, k)) for x, _ in seeds]
+    ms = [round(math.ldexp(x, k)) for x in seeds]
     if any(b - a < 2 for a, b in zip(ms, ms[1:])):  # brackets may only touch
         return None
     d = f.degree
-    shifted = [c << (k * (d - j)) for j, c in enumerate(f.coeffs)]
+    descending = [c << (k * (d - j)) for j, c in enumerate(f.coeffs)][::-1]
 
     def scaled_value(m: int) -> int:  # f(m / 2**k) * 2**(k*d)
         acc = 0
-        for c in reversed(shifted):
+        for c in descending:
             acc = acc * m + c
         return acc
 
-    out = []
     for m in ms:
         lo, hi = scaled_value(m - 1), scaled_value(m + 1)
         if not (lo < 0 < hi or hi < 0 < lo):
             return None
-        enc = RootEnclosure(Fraction(m - 1, 1 << k), Fraction(m + 1, 1 << k), 1)
-        if enc.width > budget:
-            enc = refine_enclosure(f, enc, budget)
-        out.append(enc)
-    return out
+    den = 1 << k
+    if k >= budget_bits:  # the width 2 * 2**-k is within the budget
+        return den, [(m - 1, m + 1) for m in ms]
+    brackets = [RootEnclosure(Fraction(m - 1, den), Fraction(m + 1, den), 1) for m in ms]
+    return _over_one_denominator([refine_enclosure(f, enc, budget) for enc in brackets])
 
 
 def _budget_bits(budget: Fraction) -> int:
@@ -323,38 +325,43 @@ def _budget_bits(budget: Fraction) -> int:
 def _jacobi_coefficients(
     chain: tuple[IntPolynomial, ...],
 ) -> tuple[list[tuple[int, int]], list[tuple[int, int]]] | None:
-    """Exact entries of a Jacobi matrix with characteristic polynomial f/lc(f).
+    """Exact entries of a Jacobi matrix whose eigenvalues are the distinct
+    roots of f.
 
     ``chain`` is the Sturm chain of +-f, the sign that makes the leading
     coefficient positive.  Returns (alpha, beta): the diagonal
-    alpha_1..alpha_d and the squared off-diagonal beta_1..beta_{d-1}, each
+    alpha_1..alpha_r and the squared off-diagonal beta_1..beta_{r-1}, each
     an integer (numerator, positive denominator) pair and all beta_k > 0,
-    or None unless the chain is full: d + 1 members of degrees d, d-1, ...,
-    0, all with positive leading coefficients, which holds exactly when f is
-    square-free with only real roots.  Its monic members
-    M_0 = f/lc(f), ..., M_d = 1 then obey
-    M_{k-1} = (x - alpha_k) M_k - beta_k M_{k+1} (M_{d+1} = 0), and
-    alpha_k, beta_k follow from the two coefficients below the leading one
-    of M_{k-1} and M_k (Schmeisser 1993).
+    where r = deg f - deg g and g, the chain's last member, is gcd(f, f')
+    up to a constant.  Returns None unless the chain's degrees are d, d-1,
+    ..., deg g and all its leading coefficients are positive, which holds
+    exactly when all roots of f are real.  Its monic members
+    M_0 = f/lc(f), ..., M_r = g/lc(g) then obey
+    M_{k-1} = (x - alpha_k) M_k - beta_k M_{k+1} (M_{r+1} = 0), and so do
+    the M_k / M_r, whose first is the monic square-free part of f.  The
+    matrix has that part as its characteristic polynomial: f'/f is
+    sum_i m_i / (x - lambda_i), the distinct roots weighted by their
+    multiplicities, all positive (Schmeisser 1993).  alpha_k and beta_k
+    follow from the two coefficients below the leading one of M_{k-1} and
+    M_k.
     """
-    d = chain[0].degree
-    if len(chain) != d + 1 or any(
-        g.degree != d - k or g.leading <= 0 for k, g in enumerate(chain)
-    ):
+    coeffs = [g.coeffs for g in chain]
+    d = len(coeffs[0]) - 1
+    if any(len(c) != d + 1 - k or c[-1] <= 0 for k, c in enumerate(coeffs)):
         return None
+    r = len(chain) - 1
     alpha: list[tuple[int, int]] = []
     beta: list[tuple[int, int]] = []
-    for g, h in zip(chain, chain[1:]):
+    for k, (g, h) in enumerate(zip(coeffs, coeffs[1:])):
         # M_{k-1} = g / lg and M_k = h / lh, lg and lh the leading
         # coefficients; matching (x - alpha) M_k - beta M_{k+1} with M_{k-1}
         # at x**m and x**(m-1), where m = deg h, gives alpha = h1/lh - g1/lg
         # and beta = h2/lh - alpha h1/lh - g2/lg, here over lg lh and lg lh**2
-        lg, lh = g.leading, h.leading
-        g1, g2 = g.coeff(g.degree - 1), g.coeff(g.degree - 2)
-        h1, h2 = h.coeff(h.degree - 1), h.coeff(h.degree - 2)
+        lg, g1, g2 = g[-1], g[-2], (g[-3] if len(g) > 2 else 0)
+        lh, h1, h2 = h[-1], (h[-2] if len(h) > 1 else 0), (h[-3] if len(h) > 2 else 0)
         a = h1 * lg - g1 * lh
         alpha.append((a, lg * lh))
-        if len(alpha) < d:
+        if k < r - 1:
             b = h2 * lg * lh - a * h1 - g2 * lh * lh
             if b <= 0:
                 return None
@@ -364,13 +371,13 @@ def _jacobi_coefficients(
 
 def _jacobi_seeds(
     chain: tuple[IntPolynomial, ...],
-) -> list[tuple[float, float]] | None:
-    """(seed, error estimate) for every root of f from its Jacobi matrix.
+) -> tuple[list[float], float] | None:
+    """(ascending seeds, error estimate) for the distinct roots of f.
 
     ``chain`` is the Sturm chain of +-f.  The seeds are LAPACK's eigenvalues
     of the symmetric tridiagonal matrix with diagonal alpha and off-diagonal
     sqrt(beta); None when f has no such matrix.  The error estimate
-    d * 2**-52 * max|lambda| covers rounding the entries to doubles and the
+    r * 2**-52 * max|lambda| covers rounding the entries to doubles and the
     solver's backward error (Weyl); it only sets the bracket width, and the
     integer sign checks decide.
     """
@@ -383,11 +390,14 @@ def _jacobi_seeds(
     if coefficients is None:
         return None
     alpha, beta = coefficients
-    # int / int rounds correctly, so each entry is the double nearest it
-    diagonal = [num / den for num, den in alpha]
+    r = len(alpha)
+    # int / int rounds correctly, so each entry is the double nearest it;
+    # the three diagonals are strided slices of one flat buffer
+    flat = np.zeros(r * r)
+    flat[:: r + 1] = [num / den for num, den in alpha]
     off = np.sqrt([num / den for num, den in beta])
-    matrix = np.diag(diagonal) + np.diag(off, 1) + np.diag(off, -1)
-    eigenvalues = np.linalg.eigvalsh(matrix)
-    err = 2 * len(alpha) * _UNIT_ROUNDOFF * float(np.abs(eigenvalues).max())
-    return [(float(x), err) for x in eigenvalues]
-
+    flat[1 :: r + 1] = off
+    flat[r :: r + 1] = off
+    eigenvalues = np.linalg.eigvalsh(flat.reshape(r, r))
+    err = 2 * r * _UNIT_ROUNDOFF * max(-eigenvalues[0], eigenvalues[-1])
+    return eigenvalues.tolist(), float(err)

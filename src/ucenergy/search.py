@@ -65,9 +65,10 @@ No set of all spectra and no map of all codes is held.  Equal brackets
 survive or go together, and survivors are flagged as ties below.
 
 Energies of the survivors come from ``energy_of_poly``: float root seeds
-of the characteristic polynomial, each verified by an exact integer sign
-change (with Yun and Sturm isolation as the fallbacks), so every candidate
-carries a rigorous enclosure.  The ranking works per spectrum: all codes
+from one Sturm chain per multiplicity level of the characteristic
+polynomial, each verified by an exact integer sign change (with Sturm
+isolation as the fallback), so every candidate carries a rigorous
+enclosure.  The ranking works per spectrum: all codes
 of a spectrum share one enclosure, and every kept spectrum whose enclosure
 overlaps another's is enclosed again at radius 1e-12 before the one sort.
 So a loose tolerance changes no order between spectra that 1e-12 separates.

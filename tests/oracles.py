@@ -16,7 +16,12 @@ tests of the Sturm and root code start from, multiplies ucenergy's own Yun
 factors.  ``coulson_bracket`` and the tuple bracket helpers expand
 |p(ix)|**2 term by term and only wrap the result in an ``IntPolynomial``.
 ``bisect_reference`` halves ``Fraction`` intervals and reads signs from
-``IntPolynomial.sign_at``.  ``search_enclose_all`` is the search as it was
+``IntPolynomial.sign_at``.  ``sturm_chain_reference`` builds the chain from
+``IntPolynomial`` pseudo-remainders and contents.  ``energy_reference`` is
+the exact energy by an earlier route: Yun factors, each seeded by
+ucenergy's Jacobi seeds of its own square-free Sturm chain and checked by
+``sign_at`` at ``Fraction`` bracket ends, else isolated by Sturm counting,
+and summed in ``Fraction``s.  ``search_enclose_all`` is the search as it was
 before the Coulson-bracket filter.  It takes its graphs, characteristic
 polynomials and enclosures from ucenergy, which other tests check against
 their own oracles, and encloses every distinct spectrum, so it shares no
@@ -330,6 +335,89 @@ def bisect_reference(f, enc, width):
         else:
             hi = mid
     return RootEnclosure(lo, hi, enc.multiplicity)
+
+
+def sturm_chain_reference(p):
+    """``sturm_chain`` on ``IntPolynomial``s: p, p', then the negated
+    primitive pseudo-remainders until one is zero or a constant."""
+    from ucenergy.polynomials import pseudo_remainder
+
+    chain = [p.primitive(), p.derivative().primitive()]
+    while not chain[-1].is_zero and chain[-1].degree > 0:
+        nxt = -pseudo_remainder(chain[-2], chain[-1]).primitive()
+        if nxt.is_zero:
+            break
+        chain.append(nxt)
+    return tuple(c for c in chain if not c.is_zero)
+
+
+def energy_reference(p, tol=1e-7):
+    """``energy_of_poly`` by Yun factors, then Jacobi seeds, then Sturm.
+
+    The core's Yun factors are square-free.  Each is seeded by the
+    eigenvalues of the Jacobi matrix of its own Sturm chain, and every seed
+    is rounded to the bracket [m - 1, m + 1] / 2**k that ``energy_of_poly``
+    would choose.  The brackets must be disjoint, each with a strict sign
+    change; else the factor's roots are isolated by Sturm counting.  The
+    value and radius are summed in ``Fraction``s, each enclosure weighted
+    by its factor's multiplicity.
+    """
+    from fractions import Fraction
+
+    from ucenergy.polynomials import squarefree_decomposition
+    from ucenergy.roots import (
+        ConvergenceError,
+        EnergyValue,
+        _budget_bits,
+        _isolate_squarefree,
+        refine_enclosure,
+    )
+
+    zero_mult = p.lowest_power()
+    core = p.shift_down(zero_mult)
+    budget = Fraction(tol) / (2 * (p.degree + 1))
+    found = []
+    for factor, mult in squarefree_decomposition(core) if core.degree > 0 else []:
+        encs = _seeded_reference(factor, _budget_bits(budget))
+        if encs is None:
+            encs = _isolate_squarefree(factor)
+        found += [(refine_enclosure(factor, enc, budget), mult) for enc in encs]
+    if zero_mult + sum(mult for _, mult in found) != p.degree:
+        raise ValueError("polynomial has complex roots")
+    value = sum((mult * abs(enc.midpoint) for enc, mult in found), Fraction(0))
+    radius = sum((mult * enc.width for enc, mult in found), Fraction(0)) / 2
+    radius += abs(Fraction(float(value)) - value)
+    rounded = float(radius)
+    if Fraction(rounded) < radius:
+        rounded = math.nextafter(rounded, math.inf)
+    if rounded > tol:
+        raise ConvergenceError("radius exceeds tol after rounding to a double")
+    return EnergyValue(float(value), rounded)
+
+
+def _seeded_reference(f, budget_bits):
+    """Checked brackets around the Jacobi seeds of square-free f, or None."""
+    from fractions import Fraction
+
+    from ucenergy.polynomials import sturm_chain
+    from ucenergy.roots import RootEnclosure, _jacobi_seeds
+
+    seeds = _jacobi_seeds(sturm_chain(f))
+    if seeds is None:
+        return None
+    xs, err = seeds
+    k_fine = -math.frexp(err)[1] - 2
+    k_sep = max([0] + [3 - math.frexp(b - a)[1] for a, b in zip(xs, xs[1:])])
+    k = min(max(budget_bits, k_sep), k_fine)
+    if k < k_sep:
+        return None
+    ms = [round(math.ldexp(x, k)) for x in xs]
+    if any(b - a < 2 for a, b in zip(ms, ms[1:])):
+        return None
+    encs = [RootEnclosure(Fraction(m - 1, 2**k), Fraction(m + 1, 2**k), 1) for m in ms]
+    if any(f.sign_at(enc.lo) * f.sign_at(enc.hi) >= 0 for enc in encs):
+        return None
+    return encs
 
 
 def squarefree_part(p):

@@ -11,7 +11,7 @@ import pytest
 import ucenergy
 from ucenergy import certify
 from ucenergy.certify import certificate_from_json, verify_certificate
-from ucenergy.cli import main
+from ucenergy.cli import MAX_SELECTOR_ORDER, main
 from ucenergy.polynomials import IntPolynomial
 
 
@@ -47,6 +47,13 @@ def test_nonpositive_tolerance_is_a_usage_error(argv, capsys):
         ["enumerate", "--n", "2"],
         ["enumerate", "--n", "63"],
         ["enumerate", "--n", "63", "--emit", "g6"],
+        # selector orders above the cap are refused before a graph is built
+        ["energy", "C:%d" % (MAX_SELECTOR_ORDER + 1)],
+        ["energy", "C:100000000000"],
+        ["energy", "P:100000000000", "--method", "eig"],
+        ["energy", "L:100000000000:6", "--method", "coulson"],
+        ["diff", "C:5", "CP:100000000000:3:99999999997,0,0"],
+        ["diff", "L:%d:6" % (MAX_SELECTOR_ORDER + 1), "C:5"],
     ],
 )
 def test_rejected_input_exits_2_with_one_line(argv, capsys):

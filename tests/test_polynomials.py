@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import bipartite_b_coeffs, squarefree_part
+from oracles import bipartite_b_coeffs, squarefree_part, sturm_chain_reference
 from ucenergy.polynomials import (
     IntPolynomial,
     cauchy_bound,
@@ -155,10 +155,9 @@ def test_squarefree_decomposition_recovers_multiplicities():
     assert factors[1] == P(1, 1)
     assert factors[2] == P(0, 1)
     assert squarefree_part(p) == P(0, 1) * P(-1, 1) * P(1, 1)
-    # the Sturm chain ends in gcd(p, p') up to a constant; Yun may start there
+    # the Sturm chain ends in gcd(p, p') up to a constant
     last = sturm_chain(p)[-1]
-    for g in (last, -3 * last):
-        assert squarefree_decomposition(p, g) == squarefree_decomposition(p)
+    assert poly_gcd(p, p.derivative()) in (last, -last)
 
 
 def test_sturm_counts_known_roots():
@@ -197,6 +196,16 @@ def test_sturm_chain_literal():
     assert chain == (P(-3, 1, 0, 0, 1), P(1, 0, 0, 4), P(4, -1), P(-1))
     bound = cauchy_bound(chain[0])
     assert variations_at(chain, -bound) - variations_at(chain, bound) == 2
+
+
+@given(coeff_lists, coeff_lists)
+def test_sturm_chain_matches_the_polynomial_loop(a, b):
+    # a * b**2 has repeated roots whenever b has a root, so the chain may end
+    # at a non-constant gcd
+    p = P(*a) * P(*b) ** 2
+    if p.is_zero:
+        return
+    assert sturm_chain(p) == sturm_chain_reference(p)
 
 
 @given(coeff_lists, coeff_lists)

@@ -6,7 +6,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import bisect_reference, squarefree_part
+from oracles import (
+    bisect_reference,
+    cycle_energy_reference,
+    energy_reference,
+    squarefree_part,
+)
 import ucenergy.polynomials as polynomials
 import ucenergy.roots as roots
 from ucenergy.charpoly import charpoly
@@ -29,6 +34,15 @@ from ucenergy.roots import (
 
 def P(*ascending):
     return IntPolynomial.from_coeffs(ascending)
+
+
+def _enclosures(levels):
+    """The (den, ends) levels of ``_core_enclosures`` as ``RootEnclosure``s."""
+    return [
+        RootEnclosure(Fraction(lo, den), Fraction(hi, den), 1)
+        for den, ends in levels
+        for lo, hi in ends
+    ]
 
 
 def test_isolates_pm_one():
@@ -85,9 +99,10 @@ def test_energy_values_and_radius_guarantee():
 
 
 def test_energy_rejects_complex_spectra():
-    # x^2 + 1 has no real roots
-    with pytest.raises(ValueError):
-        energy_of_poly(P(1, 0, 1))
+    # x^2 + 1 has no real roots, also on the Yun route of the oracle
+    for route in (energy_of_poly, energy_reference):
+        with pytest.raises(ValueError):
+            route(P(1, 0, 1))
     # (10^6 x^2 + 1)(x^2 - 9): a complex pair close to two real seeds
     with pytest.raises(ValueError):
         energy_of_poly(P(1, 0, 10**6) * P(-9, 0, 1))
@@ -107,62 +122,104 @@ def spectra_to_nine():
     return sorted(polys, key=lambda p: (p.degree, p.coeffs))
 
 
-def test_seeded_enclosures_overlap_sturm_enclosures(spectra_to_nine):
+def test_seeded_enclosures_overlap_sturm_enclosures(spectra_to_nine, monkeypatch):
+    isolated = []
+
+    def spy(f):
+        isolated.append(f)
+        return _isolate_squarefree(f)
+
+    monkeypatch.setattr(roots, "_isolate_squarefree", spy)
     width = Fraction(1, 2**30)
-    fallbacks = 0
+    repeated = 0
     for p in spectra_to_nine:
         core = p.shift_down(p.lowest_power())
         factors = squarefree_decomposition(core)
-        if roots._verified_enclosures(core, width)[0] is None:
-            # only repeated eigenvalues (the cycles among them) fall back
-            assert max(mult for _, mult in factors) > 1, p
-            fallbacks += 1
-        seeded = sorted(roots._core_enclosures(core, width), key=lambda e: e[0].midpoint)
+        levels = roots._core_enclosures(core, width)
+        # one level per unit of the largest multiplicity: only repeated
+        # eigenvalues (the cycles among them) take a second level
+        assert len(levels) == max(mult for _, mult in factors), p
+        repeated += len(levels) > 1
+        seeded = sorted(_enclosures(levels), key=lambda e: e.midpoint)
         sturm = sorted(
             (
-                (refine_enclosure(factor, enc, width), mult)
+                refine_enclosure(factor, enc, width)
                 for factor, mult in factors
                 for enc in _isolate_squarefree(factor)
+                for _ in range(mult)
             ),
-            key=lambda e: e[0].midpoint,
+            key=lambda e: e.midpoint,
         )
-        assert [mult for _, mult in seeded] == [mult for _, mult in sturm]
-        for (a, _), (b, _) in zip(seeded, sturm):
+        assert len(seeded) == len(sturm) == core.degree
+        for a, b in zip(seeded, sturm):
             assert a.width <= width
             assert a.lo <= b.hi and b.lo <= a.hi, (p, a, b)
-    assert fallbacks > 0
+    assert repeated > 0 and isolated == []
+
+
+# (x^2 - 1)^3 (x - 2): multiplicity 3 away from 0, three levels
+_TRIPLE = P(-1, 0, 1) ** 3 * P(-2, 1)
+
+# (3x - 1)(2x + 5)(x^2 - 7) (5x + 2)^2 x^2: non-monic, with Yun factors whose
+# Cauchy bounds 1 + 44/6 = 25/3 and 1 + 2/5 = 7/5 have coprime odd parts
+_NON_DYADIC = P(-1, 3) * P(5, 2) * P(-7, 0, 1) * P(2, 5) ** 2 * P(0, 0, 1)
+
+
+def test_energy_matches_the_yun_route(spectra_to_nine):
+    for p in spectra_to_nine + [_TRIPLE, _NON_DYADIC]:
+        assert energy_of_poly(p, 1e-7) == energy_reference(p, 1e-7), p
+        a, b = energy_of_poly(p, 1e-12), energy_reference(p, 1e-12)
+        assert max(a.radius, b.radius) <= 1e-12
+        assert abs(a.value - b.value) <= a.radius + b.radius, p
+
+
+def test_a_triple_root_takes_three_levels():
+    e = energy_of_poly(_TRIPLE, 1e-12)
+    assert abs(e.value - 8.0) <= e.radius <= 1e-12
+    levels = roots._core_enclosures(_TRIPLE, Fraction(1, 2**40))
+    assert [len(ends) for _, ends in levels] == [3, 2, 2]
 
 
 def test_repeated_and_complex_roots_take_the_fallback(monkeypatch):
-    calls = []
-    yun = roots.squarefree_decomposition
+    # repeated roots now take one more level, not Yun; only the complex
+    # roots of x^2 + 1 reach the Sturm fallback
+    levels, isolated = [], []
+    core_enclosures = roots._core_enclosures
 
-    def spy(p, *args):
-        calls.append(p)
-        return yun(p, *args)
+    def record(core, budget):
+        levels.extend(core_enclosures(core, budget))
+        return levels
 
-    monkeypatch.setattr(roots, "squarefree_decomposition", spy)
+    def spy(f):
+        isolated.append(f)
+        return _isolate_squarefree(f)
+
+    monkeypatch.setattr(roots, "_core_enclosures", record)
+    monkeypatch.setattr(roots, "_isolate_squarefree", spy)
     e = energy_of_poly(charpoly(make_cycle(6)))  # eigenvalues 2, 1, 1, -1, -1, -2
-    assert len(calls) == 1 and abs(e.value - 8.0) <= e.radius
-    calls.clear()
+    assert abs(e.value - 8.0) <= e.radius
+    assert [len(ends) for _, ends in levels] == [4, 2] and isolated == []
+    levels.clear()
     with pytest.raises(ValueError):
         energy_of_poly(P(1, 0, 1))
-    assert calls == [P(1, 0, 1)]
+    assert isolated == [P(1, 0, 1)] and levels == [(1, [])]
 
 
-def test_yun_reuses_the_gcd_at_the_end_of_the_sturm_chain(monkeypatch):
-    seen = []
-    gcd = polynomials.poly_gcd
+def test_c6_runs_no_poly_gcd_and_no_yun(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("Yun or a gcd run")
 
-    def spy(a, b):
-        seen.append((a, b))
-        return gcd(a, b)
-
-    monkeypatch.setattr(polynomials, "poly_gcd", spy)
-    p = charpoly(make_cycle(6))  # no zero root, so p is its own core
-    e = energy_of_poly(p)
-    assert abs(e.value - 8.0) <= e.radius
-    assert seen and (p, p.derivative()) not in seen
+    for name in ("poly_gcd", "squarefree_decomposition"):
+        monkeypatch.setattr(polynomials, name, forbidden)
+        monkeypatch.setattr(roots, name, forbidden, raising=False)
+    # C_8 has eigenvalues +-2, +-sqrt(2) twice and 0 twice
+    for p, energy in [
+        (charpoly(make_cycle(6)), 8.0),
+        (charpoly(make_cycle(8)), cycle_energy_reference(8)),
+        (_TRIPLE, 8.0),
+    ]:
+        e = energy_of_poly(p)
+        assert abs(e.value - energy) <= e.radius + 1e-12, p
 
 
 @pytest.mark.parametrize("tol", [1e-7, 1e-12])
@@ -170,11 +227,20 @@ def test_squarefree_spectrum_never_reaches_sturm(monkeypatch, tol):
     def forbidden(p, *args):
         raise AssertionError("fallback route taken for %s" % p)
 
-    monkeypatch.setattr(roots, "squarefree_decomposition", forbidden)
+    monkeypatch.setattr(polynomials, "squarefree_decomposition", forbidden)
     monkeypatch.setattr(roots, "_isolate_squarefree", forbidden)
+    levels = []
+    core_enclosures = roots._core_enclosures
+
+    def record(core, budget):
+        levels.extend(core_enclosures(core, budget))
+        return levels
+
+    monkeypatch.setattr(roots, "_core_enclosures", record)
     e = energy_of_poly(charpoly(make_lollipop(8, 6)), tol)
     assert round(e.value, 5) == 10.42429
     assert e.radius <= tol
+    assert len(levels) == 1
 
 
 def test_radius_covers_rounding_to_a_double():
@@ -188,55 +254,47 @@ def test_radius_covers_rounding_to_a_double():
         energy_of_poly(charpoly(make_path(3)), 1e-17)
 
 
-# (3x - 1)(2x + 5)(x^2 - 7) (5x + 2)^2 x^2: non-monic, with Yun factors whose
-# Cauchy bounds 1 + 44/6 = 25/3 and 1 + 2/5 = 7/5 have coprime odd parts
-_NON_DYADIC = P(-1, 3) * P(5, 2) * P(-7, 0, 1) * P(2, 5) ** 2 * P(0, 0, 1)
-
-
 @pytest.mark.parametrize("tol", [1e-7, 1e-12])
 @pytest.mark.parametrize(
     "route, p",
     [
         ("seeds", charpoly(make_lollipop(8, 6))),
         ("seeds", charpoly(make_path(5))),  # a zero root
-        ("yun", charpoly(make_cycle(8))),  # repeated eigenvalues
+        ("levels", charpoly(make_cycle(8))),  # repeated eigenvalues
         ("sturm", _NON_DYADIC),
     ],
 )
 def test_energy_is_the_exact_sum_of_its_enclosures(monkeypatch, route, p, tol):
-    found, factored, isolated = [], [], []
-    core_enclosures, yun = roots._core_enclosures, roots.squarefree_decomposition
+    found, isolated = [], []
+    core_enclosures = roots._core_enclosures
 
     def record(core, budget):
         found.extend(core_enclosures(core, budget))
         return found
-
-    def spy_yun(*args):
-        factored.append(args[0])
-        return yun(*args)
 
     def spy_isolate(f):
         isolated.append(f)
         return _isolate_squarefree(f)
 
     monkeypatch.setattr(roots, "_core_enclosures", record)
-    monkeypatch.setattr(roots, "squarefree_decomposition", spy_yun)
     monkeypatch.setattr(roots, "_isolate_squarefree", spy_isolate)
     if route == "sturm":
         monkeypatch.setattr(roots, "_jacobi_seeds", lambda chain: None)
     e = energy_of_poly(p, tol)
-    assert (bool(factored), bool(isolated)) == {
-        "seeds": (False, False), "yun": (True, False), "sturm": (True, True)
+    assert (len(found) > 1, bool(isolated)) == {
+        "seeds": (False, False), "levels": (True, False), "sturm": (True, True)
     }[route]
-    ends = {end.denominator for enc, _ in found for end in (enc.lo, enc.hi)}
-    assert any(den & (den - 1) for den in ends) == (route == "sturm")  # not 2**k
-    value = sum((mult * abs(enc.midpoint) for enc, mult in found), Fraction(0))
-    radius = sum((mult * enc.width for enc, mult in found), Fraction(0)) / 2
+    dens = {den for den, _ in found}
+    assert any(den & (den - 1) for den in dens) == (route == "sturm")  # not 2**k
+    encs = _enclosures(found)
+    value = sum((abs(enc.midpoint) for enc in encs), Fraction(0))
+    radius = sum((enc.width for enc in encs), Fraction(0)) / 2
     radius += abs(Fraction(float(value)) - value)
     rounded = float(radius)
     if Fraction(rounded) < radius:
         rounded = math.nextafter(rounded, math.inf)
     assert (e.value, e.radius) == (float(value), rounded)
+    assert len(encs) == p.degree - p.lowest_power()
 
 
 def test_bisection_stops_at_a_root_or_its_budget():
@@ -302,9 +360,19 @@ def test_jacobi_recurrence_reproduces_the_monic_polynomial(p):
 
 
 def test_jacobi_route_needs_a_full_sturm_chain():
-    for p in (P(1, 0, 1), P(-1, 1) ** 2 * P(2, 1)):  # x^2 + 1, (x - 1)^2 (x + 2)
-        assert roots._jacobi_coefficients(sturm_chain(p)) is None
-        assert roots._jacobi_seeds(sturm_chain(p)) is None
+    # full: degrees d, d-1, ... down to the gcd, all leads positive
+    assert roots._jacobi_coefficients(sturm_chain(P(1, 0, 1))) is None  # x^2 + 1
+    assert roots._jacobi_seeds(sturm_chain(P(1, 0, 1))) is None
+    # (x - 1)^2 (x + 2): the chain ends at x - 1, and the matrix has the
+    # distinct roots 1 and -2, weighted 2 and 1 in f'/f
+    alpha, beta = (
+        [Fraction(num, den) for num, den in pairs]
+        for pairs in roots._jacobi_coefficients(sturm_chain(P(-1, 1) ** 2 * P(2, 1)))
+    )
+    trace, det = alpha[0] + alpha[1], alpha[0] * alpha[1] - beta[0]
+    assert (trace, det) == (-1, -2)  # x^2 + x - 2 = (x - 1)(x + 2)
+    seeds, _ = roots._jacobi_seeds(sturm_chain(P(-1, 1) ** 2 * P(2, 1)))
+    assert [round(x, 12) for x in seeds] == [-2.0, 1.0]
 
 
 def _random_unicyclic(n, rng):
@@ -345,8 +413,10 @@ def test_large_seeded_enclosures_overlap_sturm_enclosures():
     p = charpoly(make_lollipop(50, 6))
     core = p.shift_down(p.lowest_power())
     width = Fraction(1, 2**30)
-    seeded, _ = roots._verified_enclosures(core, width)
-    assert seeded is not None
+    seeds, err = roots._jacobi_seeds(sturm_chain(core))
+    level = roots._checked_enclosures(core, seeds, err, width)
+    assert level is not None
+    seeded = _enclosures([level])
     sturm = [refine_enclosure(core, enc, width) for enc in _isolate_squarefree(core)]
     assert len(seeded) == len(sturm) == core.degree
     for a, b in zip(seeded, sturm):
