@@ -37,6 +37,10 @@ needs only
     phi(G-u-v) = r_0 * r_{l-1} * chain(f[1:-1], r[1:-1]),
 
 where chain is the characteristic polynomial of a path of rooted trees.
+This cycle step is ``cycle_value``, shared by two routes: the leaf
+stripping above, and the search, which has no graph but a bracelet word of
+rooted trees and reads each tree's (f_j, r_j) off its level sequence
+(``rooted_pair``, the same prod/rest fold in reverse preorder).
 
 The sweep runs on plain integers: every polynomial is replaced by its value
 at x = 2**b.  Evaluation at 2**b is a ring homomorphism Z[x] -> Z, so each
@@ -49,9 +53,10 @@ the final value is unpacked, once, into its balanced base-2**b digits
 (``IntPolynomial.from_packed``), and those are the coefficients c_k of
 phi(G) as soon as every |c_k| < 2**(b-1).
 
-The bound (``coefficient_bits``): sum_k |c_k| <= 2 * F_(n+1) for a tree or
-a connected unicyclic graph on n vertices, the only graphs this route
-unpacks, with Fibonacci numbers F_1 = F_2 = 1.  For a forest,
+The bound (``coefficient_bits``, computed once per n):
+sum_k |c_k| <= 2 * F_(n+1) for a tree or a connected unicyclic graph on n
+vertices, the only graphs this route unpacks, with Fibonacci numbers
+F_1 = F_2 = 1.  For a forest,
 phi = sum_k (-1)**k m_k x**(n-2k) with m_k the k-matchings, so
 sum_k |c_k| is the Hosoya index Z.  A forest is a spanning subgraph of a
 tree on the same vertices, and among trees the path has the largest Z, so
@@ -76,6 +81,7 @@ division is by a loop index and is checked to be exact.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .graphs import Graph, connected_components, induced_subgraph
@@ -100,6 +106,7 @@ def charpoly(g: Graph) -> IntPolynomial:
     return result
 
 
+@lru_cache(maxsize=None)
 def coefficient_bits(n: int) -> int:
     """b with sum_k |c_k| < 2**(b-2) for phi(G), G a tree or a connected
     unicyclic graph on n vertices (proof in the module docstring)."""
@@ -152,13 +159,40 @@ def _sparse_value(g: Graph, bits: int) -> Optional[int]:
     if len(cycle) != n - peeled:  # the core is several cycles
         return None
     f = [(prod[c] << bits) - rest[c] for c in cycle]
-    r = [prod[c] for c in cycle]
+    return cycle_value(f, [prod[c] for c in cycle], bits)
+
+
+def rooted_pair(level_sequence: Sequence[int], bits: int) -> tuple[int, int]:
+    """(phi(T), phi(T - root)) at x = 2**bits for the rooted tree T with this
+    level sequence: the prod/rest fold of ``_sparse_value``, each vertex
+    folded into its parent in reverse preorder.
+
+    In reverse preorder the children of a vertex at depth d are the vertices
+    at depth d + 1 met since the last vertex at depth d, so one prod/rest
+    slot per depth stands for the children folded so far, and no parent
+    links are needed.
+    """
+    prod = [1] * len(level_sequence)  # slot d: the children, at depth d + 1
+    rest = [0] * len(level_sequence)
+    for d in reversed(level_sequence[1:]):
+        f = (prod[d] << bits) - rest[d]
+        up = d - 1
+        rest[up] = rest[up] * f + prod[up] * prod[d]
+        prod[up] = prod[up] * f
+        prod[d], rest[d] = 1, 0
+    return (prod[0] << bits) - rest[0], prod[0]
+
+
+def cycle_value(f: Sequence[int], r: Sequence[int], bits: int) -> int:
+    """phi at x = 2**bits of a cycle whose j-th vertex roots a tree with
+    (phi(T_j), phi(T_j - root)) = (f_j, r_j) at 2**bits: the cycle-edge
+    recurrence of the module docstring on the edge between the last vertex
+    and the first."""
     without_cycle = 1
     for rj in r:
         without_cycle *= rj
-    without_edge = _chain(f, r, bits)
     without_ends = r[0] * r[-1] * _chain(f[1:-1], r[1:-1], bits)
-    return without_edge - without_ends - 2 * without_cycle
+    return _chain(f, r, bits) - without_ends - 2 * without_cycle
 
 
 def _chain(f: Sequence[int], r: Sequence[int], bits: int) -> int:

@@ -17,6 +17,22 @@ overflows a double (``energy C:750 --method coulson`` does), and the exact
 route keeps growing: ``energy C:1000`` takes 2.8 s and 57 MiB,
 ``energy C:2000`` 13 s and 174 MiB.
 
+The orders of ``search`` and ``enumerate`` are capped the same way, before
+any work starts (exit 2, one line on stderr), each from a measured run on
+the same machine:
+
+* ``search --n`` is at most MAX_SEARCH_ORDER = 18: ``search --n 17`` took
+  20 s and 64 MiB of peak RSS, ``search --n 18`` 56 s and 125 MiB; time
+  and memory grow two- to threefold per order, with the classes and the
+  alphabet of rooted trees.
+* ``enumerate --count-only --n`` is at most MAX_COUNT_ORDER = 500: Polya's
+  count generates nothing, and took 5.7 s and 41 MiB at n = 500, 32 s and
+  70 MiB at n = 800.
+* ``enumerate --n`` without ``--count-only`` is at most MAX_LIST_ORDER = 16:
+  listing n = 16 took 41 s and 155 MiB as csv, which holds every row (n = 15:
+  13 s and 75 MiB), and 36 s and 42 MiB with ``--emit g6``, which streams;
+  the time grows about threefold per order.
+
 Exit codes: 0 success, 2 bad selector or argument (any ValueError the
 library raises for its input), 3 convergence failure, 4 golden-table
 mismatch or a lollipop closed form that is not an identity in z, 5 refuted
@@ -46,7 +62,6 @@ from .enumeration import count_unicyclic, unicyclic_graphs
 from .graphs import (
     Graph,
     GraphError,
-    check_graph6_order,
     format_graph6,
     make_cycle,
     make_cycle_with_pendants,
@@ -65,6 +80,9 @@ EXIT_GOLDEN = 4
 EXIT_REFUTED = 5
 
 MAX_SELECTOR_ORDER = 500
+MAX_SEARCH_ORDER = 18
+MAX_COUNT_ORDER = 500
+MAX_LIST_ORDER = 16
 
 
 class SpecError(ValueError):
@@ -96,9 +114,13 @@ def parse_graph_spec(spec: str) -> Graph:
 
 def _order(text: str) -> int:
     """A selector's order n, at most MAX_SELECTOR_ORDER."""
-    n = int(text)
-    if n > MAX_SELECTOR_ORDER:
-        raise ValueError("order %d exceeds the limit %d" % (n, MAX_SELECTOR_ORDER))
+    return _capped(int(text), MAX_SELECTOR_ORDER)
+
+
+def _capped(n: int, cap: int) -> int:
+    """n, or ValueError when it exceeds the cap."""
+    if n > cap:
+        raise ValueError("order %d exceeds the limit %d" % (n, cap))
     return n
 
 
@@ -216,7 +238,8 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    ranked, stats = search_with_stats(args.n, args.top, args.tol, args.jobs)
+    n = _capped(args.n, MAX_SEARCH_ORDER)
+    ranked, stats = search_with_stats(n, args.top, args.tol, args.jobs)
     rows = [
         {
             "rank": r.rank,
@@ -235,20 +258,17 @@ def _cmd_search(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     if args.count_only:
-        _emit(
-            [{"n": args.n, "count": count_unicyclic(args.n)}],
-            ["n", "count"],
-            args.format,
-        )
+        n = _capped(args.n, MAX_COUNT_ORDER)
+        _emit([{"n": n, "count": count_unicyclic(n)}], ["n", "count"], args.format)
         return EXIT_OK
-    check_graph6_order(args.n)  # before enumerating, not at the first graph
+    n = _capped(args.n, MAX_LIST_ORDER)  # below graph6's limit of 62
     if args.emit == "g6":
-        for _, g in unicyclic_graphs(args.n):
+        for _, g in unicyclic_graphs(n):
             print(format_graph6(g))
         return EXIT_OK
     rows = [
         {"code": str(code), "cycle_len": code.cycle_len, "g6": format_graph6(g)}
-        for code, g in unicyclic_graphs(args.n)
+        for code, g in unicyclic_graphs(n)
     ]
     _emit(rows, ["code", "cycle_len", "g6"], args.format)
     return EXIT_OK

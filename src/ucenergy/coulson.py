@@ -14,6 +14,13 @@ is 0.  The improper integral is reduced to smooth integrands on [0, 1]:
 
 The workhorse is an adaptive Gauss-Kronrod (G7, K15) rule with an
 embedded error estimate.
+
+The integrands run in doubles.  Every point they evaluate a modulus at lies
+in [0, 1], where Horner's partial sums stay within sum_k |m_k| in size (up
+to rounding), so both routes first check sum_k |m_k| < 2**1023 for each
+modulus and raise ValueError past it, rather than failing on the first
+coefficient a double cannot hold (C_750 is past it, C_700 is not).  The
+exact route, ``energy_of_poly(charpoly(g))``, has no such limit.
 """
 
 from __future__ import annotations
@@ -137,30 +144,50 @@ def energy_coulson(g: Graph, tol: float = 1e-7) -> EnergyValue:
     This is E(g) - E(empty graph on g.n vertices), whose phi is x**n and
     whose energy is 0.  The radius is an estimate, not a bound: the adaptive
     quadrature's own error estimates plus a flat |E| * 2**-48 for float
-    rounding.
+    rounding.  Raises ValueError, naming the exact route, when the
+    coefficients of |phi(ix)|**2 sum to 2**1023 or more, beyond what the
+    double integrand can evaluate (module docstring).
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     if g.n == 0:
         return EnergyValue(0.0, 0.0)
     empty = IntPolynomial((0,) * 2 * g.n + (1,))  # |(ix)**n|**2 = x**(2n)
-    value, err = _log_ratio_integral(modulus_sq_at_ix(charpoly(g)), empty, tol)
+    modulus = _in_double_range(modulus_sq_at_ix(charpoly(g)))
+    value, err = _log_ratio_integral(modulus, empty, tol)
     return EnergyValue(value, err + abs(value) * 2.0 ** -48)
 
 
 def energy_diff_coulson(g1: Graph, g2: Graph, tol: float = 1e-7) -> float:
-    """E(g1) - E(g2) through the log-ratio integral, same order required."""
+    """E(g1) - E(g2) through the log-ratio integral, same order required.
+
+    Raises ValueError, naming the exact route, when the coefficients of
+    either |phi(ix)|**2 sum to 2**1023 or more (module docstring).
+    """
     if g1.n != g2.n:
         raise ValueError("graphs must have the same number of vertices")
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     if g1.n == 0:
         return 0.0
-    m1 = modulus_sq_at_ix(charpoly(g1))
-    m2 = modulus_sq_at_ix(charpoly(g2))
+    m1 = _in_double_range(modulus_sq_at_ix(charpoly(g1)))
+    m2 = _in_double_range(modulus_sq_at_ix(charpoly(g2)))
     if m1 == m2:
         return 0.0
     return _log_ratio_integral(m1, m2, tol)[0]
+
+
+def _in_double_range(m: IntPolynomial) -> IntPolynomial:
+    """m, or ValueError when sum_k |m_k| >= 2**1023, where the integrands
+    could overflow a double (module docstring)."""
+    total = sum(map(abs, m.coeffs))
+    if total >> 1023:
+        raise ValueError(
+            "the Coulson integrand overflows a double: the coefficients of "
+            "|phi(ix)|**2 sum to 2**%d or more; use the exact route, "
+            "energy_of_poly(charpoly(g))" % (total.bit_length() - 1)
+        )
+    return m
 
 
 def _log_ratio_integral(

@@ -21,7 +21,11 @@ produced once, and none is generated and then discarded as a duplicate.
 
 Words stream out in increasing (cycle length, trees) order, the order of the
 recursion; nothing is sorted or stored.  Memory is the alphabet (trees on at
-most n - 2 vertices, four ints each) plus O(n).
+most n - 2 vertices, four ints each) plus O(n).  ``unicyclic_words`` hands
+out the words themselves with the alphabet: the search reads words, and
+computes phi from the alphabet's trees without building a graph.
+``unicyclic_graphs`` turns each word into a ``UnicyclicCode`` and a
+labelled ``Graph`` (``realize``) for the listing and the census.
 
 Counting generates nothing.  By Polya's theorem the classes with cycle length
 l number [x^n] Z(D_l; R(x), R(x^2), ...), the cycle index of the dihedral
@@ -52,6 +56,13 @@ class UnicyclicCode:
 
     cycle_len: int
     trees: tuple[tuple[int, ...], ...]
+
+    @classmethod
+    def of_word(
+        cls, l: int, word: list[int], alphabet: list[tuple[int, ...]]
+    ) -> "UnicyclicCode":
+        """The code of a word of ``unicyclic_words``: its trees in order."""
+        return cls(l, tuple(alphabet[j] for j in word))
 
     @property
     def n(self) -> int:
@@ -160,17 +171,29 @@ def _check_order(n: int) -> None:
         raise ValueError("unicyclic graphs need n >= 3, got %d" % n)
 
 
-def _codes(n: int) -> Iterator[UnicyclicCode]:
-    """Every unicyclic code of order n, once, in increasing code order."""
+def unicyclic_words(
+    n: int,
+) -> tuple[list[tuple[int, ...]], Iterator[tuple[int, list[int]]]]:
+    """The alphabet of order n and every unicyclic class of order n as a word.
+
+    The alphabet is the list of rooted trees on 1..n-2 vertices in tuple
+    order.  The words come once per class, in increasing code order, as
+    (cycle length l, list of l alphabet indices round the cycle); the class
+    is ``UnicyclicCode.of_word(l, word, alphabet)``.
+    """
     _check_order(n)
     # largest possible pendant tree: everything outside a triangle plus root
     alphabet = _Alphabet(n - 2)
-    trees = alphabet.trees
-    return (
-        UnicyclicCode(l, tuple(trees[j] for j in word))
-        for l in range(3, n + 1)
-        for word in _bracelet_words(alphabet, l, n)
+    words = (
+        (l, word) for l in range(3, n + 1) for word in _bracelet_words(alphabet, l, n)
     )
+    return alphabet.trees, words
+
+
+def _codes(n: int) -> Iterator[UnicyclicCode]:
+    """Every unicyclic code of order n, once, in increasing code order."""
+    trees, words = unicyclic_words(n)
+    return (UnicyclicCode.of_word(l, word, trees) for l, word in words)
 
 
 def unicyclic_graphs(n: int) -> Iterator[tuple[UnicyclicCode, Graph]]:

@@ -8,6 +8,21 @@ x != 0, so E(H) > E(S) strictly: H *dominates* S.  That is an exact integer
 test, with no roots and no floats, and it is the quasi-order on which the
 paper's proof rests, applied to the whole bracket.
 
+The stream the filter reads is words, not graphs.  ``unicyclic_words``
+gives each class once as a bracelet word over the alphabet of rooted
+trees, and phi comes straight from the word at x = 2**b
+(``_word_spectra``): each alphabet tree T carries the pair
+(phi(T), phi(T - root)) at 2**b, folded from its level sequence by
+``charpoly.rooted_pair``, and ``charpoly.cycle_value`` joins the pairs
+round the cycle with the same cycle-edge step that ``charpoly`` takes.
+Pairs of trees on at most n / 2 vertices are computed once; a word holds
+at most one larger tree, and its pair is folded when the word arrives, so
+no pair map of the whole alphabet is held.  No ``Graph`` is built and no
+edge is walked.  ``IntPolynomial.from_packed`` unpacks the value to the
+coefficients, which the filter keys on, with the word and its cycle length
+as the tag; ``UnicyclicCode``s are built only for the words of the spectra
+the filter keeps.
+
 Each bracket is one integer.  In y = x**2, |phi(ix)|**2 is
 M(y) = R(y)**2 + y * I(y)**2 with R(y) = sum_j c_(2j) (-1)**j y**j and
 I(y) = sum_j c_(2j+1) (-1)**j y**j, and B_G in y is M with its n + 1
@@ -16,7 +31,8 @@ decides the same dominance.  A zero eigenvalue gives M_0 = c_0**2 = 0, a
 coefficient like any other, so brackets of one order need no padding.
 ``_bracket_key`` evaluates R and I at y = 2**w, with w = 2b + 2 and
 b = ``coefficient_bits(n)``, and returns M(2**w) plus a bias of 2**(w-2) in
-each of the n + 1 digits.  With G the bit 2**(w-1) of every digit
+each of the n + 1 digits; w, the bias and the bound below are computed
+once per order (``_layout``).  With G the bit 2**(w-1) of every digit
 (``_guard``), H dominates S exactly when H != S and
 ((H | G) - S) & G == G:
 
@@ -35,9 +51,9 @@ The top k entries, and the ``tied`` flag of rank k, read the first k + 1
 entries of the energy order.  A spectrum with k + 1 dominators has k + 1
 distinct spectra, hence at least k + 1 graphs, strictly above it, so it can
 never be among them, and it is dropped before any root work.  The filter
-runs in the one pass over the graphs.  It holds only a kept set K of
-spectra, each with its bracket, a dominator count and its codes.  A graph
-whose spectrum is in K adds its code.  Any other spectrum counts its
+runs in the one pass over the words.  It holds only a kept set K of
+spectra, each with its bracket, a dominator count and its words.  A word
+whose spectrum is in K adds itself.  Any other spectrum counts its
 dominators in K, and stops at k + 1; with fewer it joins K with that count,
 raises the count of every member it dominates and drops any member whose
 count reaches k + 1.  That keeps exactly the spectra with at most k
@@ -60,7 +76,7 @@ dominators among all spectra, in any order of arrival:
    the spectra that have arrived that extends dominance, the first k + 1
    have at most k dominators each, so K keeps them.
 
-No set of all spectra and no map of all codes is held.  Equal brackets
+No set of all spectra and no map of all words is held.  Equal brackets
 (phi(x) and +-phi(-x) share one) never dominate each other, so such spectra
 survive or go together, and survivors are flagged as ties below.
 
@@ -81,10 +97,11 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
-from typing import Iterable
+from functools import lru_cache
+from typing import Iterable, Iterator
 
-from .charpoly import charpoly, coefficient_bits
-from .enumeration import UnicyclicCode, unicyclic_graphs
+from .charpoly import coefficient_bits, cycle_value, rooted_pair
+from .enumeration import UnicyclicCode, unicyclic_words
 from .polynomials import IntPolynomial
 from .roots import EnergyValue, energy_of_poly
 
@@ -121,7 +138,7 @@ def max_energy_search(
     """Top-k unicyclic graphs on n vertices by energy, ties flagged.
 
     Only the spectra that fewer than top_k + 1 others bracket-dominate are
-    kept while the graphs stream past, and only those are enclosed (see the
+    kept while the classes stream past, and only those are enclosed (see the
     module docstring); the result is the one every spectrum's enclosure
     would give.  Energies run in at most min(jobs, CPU count, enclosed
     spectra) worker processes; one worker means no pool.
@@ -138,9 +155,49 @@ def search_with_stats(
         raise ValueError("top_k must be at least 1")
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
-    stream = ((code, charpoly(g).coeffs) for code, g in unicyclic_graphs(n))
-    codes_of, counts = _undominated(stream, top_k + 1, _guard(n))
+    alphabet, words = unicyclic_words(n)
+    kept, counts = _undominated(_word_spectra(n, alphabet, words), top_k + 1, _guard(n))
+    codes_of = {
+        coeffs: [UnicyclicCode.of_word(l, word, alphabet) for l, word in tags]
+        for coeffs, tags in kept.items()
+    }
+    return _rank(codes_of, counts, top_k, tol, jobs)
 
+
+def _word_spectra(
+    n: int, alphabet: list[tuple[int, ...]], words: Iterable[tuple[int, list[int]]]
+) -> Iterator[tuple[tuple[int, list[int]], tuple[int, ...]]]:
+    """Each (cycle length, word) of ``unicyclic_words(n)`` with the
+    coefficients of its phi, read from the word at x = 2**b.
+
+    The pair (phi(T), phi(T - root)) at 2**b of an alphabet tree on at most
+    n // 2 vertices is computed once; a larger tree, which fills most of a
+    word, is folded each time a word holds it.
+    """
+    bits = coefficient_bits(n)
+    f_of, r_of = [None] * len(alphabet), [None] * len(alphabet)
+    for j, tree in enumerate(alphabet):
+        if 2 * len(tree) <= n:
+            f_of[j], r_of[j] = rooted_pair(tree, bits)
+    for tag in words:
+        word = tag[1]
+        f = [f_of[j] for j in word]
+        r = [r_of[j] for j in word]
+        if None in r:  # a word holds at most one tree of more than n / 2 vertices
+            i = r.index(None)
+            f[i], r[i] = rooted_pair(alphabet[word[i]], bits)
+        yield tag, IntPolynomial.from_packed(cycle_value(f, r, bits), bits, n + 1).coeffs
+
+
+def _rank(
+    codes_of: dict[tuple[int, ...], list[UnicyclicCode]],
+    counts: dict[str, int],
+    top_k: int,
+    tol: float,
+    jobs: int,
+) -> tuple[list[RankedEntry], SearchStats]:
+    """The top_k codes of the kept spectra, each spectrum enclosed once and
+    again at radius 1e-12 where enclosures overlap, with the search's stats."""
     polys = list(codes_of)
     workers = min(jobs, os.cpu_count() or 1, len(polys))
     if workers > 1:
@@ -172,11 +229,21 @@ def search_with_stats(
     return out, stats
 
 
+@lru_cache(maxsize=None)
+def _layout(n: int) -> tuple[int, int, int]:
+    """(w, 2**(b-2), bias) for bracket keys of order n, b =
+    ``coefficient_bits(n)``: the digit width, the bound on sum_k |c_k| and
+    2**(w-2) in each of the n + 1 digits (see the module docstring)."""
+    b = coefficient_bits(n)
+    w = 2 * b + 2
+    bias = ((1 << w * (n + 1)) - 1) // ((1 << w) - 1) << (w - 2)
+    return w, 1 << (b - 2), bias
+
+
 def _guard(n: int) -> int:
     """G: the top bit 2**(w-1) of each of the n + 1 digits of a bracket key
     of order n (see the module docstring)."""
-    w = 2 * coefficient_bits(n) + 2
-    return ((1 << w * (n + 1)) - 1) // ((1 << w) - 1) << (w - 1)
+    return _layout(n)[2] << 1
 
 
 def _bracket_key(coeffs: tuple[int, ...]) -> int:
@@ -187,9 +254,8 @@ def _bracket_key(coeffs: tuple[int, ...]) -> int:
     could leave [0, 2**(w-1)).
     """
     n = len(coeffs) - 1
-    b = coefficient_bits(n)
-    w = 2 * b + 2
-    if sum(map(abs, coeffs)) >= 1 << (b - 2):
+    w, limit, bias = _layout(n)
+    if sum(map(abs, coeffs)) >= limit:
         raise OverflowError("coefficients too large for %d-bit bracket digits" % w)
     real = imag = 0  # R(2**w) and I(2**w) by Horner, c_k signed by (-1)**(k // 2)
     for k in range(n, -1, -1):
@@ -198,7 +264,7 @@ def _bracket_key(coeffs: tuple[int, ...]) -> int:
             imag = (imag << w) + c
         else:
             real = (real << w) + c
-    return real * real + (imag * imag << w) + (_guard(n) >> 1)
+    return real * real + (imag * imag << w) + bias
 
 
 def _dominates(h: int, s: int, guard: int) -> bool:
@@ -211,27 +277,27 @@ def _dominates(h: int, s: int, guard: int) -> bool:
 
 
 def _undominated(
-    stream: Iterable[tuple[UnicyclicCode, tuple[int, ...]]], count: int, guard: int
-) -> tuple[dict[tuple[int, ...], list[UnicyclicCode]], dict[str, int]]:
+    stream: Iterable[tuple[object, tuple[int, ...]]], count: int, guard: int
+) -> tuple[dict[tuple[int, ...], list], dict[str, int]]:
     """The spectra that fewer than ``count`` others bracket-dominate.
 
-    Takes (code, coefficients) pairs of one order n in any order, and
-    ``guard`` = ``_guard(n)``.  Returns the kept spectra with their codes,
-    and the ``SearchStats`` counts of the filter: pairs seen, the most
-    spectra held at once, dominance tests and drops.  Only the kept set is
-    held (see the module docstring).
+    Takes (tag, coefficients) pairs of one order n in any order, a tag being
+    anything that names the graph, and ``guard`` = ``_guard(n)``.  Returns
+    the kept spectra with their tags, and the ``SearchStats`` counts of the
+    filter: pairs seen, the most spectra held at once, dominance tests and
+    drops.  Only the kept set is held (see the module docstring).
     """
-    kept: dict[tuple[int, ...], list] = {}  # coeffs -> [bracket, count, codes]
+    kept: dict[tuple[int, ...], list] = {}  # coeffs -> [bracket, count, tags]
     seen = held_max = compared = dropped = 0
-    for code, coeffs in stream:
+    for tag, coeffs in stream:
         seen += 1
         member = kept.get(coeffs)
         if member is not None:
-            member[2].append(code)
+            member[2].append(tag)
             continue
         key = _bracket_key(coeffs)
         if len(kept) < count:  # nothing can be dropped yet (point 4)
-            kept[coeffs] = [key, 0, [code]]
+            kept[coeffs] = [key, 0, [tag]]
             if len(kept) == count:
                 compared += _settle(list(kept.values()), guard)
         else:
@@ -252,11 +318,11 @@ def _undominated(
                     if member[1] == count:
                         del kept[other_coeffs]
                         dropped += 1
-            kept[coeffs] = [key, above, [code]]
+            kept[coeffs] = [key, above, [tag]]
         held_max = max(held_max, len(kept))
-    codes_of = {c: member[2] for c, member in kept.items()}
+    tags_of = {c: member[2] for c, member in kept.items()}
     counts = dict(graphs=seen, held_max=held_max, compared=compared, dropped=dropped)
-    return codes_of, counts
+    return tags_of, counts
 
 
 def _settle(members: list[list], guard: int) -> int:

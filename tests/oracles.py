@@ -25,7 +25,10 @@ and summed in ``Fraction``s.  ``search_enclose_all`` is the search as it was
 before the Coulson-bracket filter.  It takes its graphs, characteristic
 polynomials and enclosures from ucenergy, which other tests check against
 their own oracles, and encloses every distinct spectrum, so it shares no
-code with the filter it is compared against.
+code with the filter it is compared against.  ``search_from_graphs`` is the
+search as it was before phi was read from the bracelet word: a ``Graph``
+per class and its ``charpoly``, fed to ucenergy's own filter and ranking,
+so it differs from the search only in the stream.
 """
 
 from __future__ import annotations
@@ -572,6 +575,18 @@ def search_enclose_all(n: int, top_k: int, tol: float = 1e-7) -> list:
         )
         out.append(RankedEntry(i + 1, code, e, tied))
     return out
+
+
+def search_from_graphs(n: int, top_k: int, tol: float = 1e-7) -> tuple:
+    """``search_with_stats`` on the stream of graphs: each class realised by
+    ``unicyclic_graphs`` and its phi computed by ``charpoly``."""
+    from ucenergy import search
+    from ucenergy.charpoly import charpoly
+    from ucenergy.enumeration import unicyclic_graphs
+
+    stream = ((code, charpoly(g).coeffs) for code, g in unicyclic_graphs(n))
+    codes_of, counts = search._undominated(stream, top_k + 1, search._guard(n))
+    return search._rank(codes_of, counts, top_k, tol, 1)
 
 
 @functools.lru_cache(maxsize=None)

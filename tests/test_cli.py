@@ -11,7 +11,13 @@ import pytest
 import ucenergy
 from ucenergy import certify
 from ucenergy.certify import certificate_from_json, verify_certificate
-from ucenergy.cli import MAX_SELECTOR_ORDER, main
+from ucenergy.cli import (
+    MAX_COUNT_ORDER,
+    MAX_LIST_ORDER,
+    MAX_SEARCH_ORDER,
+    MAX_SELECTOR_ORDER,
+    main,
+)
 from ucenergy.polynomials import IntPolynomial
 
 
@@ -54,6 +60,13 @@ def test_nonpositive_tolerance_is_a_usage_error(argv, capsys):
         ["energy", "L:100000000000:6", "--method", "coulson"],
         ["diff", "C:5", "CP:100000000000:3:99999999997,0,0"],
         ["diff", "L:%d:6" % (MAX_SELECTOR_ORDER + 1), "C:5"],
+        # so are search and enumerate orders above their caps
+        ["search", "--n", str(MAX_SEARCH_ORDER + 1)],
+        ["search", "--n", "100000"],
+        ["enumerate", "--count-only", "--n", str(MAX_COUNT_ORDER + 1)],
+        ["enumerate", "--count-only", "--n", "100000000000"],
+        ["enumerate", "--n", str(MAX_LIST_ORDER + 1), "--format", "csv"],
+        ["enumerate", "--n", str(MAX_LIST_ORDER + 1), "--emit", "g6"],
     ],
 )
 def test_rejected_input_exits_2_with_one_line(argv, capsys):

@@ -76,6 +76,20 @@ def test_diff_coulson_requires_equal_order():
         energy_diff_coulson(make_cycle(5), make_cycle(6))
 
 
+def test_coulson_past_the_double_range_is_a_value_error():
+    # |phi(ix)|**2 of C_750 has coefficients summing to about 2**1041; the
+    # integrand cannot be evaluated in doubles, so both routes refuse it
+    for route in (
+        lambda: energy_coulson(make_cycle(750)),
+        lambda: energy_diff_coulson(make_cycle(750), make_path(750)),
+    ):
+        with pytest.raises(ValueError, match="exact route"):
+            route()
+    # C_700 sums to about 2**972 and still gets its energy
+    e = energy_coulson(make_cycle(700))
+    assert e.value == pytest.approx(cycle_energy_reference(700), abs=1e-7)
+
+
 def test_diff_handles_singular_adjacency():
     # both graphs have zero eigenvalues of different multiplicity
     g1, g2 = make_path(7), make_lollipop(7, 4)

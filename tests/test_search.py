@@ -1,5 +1,7 @@
-"""The exhaustive search: the Coulson-bracket filter, the ranking and worker-pool sizing."""
+"""The exhaustive search: phi from the bracelet word, the Coulson-bracket
+filter, the ranking and worker-pool sizing."""
 
+import importlib
 import random
 import subprocess
 import sys
@@ -9,12 +11,26 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import ucenergy.search as search
-from oracles import bracket_coefficients, bracket_dominates, search_enclose_all
+from oracles import (
+    bracket_coefficients,
+    bracket_dominates,
+    search_enclose_all,
+    search_from_graphs,
+)
+from ucenergy import enumeration
 from ucenergy.charpoly import charpoly, coefficient_bits
-from ucenergy.enumeration import unicyclic_graphs
+from ucenergy.enumeration import (
+    UnicyclicCode,
+    count_unicyclic,
+    realize,
+    unicyclic_graphs,
+    unicyclic_words,
+)
 from ucenergy.graphs import Graph
 from ucenergy.roots import EnergyValue, energy_of_poly
 from ucenergy.search import max_energy_search, search_with_stats
+
+charpoly_module = importlib.import_module("ucenergy.charpoly")
 
 
 def test_worker_count_is_capped(monkeypatch):
@@ -73,6 +89,61 @@ def test_importing_the_package_loads_no_process_pool():
 @pytest.mark.parametrize("n", range(3, 11))
 def test_search_equals_enclosing_every_spectrum(n, top_k):
     assert max_energy_search(n, top_k) == search_enclose_all(n, top_k)
+
+
+@pytest.mark.parametrize("n", range(3, 12))
+def test_word_phi_equals_the_graph_route(n):
+    # trees on at most n // 2 vertices take the memoised pair, larger ones
+    # are folded when a word holds them; both kinds must occur
+    alphabet, words = unicyclic_words(n)
+    sizes = set()
+    seen = 0
+    for (l, word), coeffs in search._word_spectra(n, alphabet, words):
+        code = UnicyclicCode.of_word(l, word, alphabet)
+        assert coeffs == charpoly(realize(code)).coeffs, code
+        sizes.update(len(alphabet[j]) > n // 2 for j in word)
+        seen += 1
+    assert seen == count_unicyclic(n)
+    assert sizes == ({False, True} if n >= 5 else {False})
+
+
+def test_the_search_builds_no_graph_and_runs_no_charpoly(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("graph route taken")
+
+    for module, name in (
+        (enumeration, "realize"),
+        (enumeration, "unicyclic_graphs"),
+        (charpoly_module, "charpoly"),
+    ):
+        original = getattr(module, name)
+        for mod in [m for key, m in sys.modules.items() if key.startswith("ucenergy")]:
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, forbidden)
+    ranked, stats = search_with_stats(9)
+    assert str(ranked[0].code) == "U[l=9|.,.,.,.,.,.,.,.,.]"
+    assert stats.graphs == count_unicyclic(9)
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_the_search_equals_the_graph_stream(n):
+    several = False
+    for top_k in (1, 5, 50):
+        assert search_with_stats(n, top_k) == search_from_graphs(n, top_k)
+        # the filter keeps every code of a cospectral class, in arrival order
+        alphabet, words = unicyclic_words(n)
+        tags_of, _ = search._undominated(
+            search._word_spectra(n, alphabet, words), top_k + 1, search._guard(n)
+        )
+        graphs = ((code, charpoly(g).coeffs) for code, g in unicyclic_graphs(n))
+        codes_of, _ = search._undominated(graphs, top_k + 1, search._guard(n))
+        assert {
+            c: [UnicyclicCode.of_word(l, word, alphabet) for l, word in tags]
+            for c, tags in tags_of.items()
+        } == codes_of
+        several |= any(len(codes) > 1 for codes in codes_of.values())
+    assert several or n < 8
 
 
 @given(st.lists(st.tuples(st.integers(-64, 64), st.integers(0, 16)), max_size=12))
