@@ -29,9 +29,11 @@ the same machine:
   count generates nothing, and took 5.7 s and 41 MiB at n = 500, 32 s and
   70 MiB at n = 800.
 * ``enumerate --n`` without ``--count-only`` is at most MAX_LIST_ORDER = 16:
-  listing n = 16 took 41 s and 155 MiB as csv, which holds every row (n = 15:
-  13 s and 75 MiB), and 36 s and 42 MiB with ``--emit g6``, which streams;
-  the time grows about threefold per order.
+  csv, json and ``--emit g6`` write each class as it comes, and only text
+  holds every row, for its column widths.  As csv, n = 15 took 16 s and
+  35 MiB of peak RSS (75 MiB, and 166 MiB as json, while every row was
+  held), and n = 16 53 s and 43 MiB; ``--emit g6`` took 36 s and 42 MiB at
+  n = 16.  The time grows about threefold per order.
 
 Exit codes: 0 success, 2 bad selector or argument (any ValueError the
 library raises for its input), 3 convergence failure, 4 golden-table
@@ -53,6 +55,7 @@ import json
 import math
 import os
 import sys
+from typing import Iterable
 
 from .certify import certificate_to_json, check_modulus_forms, run_claim_suite
 from .charpoly import charpoly
@@ -140,15 +143,22 @@ def _expand_specs(spec: str) -> list[tuple[str, Graph]]:
 # ---------------------------------------------------------------------------
 
 
-def _emit(rows: list[dict], columns: list[str], fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(rows, indent=2))
+def _emit(rows: Iterable[dict], columns: list[str], fmt: str) -> None:
+    """Print the rows as a table.  csv and json write each row as it comes;
+    only text, whose column widths depend on every row, holds them all."""
+    if fmt == "json":  # as json.dumps(list(rows), indent=2), a row at a time
+        sep = "[\n  "
+        for row in rows:
+            sys.stdout.write(sep + json.dumps(row, indent=2).replace("\n", "\n  "))
+            sep = ",\n  "
+        print("[]" if sep == "[\n  " else "\n]")
         return
     if fmt == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(columns)
         writer.writerows([_cell(row.get(c), full=True) for c in columns] for row in rows)
         return
+    rows = list(rows)
     widths = {
         c: max(len(c), *(len(_cell(r.get(c))) for r in rows)) if rows else len(c)
         for c in columns
@@ -262,14 +272,16 @@ def _cmd_enumerate(args) -> int:
         _emit([{"n": n, "count": count_unicyclic(n)}], ["n", "count"], args.format)
         return EXIT_OK
     n = _capped(args.n, MAX_LIST_ORDER)  # below graph6's limit of 62
+    if n < 3:  # refused here: csv writes its header before the first class
+        raise ValueError("unicyclic graphs need n >= 3, got %d" % n)
     if args.emit == "g6":
         for _, g in unicyclic_graphs(n):
             print(format_graph6(g))
         return EXIT_OK
-    rows = [
+    rows = (
         {"code": str(code), "cycle_len": code.cycle_len, "g6": format_graph6(g)}
         for code, g in unicyclic_graphs(n)
-    ]
+    )
     _emit(rows, ["code", "cycle_len", "g6"], args.format)
     return EXIT_OK
 

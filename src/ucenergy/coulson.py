@@ -31,7 +31,7 @@ from heapq import heappush, heappop
 from .charpoly import charpoly
 from .graphs import Graph
 from .polynomials import IntPolynomial, reverse
-from .roots import ConvergenceError, EnergyValue
+from .roots import ConvergenceError, EnergyValue, check_tolerance
 
 # Gauss-Kronrod 7-15 nodes and weights on [-1, 1] (QUADPACK constants).
 _XGK = (
@@ -148,8 +148,7 @@ def energy_coulson(g: Graph, tol: float = 1e-7) -> EnergyValue:
     coefficients of |phi(ix)|**2 sum to 2**1023 or more, beyond what the
     double integrand can evaluate (module docstring).
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    check_tolerance(tol)
     if g.n == 0:
         return EnergyValue(0.0, 0.0)
     empty = IntPolynomial((0,) * 2 * g.n + (1,))  # |(ix)**n|**2 = x**(2n)
@@ -166,8 +165,7 @@ def energy_diff_coulson(g1: Graph, g2: Graph, tol: float = 1e-7) -> float:
     """
     if g1.n != g2.n:
         raise ValueError("graphs must have the same number of vertices")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    check_tolerance(tol)
     if g1.n == 0:
         return 0.0
     m1 = _in_double_range(modulus_sq_at_ix(charpoly(g1)))

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .graphs import Graph
-from .roots import ConvergenceError, EnergyValue
+from .roots import ConvergenceError, EnergyValue, check_tolerance
 
 
 def energy_eigensolver(g: Graph, tol: float = 1e-8) -> EnergyValue:
@@ -22,8 +22,7 @@ def energy_eigensolver(g: Graph, tol: float = 1e-8) -> EnergyValue:
     The radius n * n * max|lambda| * 2**-52 is an estimate (Weyl plus
     LAPACK's backward error); ConvergenceError if it exceeds ``tol``.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    check_tolerance(tol)
     if g.n == 0:
         return EnergyValue(0.0, 0.0)
     eigenvalues = np.linalg.eigvalsh(np.array(g.adjacency_matrix(), dtype=float))

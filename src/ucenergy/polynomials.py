@@ -7,8 +7,6 @@ isolator and the inequality certifier, all of it in integer arithmetic: sign
 evaluation at rational points, pseudo-remainders and exact division, the
 primitive gcd, Yun square-free factorisation (which only the certifier
 uses), Sturm chains and their sign variations at a point.
-``IntPolynomial.from_packed`` reads a polynomial back from its value at
-x = 2**b, for callers that compute in that single integer.
 """
 
 from __future__ import annotations
@@ -44,28 +42,6 @@ class IntPolynomial:
     @classmethod
     def constant(cls, c: int) -> "IntPolynomial":
         return cls.from_coeffs([c])
-
-    @classmethod
-    def from_packed(cls, value: int, bits: int, count: int) -> "IntPolynomial":
-        """The polynomial p with p(2**bits) == value and at most ``count``
-        coefficients, each in [-2**(bits-1), 2**(bits-1)): the balanced
-        base-2**bits digits of ``value``, for any positive ``bits``.
-
-        A value with more than ``count`` digits raises ValueError rather
-        than losing the rest.
-        """
-        if bits <= 0:
-            raise ValueError("bits must be positive, got %d" % bits)
-        # adding 2**(bits-1) to every digit moves it into [0, 2**bits)
-        half = 1 << (bits - 1)
-        mask = (1 << bits) - 1
-        biased = value + half * (((1 << bits * count) - 1) // mask)
-        if biased < 0 or biased.bit_length() > bits * count:
-            raise ValueError("value has more than %d digits of %d bits" % (count, bits))
-        digits = [((biased >> shift) & mask) - half for shift in range(0, bits * count, bits)]
-        while digits and not digits[-1]:
-            digits.pop()
-        return cls(tuple(digits))
 
     # -- basic queries -------------------------------------------------
 

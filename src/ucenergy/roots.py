@@ -182,6 +182,13 @@ def refine_enclosure(
     )
 
 
+def check_tolerance(tol: float) -> None:
+    """ValueError unless tol is a positive finite number: the one check of
+    every energy route's requested tolerance (nan and inf included)."""
+    if not 0 < tol < math.inf:
+        raise ValueError("tolerance must be positive and finite, got %r" % tol)
+
+
 def energy_of_poly(p: IntPolynomial, tol: float = 1e-7) -> EnergyValue:
     """Sum of multiplicity-weighted absolute root values, radius <= tol.
 
@@ -195,8 +202,7 @@ def energy_of_poly(p: IntPolynomial, tol: float = 1e-7) -> EnergyValue:
     float; ConvergenceError is raised when tol is too tight for a double,
     and ValueError when tol is not a positive finite number.
     """
-    if not 0 < tol < math.inf:
-        raise ValueError("tolerance must be positive and finite")
+    check_tolerance(tol)
     if p.is_zero:
         raise ValueError("zero polynomial")
     zero_mult = p.lowest_power()

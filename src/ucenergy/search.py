@@ -10,18 +10,19 @@ paper's proof rests, applied to the whole bracket.
 
 The stream the filter reads is words, not graphs.  ``unicyclic_words``
 gives each class once as a bracelet word over the alphabet of rooted
-trees, and phi comes straight from the word at x = 2**b
-(``_word_spectra``): each alphabet tree T carries the pair
-(phi(T), phi(T - root)) at 2**b, folded from its level sequence by
-``charpoly.rooted_pair``, and ``charpoly.cycle_value`` joins the pairs
-round the cycle with the same cycle-edge step that ``charpoly`` takes.
-Pairs of trees on at most n / 2 vertices are computed once; a word holds
-at most one larger tree, and its pair is folded when the word arrives, so
-no pair map of the whole alphabet is held.  No ``Graph`` is built and no
-edge is walked.  ``IntPolynomial.from_packed`` unpacks the value to the
-coefficients, which the filter keys on, with the word and its cycle length
-as the tag; ``UnicyclicCode``s are built only for the words of the spectra
-the filter keeps.
+trees, and phi comes straight from the word (``_word_spectra``): each
+alphabet tree T carries its matching pair (m+(T), m+(T - root)), folded
+from its level sequence by ``charpoly.rooted_pair``, and
+``charpoly.cycle_pair`` joins the pairs round the cycle Z into
+P = m+(G) and C = m+(G - Z), as in ``charpoly``.  Pairs of trees on at most
+n / 2 vertices are computed once; a word holds at most one larger tree,
+folded when the word arrives.  No ``Graph`` is built.  A spectrum is named
+by the Gaussian integer z = phi(iX) / i**n = P - 2 * i**(-l) * C at
+X = 2**(b+1), b = ``coefficient_bits(n)``: z depends on phi alone, and its
+base-X digits are the coefficients of phi up to signs fixed by their
+index, so it is injective on phi.  The filter keys on z and tags it with
+the word; only the kept spectra are unpacked (``phi_from_gaussian``) and
+their words built into ``UnicyclicCode``s.
 
 Each bracket is one integer.  In y = x**2, |phi(ix)|**2 is
 M(y) = R(y)**2 + y * I(y)**2 with R(y) = sum_j c_(2j) (-1)**j y**j and
@@ -29,19 +30,22 @@ I(y) = sum_j c_(2j+1) (-1)**j y**j, and B_G in y is M with its n + 1
 coefficients M_0 .. M_n reversed, so comparing M coefficient by coefficient
 decides the same dominance.  A zero eigenvalue gives M_0 = c_0**2 = 0, a
 coefficient like any other, so brackets of one order need no padding.
-``_bracket_key`` evaluates R and I at y = 2**w, with w = 2b + 2 and
-b = ``coefficient_bits(n)``, and returns M(2**w) plus a bias of 2**(w-2) in
-each of the n + 1 digits; w, the bias and the bound below are computed
-once per order (``_layout``).  With G the bit 2**(w-1) of every digit
-(``_guard``), H dominates S exactly when H != S and
+With w = 2b + 2, X**2 = 2**w and M(2**w) = |z|**2: P**2 + 4C**2 for odd
+l, (P + 2C)**2 or (P - 2C)**2 for l = 2 or 0 (mod 4), the paper's split
+by girth parity.  ``_bracket_key`` biases each of the n + 1 digits by
+2**(w-2); ``_layout`` fixes X, the bias and the bound below per order.
+With G the bit 2**(w-1) of every digit (``_guard``), H dominates S
+exactly when H != S and
 ((H | G) - S) & G == G:
 
 * |M_i| <= (sum_j |R_j|)**2 + (sum_j |I_j|)**2 <= (sum_k |c_k|)**2
   < 2**(2b-4), since R and I together hold each c_k once.  ``charpoly``
   proves sum_k |c_k| < 2**(b-2) for every connected unicyclic graph;
-  ``_bracket_key`` checks it for each spectrum and raises OverflowError if
-  it fails.  So every biased digit h_i = M_i + 2**(w-2) lies in
-  [0, 2**(w-1)), and the key's base-2**w digits are exactly these.
+  ``_bracket_key`` reads that sum off the digits of Re z and Im z (the
+  digit sum of P + 2C, or of P - 2C for l = 0 (mod 4)) for each spectrum,
+  and raises OverflowError if it fails.  So every biased digit
+  h_i = M_i + 2**(w-2) lies in [0, 2**(w-1)), and the key's base-2**w
+  digits are exactly these.
 * (H | G) - S is the sum of (h_i + 2**(w-1) - s_i) * 2**(w*i), and each
   term in parentheses lies in (0, 2**w).  So no digit borrows from the next
   one, and these terms are the digits of the difference.
@@ -100,10 +104,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .charpoly import coefficient_bits, cycle_value, rooted_pair
+from .charpoly import coefficient_bits, cycle_pair, phi_from_gaussian, phi_gaussian, rooted_pair
 from .enumeration import UnicyclicCode, unicyclic_words
 from .polynomials import IntPolynomial
-from .roots import EnergyValue, energy_of_poly
+from .roots import EnergyValue, check_tolerance, energy_of_poly
 
 _TIE_RADIUS = 1e-12
 
@@ -151,42 +155,44 @@ def search_with_stats(
 ) -> tuple[list[RankedEntry], SearchStats]:
     """``max_energy_search`` together with the counts of what it did; codes
     rank by one enclosure per spectrum (see the module docstring)."""
+    check_tolerance(tol)
     if top_k < 1:
         raise ValueError("top_k must be at least 1")
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     alphabet, words = unicyclic_words(n)
-    kept, counts = _undominated(_word_spectra(n, alphabet, words), top_k + 1, _guard(n))
+    kept, counts = _undominated(_word_spectra(n, alphabet, words), top_k + 1, n)
+    bits = _layout(n)[0]
     codes_of = {
-        coeffs: [UnicyclicCode.of_word(l, word, alphabet) for l, word in tags]
-        for coeffs, tags in kept.items()
+        phi_from_gaussian(z, n, bits).coeffs: [UnicyclicCode.of_word(*t, alphabet) for t in tags]
+        for z, tags in kept.items()
     }
     return _rank(codes_of, counts, top_k, tol, jobs)
 
 
 def _word_spectra(
     n: int, alphabet: list[tuple[int, ...]], words: Iterable[tuple[int, list[int]]]
-) -> Iterator[tuple[tuple[int, list[int]], tuple[int, ...]]]:
-    """Each (cycle length, word) of ``unicyclic_words(n)`` with the
-    coefficients of its phi, read from the word at x = 2**b.
+) -> Iterator[tuple[tuple[int, list[int]], tuple[int, int]]]:
+    """Each (cycle length, word) of ``unicyclic_words(n)`` with its
+    z = phi(iX) / i**n at X = 2**(b+1), read from the word.
 
-    The pair (phi(T), phi(T - root)) at 2**b of an alphabet tree on at most
+    The pair (m+(T), m+(T - root)) at X of an alphabet tree on at most
     n // 2 vertices is computed once; a larger tree, which fills most of a
     word, is folded each time a word holds it.
     """
-    bits = coefficient_bits(n)
+    bits = _layout(n)[0]
     f_of, r_of = [None] * len(alphabet), [None] * len(alphabet)
     for j, tree in enumerate(alphabet):
         if 2 * len(tree) <= n:
             f_of[j], r_of[j] = rooted_pair(tree, bits)
     for tag in words:
-        word = tag[1]
+        l, word = tag
         f = [f_of[j] for j in word]
         r = [r_of[j] for j in word]
         if None in r:  # a word holds at most one tree of more than n / 2 vertices
             i = r.index(None)
             f[i], r[i] = rooted_pair(alphabet[word[i]], bits)
-        yield tag, IntPolynomial.from_packed(cycle_value(f, r, bits), bits, n + 1).coeffs
+        yield tag, phi_gaussian(*cycle_pair(f, r, bits), l)
 
 
 def _rank(
@@ -231,13 +237,13 @@ def _rank(
 
 @lru_cache(maxsize=None)
 def _layout(n: int) -> tuple[int, int, int]:
-    """(w, 2**(b-2), bias) for bracket keys of order n, b =
-    ``coefficient_bits(n)``: the digit width, the bound on sum_k |c_k| and
-    2**(w-2) in each of the n + 1 digits (see the module docstring)."""
+    """(b + 1, 2**(b-2), bias) for bracket keys of order n, b =
+    ``coefficient_bits(n)``: log2 X, the bound on sum_k |c_k| and 2**(w-2)
+    in each of the n + 1 digits of width w = 2b + 2 (module docstring)."""
     b = coefficient_bits(n)
     w = 2 * b + 2
     bias = ((1 << w * (n + 1)) - 1) // ((1 << w) - 1) << (w - 2)
-    return w, 1 << (b - 2), bias
+    return b + 1, 1 << (b - 2), bias
 
 
 def _guard(n: int) -> int:
@@ -246,25 +252,21 @@ def _guard(n: int) -> int:
     return _layout(n)[2] << 1
 
 
-def _bracket_key(coeffs: tuple[int, ...]) -> int:
-    """The Coulson bracket of phi as one integer: M(2**w) with each digit
-    biased by 2**(w-2), where M(x**2) = |phi(ix)|**2 (module docstring).
-
-    Raises OverflowError when sum_k |c_k| reaches 2**(b-2), where a digit
-    could leave [0, 2**(w-1)).
+def _bracket_key(z: tuple[int, int], n: int) -> int:
+    """The Coulson bracket of phi as one integer: M(2**w) = |z|**2 with each
+    digit biased by 2**(w-2), for z = phi(iX) / i**n of order n (module
+    docstring).  Raises OverflowError when sum_k |c_k|, the digit sum of z,
+    reaches 2**(b-2), where a digit could leave [0, 2**(w-1)).
     """
-    n = len(coeffs) - 1
-    w, limit, bias = _layout(n)
-    if sum(map(abs, coeffs)) >= limit:
-        raise OverflowError("coefficients too large for %d-bit bracket digits" % w)
-    real = imag = 0  # R(2**w) and I(2**w) by Horner, c_k signed by (-1)**(k // 2)
-    for k in range(n, -1, -1):
-        c = -coeffs[k] if k & 2 else coeffs[k]
-        if k & 1:
-            imag = (imag << w) + c
-        else:
-            real = (real << w) + c
-    return real * real + (imag * imag << w) + bias
+    bits, limit, bias = _layout(n)
+    re, im = z
+    value, mask, total = re + abs(im), (1 << bits) - 1, 0  # Re z, Im z: alternate digits
+    while value > 0:
+        total += value & mask
+        value >>= bits
+    if re < 0 or total >= limit:  # Re z of a unicyclic graph is never negative
+        raise OverflowError("coefficients too large for %d-bit bracket digits" % (2 * bits))
+    return re * re + im * im + bias
 
 
 def _dominates(h: int, s: int, guard: int) -> bool:
@@ -277,27 +279,28 @@ def _dominates(h: int, s: int, guard: int) -> bool:
 
 
 def _undominated(
-    stream: Iterable[tuple[object, tuple[int, ...]]], count: int, guard: int
-) -> tuple[dict[tuple[int, ...], list], dict[str, int]]:
+    stream: Iterable[tuple[object, tuple[int, int]]], count: int, n: int
+) -> tuple[dict[tuple[int, int], list], dict[str, int]]:
     """The spectra that fewer than ``count`` others bracket-dominate.
 
-    Takes (tag, coefficients) pairs of one order n in any order, a tag being
-    anything that names the graph, and ``guard`` = ``_guard(n)``.  Returns
-    the kept spectra with their tags, and the ``SearchStats`` counts of the
-    filter: pairs seen, the most spectra held at once, dominance tests and
-    drops.  Only the kept set is held (see the module docstring).
+    Takes (tag, z) pairs of order n in any order, a tag being anything that
+    names the graph and z = phi(iX) / i**n at X = 2**(b+1).  Returns the
+    kept spectra, by z, with their tags, and the ``SearchStats`` counts of
+    the filter: pairs seen, the most spectra held at once, dominance tests
+    and drops.  Only the kept set is held (see the module docstring).
     """
-    kept: dict[tuple[int, ...], list] = {}  # coeffs -> [bracket, count, tags]
+    guard = _guard(n)
+    kept: dict[tuple[int, int], list] = {}  # z -> [bracket, count, tags]
     seen = held_max = compared = dropped = 0
-    for tag, coeffs in stream:
+    for tag, z in stream:
         seen += 1
-        member = kept.get(coeffs)
+        member = kept.get(z)
         if member is not None:
             member[2].append(tag)
             continue
-        key = _bracket_key(coeffs)
+        key = _bracket_key(z, n)
         if len(kept) < count:  # nothing can be dropped yet (point 4)
-            kept[coeffs] = [key, 0, [tag]]
+            kept[z] = [key, 0, [tag]]
             if len(kept) == count:
                 compared += _settle(list(kept.values()), guard)
         else:
@@ -311,16 +314,16 @@ def _undominated(
             if above == count:
                 dropped += 1
                 continue
-            for other_coeffs, member in list(kept.items()):
+            for other_z, member in list(kept.items()):
                 compared += 1
                 if _dominates(key, member[0], guard):
                     member[1] += 1
                     if member[1] == count:
-                        del kept[other_coeffs]
+                        del kept[other_z]
                         dropped += 1
-            kept[coeffs] = [key, above, [tag]]
+            kept[z] = [key, above, [tag]]
         held_max = max(held_max, len(kept))
-    tags_of = {c: member[2] for c, member in kept.items()}
+    tags_of = {z: member[2] for z, member in kept.items()}
     counts = dict(graphs=seen, held_max=held_max, compared=compared, dropped=dropped)
     return tags_of, counts
 

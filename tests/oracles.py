@@ -28,7 +28,9 @@ their own oracles, and encloses every distinct spectrum, so it shares no
 code with the filter it is compared against.  ``search_from_graphs`` is the
 search as it was before phi was read from the bracelet word: a ``Graph``
 per class and its ``charpoly``, fed to ucenergy's own filter and ranking,
-so it differs from the search only in the stream.
+so it differs from the search only in the stream.  ``gaussian_of`` names
+each spectrum as the search does, z = phi(iX) / i**n, by Horner's rule on
+the coefficients rather than by the matching fold.
 """
 
 from __future__ import annotations
@@ -579,14 +581,40 @@ def search_enclose_all(n: int, top_k: int, tol: float = 1e-7) -> list:
 
 def search_from_graphs(n: int, top_k: int, tol: float = 1e-7) -> tuple:
     """``search_with_stats`` on the stream of graphs: each class realised by
-    ``unicyclic_graphs`` and its phi computed by ``charpoly``."""
+    ``unicyclic_graphs``, its phi computed by ``charpoly`` and named by
+    ``gaussian_of``."""
     from ucenergy import search
     from ucenergy.charpoly import charpoly
     from ucenergy.enumeration import unicyclic_graphs
 
-    stream = ((code, charpoly(g).coeffs) for code, g in unicyclic_graphs(n))
-    codes_of, counts = search._undominated(stream, top_k + 1, search._guard(n))
+    coeffs_of = {}
+
+    def stream():
+        for code, g in unicyclic_graphs(n):
+            coeffs = charpoly(g).coeffs
+            z = gaussian_of(coeffs)
+            coeffs_of[z] = coeffs
+            yield code, z
+
+    tags_of, counts = search._undominated(stream(), top_k + 1, n)
+    codes_of = {coeffs_of[z]: codes for z, codes in tags_of.items()}
     return search._rank(codes_of, counts, top_k, tol, 1)
+
+
+def gaussian_of(coeffs: tuple[int, ...]) -> tuple[int, int]:
+    """(Re z, Im z) for z = phi(iX) / i**n, the name the search gives the
+    spectrum of phi = sum_k coeffs[k] x**k of degree n, at
+    X = 2**(coefficient_bits(n) + 1): Horner's rule in Gaussian integers."""
+    from ucenergy.charpoly import coefficient_bits
+
+    n = len(coeffs) - 1
+    x = 1 << (coefficient_bits(n) + 1)
+    re = im = 0
+    for c in reversed(coeffs):
+        re, im = c - im * x, re * x  # (re + i im) * iX + c
+    for _ in range(n % 4):
+        re, im = im, -re  # divided by i
+    return re, im
 
 
 @functools.lru_cache(maxsize=None)

@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 
 from oracles import bipartite_b_coeffs, matching_count, matchings_brute
 from ucenergy import graphs
-from ucenergy.charpoly import charpoly, charpoly_reference, coefficient_bits
+from ucenergy.charpoly import (
+    charpoly,
+    charpoly_reference,
+    coefficient_bits,
+    phi_from_gaussian,
+    phi_gaussian,
+)
 from ucenergy.enumeration import unicyclic_graphs
 from ucenergy.graphs import (
     Graph,
@@ -241,7 +247,8 @@ def test_only_trees_and_unicyclic_graphs_are_unpacked(monkeypatch):
 
 def _spare_bit(g):
     # the Fibonacci bound of charpoly.py: sum_k |c_k| <= 2 * F_(n+1) <
-    # 2**(b-2), one bit more than the balanced digits of phi(2**b) need
+    # 2**(b-2), which the search's bracket digits need; the nonnegative
+    # digits of z at 2**b need only every |c_k| < 2**b
     return sum(abs(c) for c in charpoly(g).coeffs) < 2 ** (coefficient_bits(g.n) - 2)
 
 
@@ -272,6 +279,23 @@ def test_paths_and_cycles_match_their_recurrences_up_to_200():
         assert charpoly(make_path(n)) == paths[n]
     for n in (3, 4, 51, 199, 200):
         assert charpoly(make_cycle(n)) == paths[n] - paths[n - 2] - P(2)
+
+
+def test_unpacking_with_too_few_bits_raises():
+    # C_3: phi = x^3 - 3x - 2, P = x^3 + 3x and C = 1
+    z = phi_gaussian((1 << 24) + 3 * (1 << 8), 1, 3)
+    assert phi_from_gaussian(z, 3, 8) == P(-2, -3, 0, 1)
+    with pytest.raises(ValueError):  # a value packed at 2**8 read at 2**4
+        phi_from_gaussian(z, 3, 4)
+    with pytest.raises(ValueError):  # a digit too many for order 2
+        phi_from_gaussian(z, 2, 8)
+    with pytest.raises(ValueError):  # a digit too few for order 4, whose phi is monic
+        phi_from_gaussian(z, 4, 8)
+    with pytest.raises(ValueError):  # Re z is never negative
+        phi_from_gaussian((-1, 0), 3, 8)
+    # digits need not be whole bytes
+    z5 = phi_gaussian((1 << 15) + 3 * (1 << 5), 1, 3)
+    assert phi_from_gaussian(z5, 3, 5) == P(-2, -3, 0, 1)
 
 
 def test_reference_rejects_oversized():

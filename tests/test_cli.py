@@ -18,6 +18,8 @@ from ucenergy.cli import (
     MAX_SELECTOR_ORDER,
     main,
 )
+from ucenergy.enumeration import unicyclic_graphs
+from ucenergy.graphs import format_graph6
 from ucenergy.polynomials import IntPolynomial
 
 
@@ -177,6 +179,24 @@ def test_every_csv_row_is_as_wide_as_its_header(argv, capsys):
     assert main(argv + ["--format", "csv"]) == 0
     header, *table = csv.reader(io.StringIO(capsys.readouterr().out))
     assert table and all(len(row) == len(header) for row in table)
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_a_streamed_listing_equals_the_whole_table(n, capsys):
+    # csv and json write each class as it comes; their bytes are those of
+    # the whole list of rows written at once
+    rows = [
+        {"code": str(code), "cycle_len": code.cycle_len, "g6": format_graph6(g)}
+        for code, g in unicyclic_graphs(n)
+    ]
+    table = io.StringIO()
+    writer = csv.writer(table, lineterminator="\n")
+    writer.writerow(["code", "cycle_len", "g6"])
+    writer.writerows([r["code"], str(r["cycle_len"]), r["g6"]] for r in rows)
+    expected = {"csv": table.getvalue(), "json": json.dumps(rows, indent=2) + "\n"}
+    for fmt, text in expected.items():
+        assert main(["enumerate", "--n", str(n), "--format", fmt]) == 0
+        assert capsys.readouterr().out == text, fmt
 
 
 def _cli_env():

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import ucenergy.search as search
 from oracles import coulson_bracket, cycle_energy_reference
 from ucenergy.charpoly import charpoly
 from ucenergy.coulson import (
@@ -14,6 +15,7 @@ from ucenergy.coulson import (
 from ucenergy.eigensolver import energy_eigensolver
 from ucenergy.graphs import make_cycle, make_lollipop, make_path
 from ucenergy.roots import ConvergenceError, energy_of_poly
+from ucenergy.search import search_with_stats
 
 
 def test_gauss_kronrod_on_smooth_integrals():
@@ -166,3 +168,28 @@ def test_log_ratio_monotonicity_exact_grid():
             rhs_a, rhs_b = m(n + 2, 6), m(n, t)
             for x in grid:
                 assert lhs_a(x) * lhs_b(x) <= rhs_a(x) * rhs_b(x), (t, n, x)
+
+
+_ROUTES = {
+    "exact": lambda tol: energy_of_poly(charpoly(make_cycle(5)), tol),
+    "coulson": lambda tol: energy_coulson(make_lollipop(20, 6), tol),
+    "coulson difference": lambda tol: energy_diff_coulson(make_cycle(6), make_path(6), tol),
+    "eigensolver": lambda tol: energy_eigensolver(make_cycle(5), tol),
+    "search": lambda tol: search_with_stats(5, 5, tol),
+}
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("route", sorted(_ROUTES))
+def test_every_route_refuses_a_tolerance_that_is_not_positive_and_finite(route, tol):
+    with pytest.raises(ValueError, match="tolerance"):
+        _ROUTES[route](tol)
+
+
+def test_the_search_refuses_a_tolerance_before_the_word_stream(monkeypatch):
+    def forbidden(n):
+        raise AssertionError("the word stream started")
+
+    monkeypatch.setattr(search, "unicyclic_words", forbidden)
+    with pytest.raises(ValueError, match="tolerance"):
+        search_with_stats(12, tol=math.nan)

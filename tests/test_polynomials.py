@@ -90,50 +90,6 @@ def test_derivative_and_shift():
         P(1, 2).shift_down(1)
 
 
-@st.composite
-def packable(draw):
-    """(coefficients, bits, count): every |c| <= 2**(bits-1) - 1, with inner
-    zeros, a leading coefficient of either sign, and spare digits."""
-    bits = draw(st.sampled_from([2, 5, 8, 12, 16, 24, 37, 64]))
-    top = 2 ** (bits - 1) - 1
-    digit = st.integers(-top, top)
-    body = draw(st.lists(st.one_of(st.just(0), digit), max_size=12))
-    lead = draw(st.integers(1, top)) * draw(st.sampled_from([1, -1]))
-    cs = body + [lead]
-    return cs, bits, len(cs) + draw(st.integers(0, 3))
-
-
-@given(packable())
-def test_packed_round_trip(case):
-    cs, bits, count = case
-    p = P(*cs)
-    assert IntPolynomial.from_packed(p(1 << bits), bits, count) == p
-
-
-def test_packed_extremes_and_zero():
-    assert IntPolynomial.from_packed(0, 8, 4) == P()
-    assert IntPolynomial.from_packed(-128, 8, 1) == P(-128)
-    assert IntPolynomial.from_packed(127 - (128 << 8), 8, 2) == P(127, -128)
-
-
-def test_unpacking_with_too_few_bits_raises():
-    p = P(3, 0, -1, 1)  # x^3 - x^2 + 3
-    with pytest.raises(ValueError):  # a value packed at 2**16 read at 2**8
-        IntPolynomial.from_packed(p(1 << 16), 8, 4)
-    with pytest.raises(ValueError):  # one digit short
-        IntPolynomial.from_packed(p(1 << 8), 8, 3)
-    with pytest.raises(ValueError):  # the top digit leaves [-128, 128)
-        IntPolynomial.from_packed(P(1, 128)(1 << 8), 8, 2)
-    with pytest.raises(ValueError):
-        IntPolynomial.from_packed(-129, 8, 1)
-    with pytest.raises(ValueError):  # the top digit leaves [-16, 16)
-        IntPolynomial.from_packed(P(1, 16)(1 << 5), 5, 2)
-    with pytest.raises(ValueError):
-        IntPolynomial.from_packed(1, 0, 1)
-    # digits need not be whole bytes
-    assert IntPolynomial.from_packed(p(1 << 12), 12, 4) == p
-
-
 def test_division_and_gcd():
     a = P(-1, 0, 1)  # x^2 - 1
     b = P(1, 1)      # x + 1

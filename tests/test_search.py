@@ -14,11 +14,12 @@ import ucenergy.search as search
 from oracles import (
     bracket_coefficients,
     bracket_dominates,
+    gaussian_of,
     search_enclose_all,
     search_from_graphs,
 )
 from ucenergy import enumeration
-from ucenergy.charpoly import charpoly, coefficient_bits
+from ucenergy.charpoly import charpoly, coefficient_bits, phi_from_gaussian, phi_gaussian
 from ucenergy.enumeration import (
     UnicyclicCode,
     count_unicyclic,
@@ -91,16 +92,26 @@ def test_search_equals_enclosing_every_spectrum(n, top_k):
     assert max_energy_search(n, top_k) == search_enclose_all(n, top_k)
 
 
+def _packed(bracket, n):
+    """M_0 .. M_n of a ``bracket_coefficients`` tuple, as a bracket key."""
+    w = 2 * coefficient_bits(n) + 2
+    return sum((m + (1 << (w - 2))) << w * i for i, m in enumerate(reversed(bracket)))
+
+
 @pytest.mark.parametrize("n", range(3, 12))
 def test_word_phi_equals_the_graph_route(n):
     # trees on at most n // 2 vertices take the memoised pair, larger ones
     # are folded when a word holds them; both kinds must occur
     alphabet, words = unicyclic_words(n)
+    bits = coefficient_bits(n) + 1
     sizes = set()
     seen = 0
-    for (l, word), coeffs in search._word_spectra(n, alphabet, words):
+    for (l, word), z in search._word_spectra(n, alphabet, words):
         code = UnicyclicCode.of_word(l, word, alphabet)
-        assert coeffs == charpoly(realize(code)).coeffs, code
+        coeffs = charpoly(realize(code)).coeffs
+        assert z == gaussian_of(coeffs), code
+        assert phi_from_gaussian(z, n, bits).coeffs == coeffs, code
+        assert search._bracket_key(z, n) == _packed(bracket_coefficients(coeffs), n), code
         sizes.update(len(alphabet[j]) > n // 2 for j in word)
         seen += 1
     assert seen == count_unicyclic(n)
@@ -133,11 +144,9 @@ def test_the_search_equals_the_graph_stream(n):
         assert search_with_stats(n, top_k) == search_from_graphs(n, top_k)
         # the filter keeps every code of a cospectral class, in arrival order
         alphabet, words = unicyclic_words(n)
-        tags_of, _ = search._undominated(
-            search._word_spectra(n, alphabet, words), top_k + 1, search._guard(n)
-        )
-        graphs = ((code, charpoly(g).coeffs) for code, g in unicyclic_graphs(n))
-        codes_of, _ = search._undominated(graphs, top_k + 1, search._guard(n))
+        tags_of, _ = search._undominated(search._word_spectra(n, alphabet, words), top_k + 1, n)
+        graphs = ((code, gaussian_of(charpoly(g).coeffs)) for code, g in unicyclic_graphs(n))
+        codes_of, _ = search._undominated(graphs, top_k + 1, n)
         assert {
             c: [UnicyclicCode.of_word(l, word, alphabet) for l, word in tags]
             for c, tags in tags_of.items()
@@ -200,13 +209,14 @@ def test_filter_keeps_exactly_the_spectra_with_at_most_k_dominators(n, top_k):
     spectra = {coeffs for _, coeffs in pairs}
     keys = {c: bracket_coefficients(c) for c in spectra}
     expected = {
-        c: sorted((code for code, coeffs in pairs if coeffs == c), key=str)
+        gaussian_of(c): sorted((code for code, coeffs in pairs if coeffs == c), key=str)
         for c in spectra
         if sum(bracket_dominates(keys[h], keys[c]) for h in spectra) <= top_k
     }
+    pairs = [(code, gaussian_of(coeffs)) for code, coeffs in pairs]
     orders = [pairs] + [random.Random(seed).sample(pairs, len(pairs)) for seed in range(3)]
     for order in orders:
-        kept, counts = search._undominated(order, top_k + 1, search._guard(n))
+        kept, counts = search._undominated(order, top_k + 1, n)
         assert {c: sorted(codes, key=str) for c, codes in kept.items()} == expected
         assert counts["graphs"] == len(pairs)
         assert len(expected) <= counts["held_max"] < len(spectra)
@@ -225,7 +235,7 @@ def _bracket_of(code_text, n):
     for code, graph in unicyclic_graphs(n):
         if str(code) == code_text:
             coeffs = charpoly(graph).coeffs
-            return search._bracket_key(coeffs), bracket_coefficients(coeffs)
+            return search._bracket_key(gaussian_of(coeffs), n), bracket_coefficients(coeffs)
     raise KeyError(code_text)
 
 
@@ -252,11 +262,21 @@ def test_a_singular_bracket_is_padded_before_comparison():
 
 def test_a_bracket_beyond_the_digit_bound_raises():
     # sum |c_k| < 2**(b - 2) holds for every unicyclic spectrum; past it a
-    # digit could leave its range, so the key is refused
-    limit = 1 << (coefficient_bits(3) - 2)
-    search._bracket_key((-(limit - 2), 0, 0, 1))  # sum limit - 1: accepted
-    with pytest.raises(OverflowError):
-        search._bracket_key((-(limit - 1), 0, 0, 1))
+    # digit could leave its range, so the key is refused.  For odd l and
+    # for l = 2 (mod 4) that sum is the digit sum of P + 2C.
+    n = 6
+    limit = 1 << (coefficient_bits(n) - 2)
+    x = 1 << (coefficient_bits(n) + 1)
+    for l in (3, 5, 6):
+
+        def z(digit_sum):  # P = x**6 + a * x**2 and C = x**(6 - l): 1 + a + 2
+            return phi_gaussian(x**6 + (digit_sum - 3) * x**2, x ** (n - l), l)
+
+        search._bracket_key(z(limit - 1), n)  # accepted
+        with pytest.raises(OverflowError):
+            search._bracket_key(z(limit), n)
+    with pytest.raises(OverflowError):  # Re z of a unicyclic graph is never negative
+        search._bracket_key((-1, 0), n)
 
 
 @st.composite
@@ -276,8 +296,9 @@ def unicyclic_pairs(draw):
 @given(unicyclic_pairs())
 def test_packed_dominance_equals_tuple_dominance(pair):
     g, h = (charpoly(graph).coeffs for graph in pair)
-    guard = search._guard(len(g) - 1)
-    packed = search._bracket_key(g), search._bracket_key(h)
+    n = len(g) - 1
+    guard = search._guard(n)
+    packed = search._bracket_key(gaussian_of(g), n), search._bracket_key(gaussian_of(h), n)
     tuples = bracket_coefficients(g), bracket_coefficients(h)
     assert search._dominates(*packed, guard) == bracket_dominates(*tuples)
     assert search._dominates(*packed[::-1], guard) == bracket_dominates(*tuples[::-1])
@@ -289,8 +310,9 @@ def test_bracket_dominance_orders_the_enclosures(pair):
     h, g = sorted(
         map(charpoly, pair), key=lambda p: sum(bracket_coefficients(p.coeffs)), reverse=True
     )
-    guard = search._guard(h.degree)
-    assume(search._dominates(search._bracket_key(h.coeffs), search._bracket_key(g.coeffs), guard))
+    n = h.degree
+    keys = (search._bracket_key(gaussian_of(p.coeffs), n) for p in (h, g))
+    assume(search._dominates(*keys, search._guard(n)))
     e_h, e_g = energy_of_poly(h), energy_of_poly(g)
     assert e_h.value + e_h.radius >= e_g.value - e_g.radius
 
