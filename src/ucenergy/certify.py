@@ -26,10 +26,10 @@ any quantity written in z can be certified on each x-domain.
 The comparison algebra itself lives here in z as well: a ``ZTerm`` is
 z**e * p(z) / (z**2 + 1)**k, and ``lollipop_terms(t)`` assembles the
 closed-form coefficients a1, a2, b11..b22, alpha, beta and gamma of the
-L(n,6) versus L(n,t) comparison, for any odd t, exactly.  Its
-``modulus_p6(n)`` and ``modulus_pt(n)`` are the closed forms of the squared
-moduli, and ``check_modulus_forms(n)`` proves them identities in z against
-the exact characteristic polynomials (the ``closed-form-check`` command).
+L(n,6) versus L(n,t) comparison, for any odd t, exactly.
+``check_modulus_forms(n)`` builds the closed forms of the squared moduli
+from these terms and proves them identities in z against the exact
+characteristic polynomials (the ``closed-form-check`` command).
 
 ``run_claim_suite`` certifies the inequality backbone of the lollipop
 comparison: positivity of the growth coefficients, the degree-18 inequality
@@ -553,18 +553,6 @@ class LollipopTerms(NamedTuple):
     beta: ZTerm
     gamma: ZTerm
 
-    def modulus_p6(self, n: int) -> ZTerm:
-        """|phi(L(n,6), ix)|**2 through the closed form; needs n >= 7."""
-        if n < 7:
-            raise ValueError("closed form anchored at n >= 7, got %d" % n)
-        return _modulus_p6(self.a1, self.a2, n)
-
-    def modulus_pt(self, n: int) -> ZTerm:
-        """|phi(L(n,t), ix)|**2 through the closed form; needs t <= n."""
-        if self.t > n:
-            raise ValueError("need t <= n, got t=%d n=%d" % (self.t, n))
-        return _modulus_pt(self.b11, self.b12, self.b21, self.b22, n)
-
 
 def _a_terms() -> tuple[ZTerm, ZTerm]:
     """a1 and a2, the coefficients of z1**n and z2**n in phi(L(n,6), ix)."""
@@ -583,21 +571,6 @@ def _b_terms(t: int) -> tuple[ZTerm, ZTerm, ZTerm, ZTerm]:
     b21 = G2 - Z1 ** (2 * t - 2) * H
     b22 = M2 * Z1 ** (t - 2)
     return b11, b12, b21, b22
-
-
-def _modulus(c1: ZTerm, c2: ZTerm, cross: ZTerm, n: int) -> ZTerm:
-    """c1 z1**2n + c2 z2**2n + (-1)**n 2 cross, the shape of both moduli."""
-    return c1 * Z1 ** (2 * n) + c2 * Z2 ** (2 * n) + _const(2 * (-1) ** n) * cross
-
-
-def _modulus_p6(a1: ZTerm, a2: ZTerm, n: int) -> ZTerm:
-    return _modulus(a1 * a1, a2 * a2, a1 * a2, n)
-
-
-def _modulus_pt(b11: ZTerm, b12: ZTerm, b21: ZTerm, b22: ZTerm, n: int) -> ZTerm:
-    return _modulus(
-        b11 * b11 + b12 * b12, b21 * b21 + b22 * b22, b11 * b21 + b12 * b22, n
-    )
 
 
 def lollipop_terms(t: int) -> LollipopTerms:
@@ -643,13 +616,19 @@ def check_modulus_forms(
             raise ValueError("t must be odd with 3 <= t <= n = %d, got %d" % (n, bad[0]))
         odd = [t for t in odd if t in wanted]
 
-    def check(family: str, l: int, closed: ZTerm) -> ModulusCheck:
+    def check(family: str, l: int, c1: ZTerm, c2: ZTerm, cross: ZTerm) -> ModulusCheck:
+        # the closed form c1 z1**2n + c2 z2**2n + (-1)**n 2 cross
+        closed = c1 * Z1 ** (2 * n) + c2 * Z2 ** (2 * n) + _const(2 * (-1) ** n) * cross
         exact = modulus_sq_at_ix(charpoly(make_lollipop(n, l)))
         return ModulusCheck(family, l, (closed - ZTerm.from_x(exact)).p.is_zero)
 
-    return (check("L(n,6)", 6, _modulus_p6(*_a_terms(), n)),) + tuple(
-        check("L(n,t)", t, _modulus_pt(*_b_terms(t), n)) for t in odd
-    )
+    a1, a2 = _a_terms()
+    rows = [check("L(n,6)", 6, a1 * a1, a2 * a2, a1 * a2)]
+    for t in odd:
+        b11, b12, b21, b22 = _b_terms(t)
+        b1sq, b2sq = b11 * b11 + b12 * b12, b21 * b21 + b22 * b22
+        rows.append(check("L(n,t)", t, b1sq, b2sq, b11 * b21 + b12 * b22))
+    return tuple(rows)
 
 
 def assembled_f5_exact() -> ZTerm:

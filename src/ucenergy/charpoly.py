@@ -86,7 +86,13 @@ from .polynomials import ONE, IntPolynomial
 
 
 def charpoly(g: Graph) -> IntPolynomial:
-    """Exact characteristic polynomial det(xI - A(g))."""
+    """Exact characteristic polynomial det(xI - A(g)).
+
+    Trees and connected unicyclic graphs of any order take leaf stripping,
+    and a disconnected graph multiplies the polynomials of its components.
+    A connected graph or component with more edges than vertices goes to
+    ``charpoly_reference``, which raises ValueError above 64 vertices.
+    """
     if g.n == 0:
         return ONE
     if g.edge_count <= g.n:

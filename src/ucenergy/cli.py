@@ -25,6 +25,12 @@ the same machine:
   20 s and 64 MiB of peak RSS, ``search --n 18`` 56 s and 125 MiB; time
   and memory grow two- to threefold per order, with the classes and the
   alphabet of rooted trees.
+* ``search --top`` is at most MAX_SEARCH_TOP = 100: the bracket filter
+  holds at least top + 1 spectra and tests each class that arrives against
+  them, so time grows about linearly with top, and a top above the number
+  of classes keeps and encloses every spectrum.  ``search --n 18 --top
+  100`` took 153 s and 125 MiB of peak RSS, against 56 s and 125 MiB at
+  the default top of 5; at n = 15, ``--top 1000`` took 46 s and 38 MiB.
 * ``enumerate --count-only --n`` is at most MAX_COUNT_ORDER = 500: Polya's
   count generates nothing, and took 5.7 s and 41 MiB at n = 500, 32 s and
   70 MiB at n = 800.
@@ -34,6 +40,11 @@ the same machine:
   35 MiB of peak RSS (75 MiB, and 166 MiB as json, while every row was
   held), and n = 16 53 s and 43 MiB; ``--emit g6`` took 36 s and 42 MiB at
   n = 16.  The time grows about threefold per order.
+
+``--tol`` (default 1e-7, positive and finite) is the accuracy each energy
+is computed to.  Only ``energy``, ``diff``, ``table`` and ``search`` take
+it; ``certify``, ``closed-form-check`` and ``enumerate`` compute no energy
+and refuse it as an unknown option (exit 2).
 
 Exit codes: 0 success, 2 bad selector or argument (any ValueError the
 library raises for its input), 3 convergence failure, 4 golden-table
@@ -84,6 +95,7 @@ EXIT_REFUTED = 5
 
 MAX_SELECTOR_ORDER = 500
 MAX_SEARCH_ORDER = 18
+MAX_SEARCH_TOP = 100
 MAX_COUNT_ORDER = 500
 MAX_LIST_ORDER = 16
 
@@ -120,10 +132,10 @@ def _order(text: str) -> int:
     return _capped(int(text), MAX_SELECTOR_ORDER)
 
 
-def _capped(n: int, cap: int) -> int:
+def _capped(n: int, cap: int, what: str = "order") -> int:
     """n, or ValueError when it exceeds the cap."""
     if n > cap:
-        raise ValueError("order %d exceeds the limit %d" % (n, cap))
+        raise ValueError("%s %d exceeds the limit %d" % (what, n, cap))
     return n
 
 
@@ -249,7 +261,8 @@ def _cmd_table(args) -> int:
 
 def _cmd_search(args) -> int:
     n = _capped(args.n, MAX_SEARCH_ORDER)
-    ranked, stats = search_with_stats(n, args.top, args.tol, args.jobs)
+    top = _capped(args.top, MAX_SEARCH_TOP, "--top")
+    ranked, stats = search_with_stats(n, top, args.tol, args.jobs)
     rows = [
         {
             "rank": r.rank,
@@ -339,7 +352,9 @@ def positive_float(text: str) -> float:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    common.add_argument("--tol", type=positive_float, default=1e-7)
+    # only the commands that compute energies take a tolerance
+    tolerant = argparse.ArgumentParser(add_help=False, parents=[common])
+    tolerant.add_argument("--tol", type=positive_float, default=1e-7)
 
     parser = argparse.ArgumentParser(
         prog="ucenergy",
@@ -348,23 +363,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser(
-        "energy", parents=[common], help="energy of one graph (or stdin batch)"
+        "energy", parents=[tolerant], help="energy of one graph (or stdin batch)"
     )
     p.add_argument("spec")
     p.add_argument("--method", choices=("exact", "eig", "coulson", "all"), default="exact")
     p.set_defaults(func=_cmd_energy)
 
-    p = sub.add_parser("diff", parents=[common], help="energy difference of two graphs")
+    p = sub.add_parser("diff", parents=[tolerant], help="energy difference of two graphs")
     p.add_argument("spec1")
     p.add_argument("spec2")
     p.add_argument("--method", choices=("exact", "coulson", "all"), default="exact")
     p.set_defaults(func=_cmd_diff)
 
-    p = sub.add_parser("table", parents=[common], help="recompute a golden reference table")
+    p = sub.add_parser("table", parents=[tolerant], help="recompute a golden reference table")
     p.add_argument("table_id", type=int, choices=(1, 2, 3))
     p.set_defaults(func=_cmd_table)
 
-    p = sub.add_parser("search", parents=[common], help="exhaustive maximal-energy search")
+    p = sub.add_parser("search", parents=[tolerant], help="exhaustive maximal-energy search")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--top", type=int, default=5)
     p.add_argument("--jobs", type=int, default=1)

@@ -62,6 +62,9 @@ _WG = (
 )
 
 
+_MAX_INTERVALS = 4000  # subintervals one quadrature may split [a, b] into
+
+
 def _gk15(f, a: float, b: float) -> tuple[float, float]:
     """15-point Kronrod value with embedded 7-point Gauss error estimate."""
     center = 0.5 * (a + b)
@@ -82,22 +85,21 @@ def _gk15(f, a: float, b: float) -> tuple[float, float]:
     return kronrod, err
 
 
-def integrate_adaptive(
-    f, a: float, b: float, tol: float, max_intervals: int = 4000
-) -> tuple[float, float]:
-    """Adaptive bisection on the worst subinterval until the error sum <= tol."""
+def integrate_adaptive(f, a: float, b: float, tol: float) -> tuple[float, float]:
+    """Adaptive bisection on the worst subinterval until the error sum <= tol.
+
+    Raises ConvergenceError once _MAX_INTERVALS subintervals do not meet tol.
+    """
     value, err = _gk15(f, a, b)
     heap = [(-err, a, b, value, err)]
     total_err = err
     total_val = value
     count = 1
     while total_err > tol:
-        if count >= max_intervals:
-            exc = ConvergenceError(
+        if count >= _MAX_INTERVALS:
+            raise ConvergenceError(
                 "quadrature stalled at error %.3e (target %.1e)" % (total_err, tol)
             )
-            exc.achieved = (total_val, total_err)
-            raise exc
         _, lo, hi, val, err = heappop(heap)
         mid = 0.5 * (lo + hi)
         v1, e1 = _gk15(f, lo, mid)

@@ -43,7 +43,7 @@ from math import gcd
 from typing import Iterator
 
 from .graphs import Graph
-from .trees import decode_level_sequence, rooted_tree_counts, rooted_trees
+from .trees import rooted_tree_counts, rooted_trees
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,12 @@ class UnicyclicCode:
 
 
 def realize(code: UnicyclicCode) -> Graph:
-    """Graph for a code: cycle vertices 0..l-1 in order, trees appended."""
+    """Graph for a code: cycle vertices 0..l-1 in order, trees appended.
+
+    Each tree's vertices get labels in preorder.  The parent of a vertex at
+    depth d is the last vertex met at depth d - 1, so one label per depth
+    stands for the path walked so far, as in ``charpoly.rooted_pair``.
+    """
     l = code.cycle_len
     # every edge is written (smaller, larger): a tree vertex gets a label
     # above its parent's, so the edges need only sorting
@@ -85,13 +90,10 @@ def realize(code: UnicyclicCode) -> Graph:
     edges.append((0, l - 1))
     nxt = l
     for i, tree in enumerate(code.trees):
-        if len(tree) == 1:
-            continue
-        parents = decode_level_sequence(tree)
-        labels = [i]  # tree vertex 0 is the cycle vertex itself
-        for v in range(1, len(tree)):
-            labels.append(nxt)
-            edges.append((labels[parents[v]], nxt))
+        last = [i] * len(tree)  # last[d]: the latest label at depth d; the root is i
+        for d in tree[1:]:
+            edges.append((last[d - 1], nxt))
+            last[d] = nxt
             nxt += 1
     return Graph(code.n, tuple(sorted(edges)))
 
@@ -190,12 +192,6 @@ def unicyclic_words(
     return alphabet.trees, words
 
 
-def _codes(n: int) -> Iterator[UnicyclicCode]:
-    """Every unicyclic code of order n, once, in increasing code order."""
-    trees, words = unicyclic_words(n)
-    return (UnicyclicCode.of_word(l, word, trees) for l, word in words)
-
-
 def unicyclic_graphs(n: int) -> Iterator[tuple[UnicyclicCode, Graph]]:
     """Every connected unicyclic graph on n vertices, once per class.
 
@@ -203,7 +199,9 @@ def unicyclic_graphs(n: int) -> Iterator[tuple[UnicyclicCode, Graph]]:
     sequence) as they are generated, each realised with the fixed labelling
     convention of ``realize``.
     """
-    for code in _codes(n):
+    trees, words = unicyclic_words(n)
+    for l, word in words:
+        code = UnicyclicCode.of_word(l, word, trees)
         yield code, realize(code)
 
 

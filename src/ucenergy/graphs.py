@@ -68,13 +68,6 @@ class Graph:
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._adjacency[v]
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self._edge_set
-
-    @cached_property
-    def _edge_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.edges)
-
     def adjacency_matrix(self) -> list[list[int]]:
         m = [[0] * self.n for _ in range(self.n)]
         for u, v in self.edges:
@@ -192,14 +185,16 @@ def check_graph6_order(n: int) -> None:
 
 
 def format_graph6(g: Graph) -> str:
-    """Standard graph6 encoding of the upper adjacency triangle."""
+    """Standard graph6 encoding of the upper adjacency triangle.
+
+    The triangle is read column by column, so edge (i, j), i < j, is bit
+    j(j-1)/2 + i; the bits are padded with zeros to a multiple of six.
+    """
     check_graph6_order(g.n)
-    bits = []
-    for j in range(1, g.n):
-        for i in range(j):
-            bits.append(1 if g.has_edge(i, j) else 0)
-    while len(bits) % 6:
-        bits.append(0)
+    nbits = g.n * (g.n - 1) // 2
+    bits = [0] * (nbits + -nbits % 6)
+    for i, j in g.edges:
+        bits[j * (j - 1) // 2 + i] = 1
     out = [chr(g.n + 63)]
     for k in range(0, len(bits), 6):
         value = 0

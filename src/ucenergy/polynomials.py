@@ -60,9 +60,6 @@ class IntPolynomial:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    def coeff(self, k: int) -> int:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
-
     # -- ring operations -----------------------------------------------
 
     def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
@@ -192,26 +189,6 @@ class IntPolynomial:
     @classmethod
     def from_decimal_strings(cls, items: Sequence[str]) -> "IntPolynomial":
         return cls.from_coeffs(int(s) for s in items)
-
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for k in range(self.degree, -1, -1):
-            c = self.coeffs[k]
-            if not c:
-                continue
-            term = "x^%d" % k if k > 1 else ("x" if k == 1 else "")
-            if k == 0:
-                parts.append("%+d" % c)
-            elif c == 1:
-                parts.append("+%s" % term)
-            elif c == -1:
-                parts.append("-%s" % term)
-            else:
-                parts.append("%+d%s" % (c, term))
-        s = "".join(parts)
-        return s[1:] if s.startswith("+") else s
 
 
 ONE = IntPolynomial((1,))

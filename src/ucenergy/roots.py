@@ -63,24 +63,21 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class RootEnclosure:
-    """Isolating interval [lo, hi] for one real root of a given multiplicity.
+    """Isolating interval [lo, hi] for one real root of a square-free
+    polynomial.
 
     Point enclosures (lo == hi) mark exact rational roots.  For open
-    enclosures the associated square-free factor changes sign across the
-    interval and has no root at either endpoint.
+    enclosures the polynomial changes sign across the interval and has no
+    root at either endpoint.  Multiplicities are not carried: the energy
+    takes one enclosure per multiplicity level (module docstring).
     """
 
     lo: Fraction
     hi: Fraction
-    multiplicity: int
 
     @property
     def width(self) -> Fraction:
         return self.hi - self.lo
-
-    @property
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
 
 
 @dataclass(frozen=True)
@@ -109,7 +106,7 @@ def _isolate_squarefree(f: IntPolynomial) -> list[RootEnclosure]:
         if count == 0:
             continue
         if count == 1:
-            out.append(RootEnclosure(lo, hi, 1))
+            out.append(RootEnclosure(lo, hi))
             continue
         mid = _nonroot_split(f, lo, hi)
         if mid is None:
@@ -140,9 +137,10 @@ def refine_enclosure(
     """Bisect until the enclosure is narrower than ``width``.
 
     The ends are integer numerators over one denominator D, which each step
-    doubles; the midpoint of lo / D and hi / D is then (lo + hi) / 2D, and
-    its sign is that of f(m / D) * D**d = sum_i c_i m**i D**(d-i), an
-    integer.  Only the returned ends are built as ``Fraction``s.
+    doubles; the point halfway between lo / D and hi / D is (lo + hi) / 2D,
+    and the sign of f at any m / D is that of f(m / D) * D**d =
+    sum_i c_i m**i D**(d-i), an integer.  Only the returned ends are built
+    as ``Fraction``s.
     """
     if enc.width <= width:
         return enc
@@ -170,16 +168,14 @@ def refine_enclosure(
         s = sign(mid, t)
         if s == 0:
             root = Fraction(mid, den << t)
-            return RootEnclosure(root, root, enc.multiplicity)
+            return RootEnclosure(root, root)
         if s == sign_lo:
             lo, hi = mid, hi << 1
         else:
             lo, hi = lo << 1, mid
     if steps > _MAX_BISECTIONS:
         raise ConvergenceError("bisection budget exhausted")
-    return RootEnclosure(
-        Fraction(lo, den << steps), Fraction(hi, den << steps), enc.multiplicity
-    )
+    return RootEnclosure(Fraction(lo, den << steps), Fraction(hi, den << steps))
 
 
 def check_tolerance(tol: float) -> None:
@@ -318,7 +314,7 @@ def _checked_enclosures(
     den = 1 << k
     if k >= budget_bits:  # the width 2 * 2**-k is within the budget
         return den, [(m - 1, m + 1) for m in ms]
-    brackets = [RootEnclosure(Fraction(m - 1, den), Fraction(m + 1, den), 1) for m in ms]
+    brackets = [RootEnclosure(Fraction(m - 1, den), Fraction(m + 1, den)) for m in ms]
     return _over_one_denominator([refine_enclosure(f, enc, budget) for enc in brackets])
 
 

@@ -10,6 +10,16 @@ makes the sequences usable both as generator output and as memoisation keys.
 constant-amortised-time successor rule of Beyer and Hedetniemi (sequences are
 emitted in decreasing lexicographic order, path first, star last).
 ``rooted_tree_counts`` counts them without generating any.
+
+A level sequence needs no decoding into parent links: in preorder the
+parent of a vertex at depth d is the last vertex before it at depth d - 1,
+so a walk that keeps one slot per depth has it at hand.  That is how
+``enumeration.realize`` labels a tree and ``charpoly.rooted_pair`` folds
+its matching polynomials.
+
+``canonical_level_sequence``, ``tree_centers`` and ``free_tree_code`` code
+labelled trees; no package code calls them, and they stay only while the
+benchmark's trace names ``free_tree_code``.
 """
 
 from __future__ import annotations
@@ -111,15 +121,3 @@ def free_tree_code(
     """
     centers = tree_centers(neighbors, vertices)
     return max(canonical_level_sequence(neighbors, c) for c in centers)
-
-
-def decode_level_sequence(seq: Sequence[int]) -> list[int | None]:
-    """Parent indices (preorder) for a level sequence; the root parent is None."""
-    parents: list[int | None] = [None]
-    stack = [0]  # indices of the current root-to-vertex path
-    for i in range(1, len(seq)):
-        depth = seq[i]
-        del stack[depth:]
-        parents.append(stack[-1])
-        stack.append(i)
-    return parents

@@ -1,3 +1,4 @@
+import os
 import sys
 from pathlib import Path
 
@@ -28,3 +29,14 @@ def claim_report():
     from ucenergy.certify import run_claim_suite
 
     return run_claim_suite()
+
+
+@pytest.fixture
+def cli_env():
+    """Environment for a subprocess that imports ucenergy: the source tree
+    this suite imports the package from goes ahead of PYTHONPATH."""
+    import ucenergy
+
+    src = str(Path(ucenergy.__file__).parents[1])
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))

@@ -10,6 +10,8 @@ unicyclic codes come from every composition of the order around the cycle,
 normalised by brute-force minimum over rotations and reflections.  The
 cycle of a unicyclic graph comes from leaf stripping on the edge list, and
 the bracelet rule compares a word with every rotation of its reversal.
+The parent of a vertex in a level sequence is found by scanning back for
+the nearest vertex one level up.
 
 Some helpers are exceptions.  ``squarefree_part``, the radical of p that
 tests of the Sturm and root code start from, multiplies ucenergy's own Yun
@@ -278,7 +280,7 @@ def bipartite_b_coeffs(p) -> tuple[int, ...]:
         raise ValueError("zero polynomial")
     bs = []
     for k in range(n + 1):
-        a_k = p.coeff(n - k)
+        a_k = p.coeffs[n - k]
         if k % 2 == 1:
             if a_k != 0:
                 raise ValueError("odd coefficient a_%d = %d is nonzero" % (k, a_k))
@@ -334,12 +336,12 @@ def bisect_reference(f, enc, width):
         mid = (lo + hi) / 2
         s = f.sign_at(mid)
         if s == 0:
-            return RootEnclosure(mid, mid, enc.multiplicity)
+            return RootEnclosure(mid, mid)
         if s == f.sign_at(lo):
             lo = mid
         else:
             hi = mid
-    return RootEnclosure(lo, hi, enc.multiplicity)
+    return RootEnclosure(lo, hi)
 
 
 def sturm_chain_reference(p):
@@ -389,7 +391,7 @@ def energy_reference(p, tol=1e-7):
         found += [(refine_enclosure(factor, enc, budget), mult) for enc in encs]
     if zero_mult + sum(mult for _, mult in found) != p.degree:
         raise ValueError("polynomial has complex roots")
-    value = sum((mult * abs(enc.midpoint) for enc, mult in found), Fraction(0))
+    value = sum((mult * abs(enc.lo + enc.hi) / 2 for enc, mult in found), Fraction(0))
     radius = sum((mult * enc.width for enc, mult in found), Fraction(0)) / 2
     radius += abs(Fraction(float(value)) - value)
     rounded = float(radius)
@@ -419,7 +421,7 @@ def _seeded_reference(f, budget_bits):
     ms = [round(math.ldexp(x, k)) for x in xs]
     if any(b - a < 2 for a, b in zip(ms, ms[1:])):
         return None
-    encs = [RootEnclosure(Fraction(m - 1, 2**k), Fraction(m + 1, 2**k), 1) for m in ms]
+    encs = [RootEnclosure(Fraction(m - 1, 2**k), Fraction(m + 1, 2**k)) for m in ms]
     if any(f.sign_at(enc.lo) * f.sign_at(enc.hi) >= 0 for enc in encs):
         return None
     return encs
@@ -494,6 +496,21 @@ def necklace_normal_form(codes: tuple) -> tuple:
     return min(
         base[shift:] + base[:shift] for base in (codes, codes[::-1]) for shift in range(l)
     )
+
+
+def level_sequence_parents(seq) -> list[int | None]:
+    """Parent of each vertex of a level sequence (preorder); None at the root.
+
+    The parent of vertex i is the nearest vertex before it one level up,
+    found by scanning back from i.
+    """
+    parents: list[int | None] = [None]
+    for i in range(1, len(seq)):
+        j = i - 1
+        while seq[j] != seq[i] - 1:
+            j -= 1
+        parents.append(j)
+    return parents
 
 
 def rooted_level_sequences(k: int) -> list[tuple[int, ...]]:

@@ -1,20 +1,18 @@
 import csv
 import io
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import ucenergy
 from ucenergy import certify
 from ucenergy.certify import certificate_from_json, verify_certificate
 from ucenergy.cli import (
     MAX_COUNT_ORDER,
     MAX_LIST_ORDER,
     MAX_SEARCH_ORDER,
+    MAX_SEARCH_TOP,
     MAX_SELECTOR_ORDER,
     main,
 )
@@ -30,6 +28,10 @@ from ucenergy.polynomials import IntPolynomial
         ["energy", "C:5", "--method", "eig", "--tol", "-1"],
         ["energy", "C:5", "--tol", "nan"],
         ["energy", "C:5", "--tol", "inf"],
+        # commands that compute no energy take no tolerance
+        ["certify", "--tol", "1e-9"],
+        ["closed-form-check", "--n", "9", "--tol", "1e-9"],
+        ["enumerate", "--n", "5", "--tol", "1e-9"],
     ],
 )
 def test_nonpositive_tolerance_is_a_usage_error(argv, capsys):
@@ -65,6 +67,9 @@ def test_nonpositive_tolerance_is_a_usage_error(argv, capsys):
         # so are search and enumerate orders above their caps
         ["search", "--n", str(MAX_SEARCH_ORDER + 1)],
         ["search", "--n", "100000"],
+        # and so is a top beyond its cap, whose spectra would all be kept
+        ["search", "--n", "5", "--top", str(MAX_SEARCH_TOP + 1)],
+        ["search", "--n", "5", "--top", "1000000000"],
         ["enumerate", "--count-only", "--n", str(MAX_COUNT_ORDER + 1)],
         ["enumerate", "--count-only", "--n", "100000000000"],
         ["enumerate", "--n", str(MAX_LIST_ORDER + 1), "--format", "csv"],
@@ -199,19 +204,14 @@ def test_a_streamed_listing_equals_the_whole_table(n, capsys):
         assert capsys.readouterr().out == text, fmt
 
 
-def _cli_env():
-    src = str(Path(ucenergy.__file__).parents[1])
-    path = [src, os.environ.get("PYTHONPATH", "")]
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-
-
-def test_python_dash_m_runs_the_cli():
-    env = _cli_env()
-
+def test_python_dash_m_runs_the_cli(cli_env):
     def run(n):
         argv = ["enumerate", "--count-only", "--n", str(n), "--format", "csv"]
         return subprocess.run(
-            [sys.executable, "-m", "ucenergy", *argv], capture_output=True, text=True, env=env
+            [sys.executable, "-m", "ucenergy", *argv],
+            capture_output=True,
+            text=True,
+            env=cli_env,
         )
 
     for n, count in ((6, 13), (17, 880840)):
@@ -233,15 +233,14 @@ def test_python_dash_m_runs_the_cli():
         (["search", "--n", "5"], 0),
     ],
 )
-def test_a_reader_that_stops_early_gets_no_traceback(argv, lines):
-    env = _cli_env()
-    env.pop("PYTHONUNBUFFERED", None)  # a buffered stdout, as in a shell pipe
+def test_a_reader_that_stops_early_gets_no_traceback(argv, lines, cli_env):
+    cli_env.pop("PYTHONUNBUFFERED", None)  # a buffered stdout, as in a shell pipe
     proc = subprocess.Popen(
         [sys.executable, "-m", "ucenergy", *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
-        env=env,
+        env=cli_env,
     )
     for _ in range(lines):
         assert proc.stdout.readline().strip()

@@ -94,6 +94,24 @@ def modulus_charpoly(n, l):
     return modulus_sq_at_ix(charpoly(make_lollipop(n, l)))
 
 
+def modulus_p6(terms, n):
+    """|phi(L(n,6), ix)|**2 by its closed form (``LollipopTerms``)."""
+    return closed_modulus(terms.a1 * terms.a1, terms.a2 * terms.a2, terms.a1 * terms.a2, n)
+
+
+def modulus_pt(terms, n):
+    """|phi(L(n,t), ix)|**2 by its closed form, t = terms.t <= n."""
+    b11, b12, b21, b22 = terms.b11, terms.b12, terms.b21, terms.b22
+    return closed_modulus(
+        b11 * b11 + b12 * b12, b21 * b21 + b22 * b22, b11 * b21 + b12 * b22, n
+    )
+
+
+def closed_modulus(c1, c2, cross, n):
+    """c1 z1**2n + c2 z2**2n + (-1)**n 2 cross, the shape of both moduli."""
+    return c1 * Z1 ** (2 * n) + c2 * Z2 ** (2 * n) + const(2 * (-1) ** n) * cross
+
+
 @cache
 def blocks():
     """The t-free building blocks (alpha_i), (beta_i), (gamma_i), i = 0..4.
@@ -202,12 +220,10 @@ def test_growth_coefficients_positive_everywhere():
 
 def test_modulus_closed_form_examples():
     # x = 0 is z = 1: |phi(L(8,6), 0)|^2 = 16 and |phi(L(5,3), 0)|^2 = 4
-    assert value(lollipop_terms(3).modulus_p6(8), 1) == 16
-    assert value(lollipop_terms(3).modulus_pt(5), 1) == 4
-    with pytest.raises(ValueError):
-        lollipop_terms(3).modulus_p6(6)
-    with pytest.raises(ValueError):
-        lollipop_terms(7).modulus_pt(5)
+    assert value(modulus_p6(lollipop_terms(3), 8), 1) == 16
+    assert value(modulus_pt(lollipop_terms(3), 5), 1) == 4
+    assert_identity(modulus_p6(lollipop_terms(3), 8), ZTerm.from_x(modulus_charpoly(8, 6)))
+    assert_identity(modulus_pt(lollipop_terms(3), 5), ZTerm.from_x(modulus_charpoly(5, 3)))
     with pytest.raises(ValueError):
         lollipop_terms(4)
 
@@ -245,7 +261,7 @@ def test_modulus_forms_build_only_the_requested_t(monkeypatch):
 def test_odd_order_vanishing_at_origin():
     # odd-order bipartite lollipop has a zero eigenvalue: both routes give 0
     assert modulus_charpoly(7, 6)(0) == 0
-    assert value(lollipop_terms(3).modulus_p6(7), 1) == 0
+    assert value(modulus_p6(lollipop_terms(3), 7), 1) == 0
 
 
 def test_pq_pairs():
@@ -357,11 +373,11 @@ def test_even_order_limit_behaviour():
         s = lollipop_terms(t)
         a1sq, b1sq = s.a1 * s.a1, s.b11 * s.b11 + s.b12 * s.b12
         gap = {
-            n: b1sq * s.modulus_p6(n) - a1sq * s.modulus_pt(n) for n in range(8, 41, 2)
+            n: b1sq * modulus_p6(s, n) - a1sq * modulus_pt(s, n) for n in range(8, 41, 2)
         }
         for n in gap:
             certify_sign(gap[n], "(0,inf)", "positive")
-        shrink = gap[20] * s.modulus_p6(40) - gap[40] * s.modulus_p6(20)
+        shrink = gap[20] * modulus_p6(s, 40) - gap[40] * modulus_p6(s, 20)
         certify_sign(shrink, "(0,inf)", "positive")
 
 

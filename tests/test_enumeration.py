@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     least_reflection_all_rotations,
+    level_sequence_parents,
     necklace_normal_form,
     orbit_sum_matches_labeled,
     rooted_level_sequences,
@@ -19,16 +20,15 @@ from ucenergy.enumeration import (
     UnicyclicCode,
     _Alphabet,
     _bracelet_words,
-    _codes,
     _count_by_cycle_length,
     count_unicyclic,
     realize,
     unicyclic_graphs,
+    unicyclic_words,
 )
 from ucenergy.graphs import Graph, connected_components
 from ucenergy.trees import (
     canonical_level_sequence,
-    decode_level_sequence,
     free_tree_code,
     rooted_tree_counts,
     rooted_trees,
@@ -63,7 +63,7 @@ def test_rooted_tree_known_counts():
 def test_level_sequences_are_canonical_fixed_points():
     for k in range(1, 8):
         for seq in rooted_trees(k):
-            parents = decode_level_sequence(seq)
+            parents = level_sequence_parents(seq)
             adj = {i: [] for i in range(k)}
             for child, parent in enumerate(parents):
                 if parent is not None:
@@ -156,7 +156,7 @@ def test_tie_only_reversal_test_is_exact(monkeypatch):
 def test_count_equals_codes():
     # Polya's count against the generator, in total and per cycle length
     for n in range(3, 15):
-        assert count_unicyclic(n) == sum(1 for _ in _codes(n)) == A001429[n - 3], n
+        assert count_unicyclic(n) == sum(1 for _ in unicyclic_words(n)[1]) == A001429[n - 3], n
         if n <= 12:
             alphabet = _Alphabet(n - 2)
             for l, count in _count_by_cycle_length(n).items():
@@ -218,7 +218,7 @@ def _realize_by_normalising(code):
     edges = [(i, (i + 1) % l) for i in range(l)]
     nxt = l
     for i, tree in enumerate(code.trees):
-        parents = decode_level_sequence(tree)
+        parents = level_sequence_parents(tree)
         labels = [i]
         for v in range(1, len(tree)):
             labels.append(nxt)

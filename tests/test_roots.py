@@ -39,7 +39,7 @@ def P(*ascending):
 def _enclosures(levels):
     """The (den, ends) levels of ``_core_enclosures`` as ``RootEnclosure``s."""
     return [
-        RootEnclosure(Fraction(lo, den), Fraction(hi, den), 1)
+        RootEnclosure(Fraction(lo, den), Fraction(hi, den))
         for den, ends in levels
         for lo, hi in ends
     ]
@@ -49,7 +49,6 @@ def test_isolates_pm_one():
     enclosures = _isolate_squarefree(P(-1, 0, 1))
     assert len(enclosures) == 2
     assert enclosures[0].lo < -1 < enclosures[0].hi or enclosures[0].lo == enclosures[0].hi == -1
-    assert all(e.multiplicity == 1 for e in enclosures)
 
 
 def test_isolates_c4_spectrum_with_multiplicity():
@@ -59,7 +58,7 @@ def test_isolates_c4_spectrum_with_multiplicity():
     for factor, mult in factors:
         for e in _isolate_squarefree(factor):
             refined = refine_enclosure(factor, e, Fraction(1, 10**6))
-            spots.append((round(float(refined.midpoint), 5), mult))
+            spots.append((round(float((refined.lo + refined.hi) / 2), 5), mult))
     assert sorted(spots) == [(-2.0, 1), (0.0, 2), (2.0, 1)]
 
 
@@ -71,7 +70,7 @@ def test_bipartite_spectrum_symmetry():
         for e in _isolate_squarefree(factor)
     ]
     assert len(tight) == 8
-    values = sorted(float(e.midpoint) for e in tight)
+    values = sorted(float((e.lo + e.hi) / 2) for e in tight)
     for lo_val, hi_val in zip(values, reversed(values)):
         assert abs(lo_val + hi_val) < 1e-8
 
@@ -140,7 +139,7 @@ def test_seeded_enclosures_overlap_sturm_enclosures(spectra_to_nine, monkeypatch
         # eigenvalues (the cycles among them) take a second level
         assert len(levels) == max(mult for _, mult in factors), p
         repeated += len(levels) > 1
-        seeded = sorted(_enclosures(levels), key=lambda e: e.midpoint)
+        seeded = sorted(_enclosures(levels), key=lambda e: e.lo + e.hi)
         sturm = sorted(
             (
                 refine_enclosure(factor, enc, width)
@@ -148,7 +147,7 @@ def test_seeded_enclosures_overlap_sturm_enclosures(spectra_to_nine, monkeypatch
                 for enc in _isolate_squarefree(factor)
                 for _ in range(mult)
             ),
-            key=lambda e: e.midpoint,
+            key=lambda e: e.lo + e.hi,
         )
         assert len(seeded) == len(sturm) == core.degree
         for a, b in zip(seeded, sturm):
@@ -287,7 +286,7 @@ def test_energy_is_the_exact_sum_of_its_enclosures(monkeypatch, route, p, tol):
     dens = {den for den, _ in found}
     assert any(den & (den - 1) for den in dens) == (route == "sturm")  # not 2**k
     encs = _enclosures(found)
-    value = sum((abs(enc.midpoint) for enc in encs), Fraction(0))
+    value = sum((abs(enc.lo + enc.hi) / 2 for enc in encs), Fraction(0))
     radius = sum((enc.width for enc in encs), Fraction(0)) / 2
     radius += abs(Fraction(float(value)) - value)
     rounded = float(radius)
@@ -299,11 +298,11 @@ def test_energy_is_the_exact_sum_of_its_enclosures(monkeypatch, route, p, tol):
 
 def test_bisection_stops_at_a_root_or_its_budget():
     # the first midpoint of [0, 1] is the root of 2x - 1
-    unit, half = RootEnclosure(Fraction(0), Fraction(1), 1), Fraction(1, 2)
-    assert refine_enclosure(P(-1, 2), unit, Fraction(1, 8)) == RootEnclosure(half, half, 1)
+    unit, half = RootEnclosure(Fraction(0), Fraction(1)), Fraction(1, 2)
+    assert refine_enclosure(P(-1, 2), unit, Fraction(1, 8)) == RootEnclosure(half, half)
     with pytest.raises(ConvergenceError):
         refine_enclosure(
-            P(-2, 0, 1), RootEnclosure(Fraction(1), Fraction(2), 1), Fraction(1, 2**5000)
+            P(-2, 0, 1), RootEnclosure(Fraction(1), Fraction(2)), Fraction(1, 2**5000)
         )
 
 

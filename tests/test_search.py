@@ -74,14 +74,18 @@ def test_two_workers_match_serial():
     assert max_energy_search(6, jobs=2) == max_energy_search(6)
 
 
-def test_importing_the_package_loads_no_process_pool():
+def test_importing_the_package_loads_no_process_pool(cli_env):
     # the pool is imported only by a search that starts one
     script = (
         "import sys, ucenergy; "
         "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
     )
     out = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, check=True
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=cli_env,
     ).stdout
     assert out.strip() == "[]"
 
