@@ -1,8 +1,12 @@
 """Machine-checkable global-sign certificates for polynomial inequalities.
 
 A certificate for "p keeps sign S on domain D" consists of an exact Sturm
-root count of the square-free part of p over D (zero for strict signs)
-together with one exactly evaluated sample sign.
+root count over D, which must be zero, together with one exactly evaluated
+sample sign.  The roots counted are those of a core taken from
+``polynomials.multiplicity_levels``: the square-free part of p for a strict
+sign, and the product of its odd-multiplicity factors for a weak sign,
+which tolerates the touch points of even multiplicity.  A square-free p
+needs one pseudo-remainder sequence in all, its first level's Sturm chain.
 
 Expressions a(x) + b(x) * sqrt(x**2 + 4) become plain polynomials under the
 substitution x = z - 1/z.  It maps z in (0, inf) increasingly onto the real
@@ -66,8 +70,9 @@ from .polynomials import (
     X,
     IntPolynomial,
     cauchy_bound,
+    multiplicity_levels,
+    poly_div_exact,
     reverse,
-    squarefree_decomposition,
     sturm_chain,
     variations_at,
 )
@@ -89,10 +94,10 @@ CERT_FORMAT = 2
 class SignCertificate:
     """Evidence that polynomial + radical_part * sqrt(x**2+4) keeps a sign.
 
-    For ``rule == "sturm"`` the evidence is a root count of the square-free
-    part on the domain plus one exact sample sign; the stored chain supports
-    re-verification by evaluation (the chain's remainder structure itself is
-    trusted, everything else is re-checked).  For ``rule == "z-substitution"``
+    For ``rule == "sturm"`` the evidence is a root count of the core (module
+    docstring) on the domain plus one exact sample sign; the stored chain
+    supports re-verification by evaluation (the chain's remainder structure
+    itself is trusted, everything else is re-checked).  For ``rule == "z-substitution"``
     the evidence is one Sturm sub-certificate of the polynomial in w (module
     docstring), and the sample point is the image of its sample in x.
     """
@@ -198,6 +203,38 @@ def _witness_interval(core: IntPolynomial, domain: str) -> tuple[Fraction, Fract
     raise AssertionError("no witness found although the count was positive")
 
 
+def _sign_core(
+    p: IntPolynomial, strict: bool
+) -> tuple[IntPolynomial, tuple[IntPolynomial, ...]]:
+    """(core, its Sturm chain): the polynomial whose roots a sign certificate
+    counts, primitive with a positive leading coefficient.
+
+    A strict sign counts every distinct root of p, so the core is the
+    square-free part s_1 of p's first multiplicity level.  A weak sign
+    tolerates touch points of even multiplicity, so the core is the product
+    of the odd-multiplicity parts s_i / s_(i+1), i odd (the
+    ``polynomials`` module docstring).  A square-free p is its own core, and
+    its first level's chain is the core's chain.  A constant core is 1, with
+    the chain (1,).
+    """
+    levels = multiplicity_levels(p)
+    first = next(levels, None)
+    if first is None:
+        return ONE, (ONE,)
+    chain, s = first
+    if chain[-1].degree == 0:
+        return s, chain
+    core = s
+    if not strict:
+        parts = [s] + [s_i for _, s_i in levels] + [ONE]
+        core = ONE
+        for i in range(0, len(parts) - 1, 2):
+            core = core * poly_div_exact(parts[i], parts[i + 1])
+    if core.leading < 0:
+        core = -core
+    return core, (core,) if core.degree == 0 else sturm_chain(core)
+
+
 def certify_poly_sign(
     p: IntPolynomial, domain: str, asserted_sign: str, claim_id: str = ""
 ) -> SignCertificate | Refutation:
@@ -209,20 +246,12 @@ def certify_poly_sign(
     if p.is_zero:
         raise ValueError("zero polynomial has no sign certificate")
 
-    # one Yun pass: a strict sign counts the roots of every factor; a weak
-    # sign tolerates even-multiplicity touch points, so only odd ones count
-    strict = _strict(asserted_sign)
-    core = ONE
-    for f, mult in squarefree_decomposition(p):
-        if strict or mult % 2:
-            core = core * f
+    core, chain = _sign_core(p, _strict(asserted_sign))
     if core.degree > 0:
-        chain = sturm_chain(core)
         bound = cauchy_bound(core)
         v_lo, v_hi = _variations_at_infinity(chain)
         count, labels = _domain_count(core, chain, domain, v_lo, v_hi)
     else:
-        chain = (core,)
         bound = Fraction(1)
         count, labels = 0, (("-B", 0), ("+B", 0))
 

@@ -198,24 +198,46 @@ def _log_ratio_integral(
     m1 and m2 are squared moduli |phi(ix)|**2 of monic phi of one degree n,
     so both reverse at degree 2n to polynomials with constant term 1.
     """
+    integrand_near, integrand_far, log_term = _integrands(m1, m2)
+    budget = 0.45 * tol * math.pi
+    i_near, e_near = integrate_adaptive(integrand_near, 0.0, 1.0, budget)
+    i_far, e_far = integrate_adaptive(integrand_far, 0.0, 1.0, budget)
+    return (i_near + log_term + i_far) / math.pi, (e_near + e_far) / math.pi
+
+
+def _integrands(m1: IntPolynomial, m2: IntPolynomial):
+    """(near, far, log_term) for ``_log_ratio_integral``: the integrands on
+    [0, 1] before and after x -> 1/y, and the exact integral of the log x
+    terms over [0, 1] (module docstring)."""
     z1, z2 = m1.lowest_power(), m2.lowest_power()
-    core1, core2 = m1.shift_down(z1), m2.shift_down(z2)
+    core1, core2 = _in_doubles(m1.shift_down(z1)), _in_doubles(m2.shift_down(z2))
 
     def integrand_near(x: float) -> float:
         return math.log(core1(x)) - math.log(core2(x))
 
     n2 = m1.degree
-    tail1 = (reverse(m1, n2) - IntPolynomial((1,))).shift_down(2)
-    tail2 = (reverse(m2, n2) - IntPolynomial((1,))).shift_down(2)
+    tail1 = _in_doubles((reverse(m1, n2) - IntPolynomial((1,))).shift_down(2))
+    tail2 = _in_doubles((reverse(m2, n2) - IntPolynomial((1,))).shift_down(2))
 
     def integrand_far(y: float) -> float:
         if y == 0.0:
-            return float(tail1(0.0)) - float(tail2(0.0))
+            return tail1(0.0) - tail2(0.0)
         y2 = y * y
         return (math.log1p(y2 * tail1(y)) - math.log1p(y2 * tail2(y))) / y2
 
-    budget = 0.45 * tol * math.pi
-    i_near, e_near = integrate_adaptive(integrand_near, 0.0, 1.0, budget)
-    i_far, e_far = integrate_adaptive(integrand_far, 0.0, 1.0, budget)
-    log_term = -(z1 - z2)  # exact integral of (z1 - z2) * log x over [0, 1]
-    return (i_near + log_term + i_far) / math.pi, (e_near + e_far) / math.pi
+    return integrand_near, integrand_far, -(z1 - z2)
+
+
+def _in_doubles(p: IntPolynomial):
+    """x -> p(x) for a float x, by Horner's rule on the coefficients
+    converted to doubles once.  Bitwise ``p(x)``, which converts each
+    coefficient, correctly rounded as ``float`` does, at every step."""
+    descending = [float(c) for c in reversed(p.coeffs)]
+
+    def value(x: float) -> float:
+        acc = 0.0
+        for c in descending:
+            acc = acc * x + c
+        return acc
+
+    return value

@@ -4,9 +4,19 @@ Coefficients are stored in ascending order: index k holds the coefficient of
 x**k, and the zero polynomial is the empty tuple.  On top of the ring
 operations this module hosts the exact real-root kernel shared by the root
 isolator and the inequality certifier, all of it in integer arithmetic: sign
-evaluation at rational points, pseudo-remainders and exact division, the
-primitive gcd, Yun square-free factorisation (which only the certifier
-uses), Sturm chains and their sign variations at a point.
+evaluation at rational points, pseudo-remainders and exact division, Sturm
+chains and their sign variations at a point, and ``multiplicity_levels``,
+the one walk by which both reach square-free parts.
+
+``multiplicity_levels(f)`` yields, for f_1 = f and f_(i+1) = gcd(f_i, f_i'),
+the Sturm chain of +-f_i and the square-free part s_i = f_i / f_(i+1).  The
+chain ends in the gcd up to a constant, so each level costs one
+pseudo-remainder sequence and one exact division.  As multisets the roots of
+f_i are those of s_i and those of f_(i+1), so s_i is the product of the
+distinct irreducible factors of f of multiplicity >= i, and s_i / s_(i+1)
+that of the factors of multiplicity exactly i.  Yun's square-free
+decomposition and the primitive gcd it runs on remain only for the
+benchmark's trace (see ``squarefree_decomposition``).
 """
 
 from __future__ import annotations
@@ -14,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 @dataclass(frozen=True)
@@ -279,8 +289,10 @@ def squarefree_decomposition(p: IntPolynomial) -> list[tuple[IntPolynomial, int]
     """Yun decomposition: pairs (factor, multiplicity), factors primitive.
 
     The product of factor**multiplicity equals p up to a nonzero rational
-    constant; the factors are pairwise coprime and square-free.  The
-    certifier uses it; ``energy_of_poly`` needs only the Sturm chain.
+    constant; the factors are pairwise coprime and square-free.  The energy
+    and the certifier take their square-free parts from
+    ``multiplicity_levels`` instead; this stays while the benchmark's trace
+    names it (as ``roots.yun``), and ``poly_gcd`` with it.
     """
     if p.is_zero:
         raise ValueError("zero polynomial")
@@ -317,7 +329,8 @@ def sturm_chain(p: IntPolynomial) -> tuple[IntPolynomial, ...]:
 
     The chain ends in gcd(p, p') up to a constant, a nonzero constant when p
     is square-free.  The members are built as coefficient lists and wrapped
-    as ``IntPolynomial``s once, at the end.
+    as ``IntPolynomial``s once, at the end.  A step whose degree drops by
+    one, the usual case, takes its pseudo-remainder in one pass.
     """
     if p.is_zero:
         raise ValueError("zero polynomial")
@@ -328,8 +341,50 @@ def sturm_chain(p: IntPolynomial) -> tuple[IntPolynomial, ...]:
         chain.append(b)
         if len(b) == 1:
             break
-        a, b = b, _primitive(_pseudo_remainder(a, b), negate=True)
+        rem = _step_remainder(a, b) if len(a) == len(b) + 1 else _pseudo_remainder(a, b)
+        a, b = b, _primitive(rem, negate=True)
     return tuple(IntPolynomial(tuple(c)) for c in chain)
+
+
+def _step_remainder(a: list[int], b: list[int]) -> list[int]:
+    """``_pseudo_remainder`` when deg a = deg b + 1 >= 2, the common step of
+    a Sturm chain: its two elimination steps fused into one pass.
+
+    With s = |lc b| and e = sign(lc b), the first step leaves
+    r_i = s a_i - c1 b_(i-1) with c1 = e a_n, and the second clears
+    c2 = e r_(n-1) = e (s a_(n-1) - c1 b_(n-2)), so the remainder is
+    s**2 a_i - s c1 b_(i-1) - c2 b_i for i < n - 1 (b_(-1) = 0).
+    """
+    n = len(a) - 1
+    lead = b[-1]
+    scale, sign = abs(lead), (1 if lead > 0 else -1)
+    c1 = sign * a[n]
+    c2 = sign * (scale * a[n - 1] - c1 * b[n - 2])
+    s2, sc1 = scale * scale, scale * c1
+    r = [s2 * a[0] - c2 * b[0]]
+    r += [s2 * x - sc1 * y - c2 * z for x, y, z in zip(a[1 : n - 1], b, b[1:])]
+    while r and not r[-1]:
+        r.pop()
+    return r
+
+
+def multiplicity_levels(
+    f: IntPolynomial,
+) -> Iterator[tuple[tuple[IntPolynomial, ...], IntPolynomial]]:
+    """(chain, s) for each multiplicity level of f; none for a constant f.
+
+    ``chain`` is the Sturm chain of +-f_i, signed so that its head has a
+    positive leading coefficient, and s = chain[0] / chain[-1] is the
+    square-free part of f_i, primitive and of either sign; the next level
+    is f_(i+1) = chain[-1], up to a constant (module docstring).  The walk
+    ends when that gcd is a constant, so it yields one level per unit of the
+    largest multiplicity.
+    """
+    while f.degree > 0:
+        chain = sturm_chain(f if f.leading > 0 else -f)
+        g = chain[-1]  # gcd(f, f') up to a constant
+        yield chain, chain[0] if g.degree == 0 else poly_div_exact(chain[0], g)
+        f = g
 
 
 def _primitive(cs: list[int], negate: bool = False) -> list[int]:

@@ -1,8 +1,9 @@
 """Real-root isolation and graph energy from exact root enclosures.
 
 ``energy_of_poly`` encloses the roots of the core (p without its zero
-roots) one multiplicity level at a time: one Sturm chain per level, then
-Sturm isolation for a level whose seeds fail.
+roots) one multiplicity level at a time, walking the levels with
+``polynomials.multiplicity_levels``: one Sturm chain per level, then Sturm
+isolation for a level whose seeds fail.
 
 1. The Sturm chain f, f', ... of the level's polynomial f ends in
    g = gcd(f, f') up to a constant.  Its monic members, divided by g, obey
@@ -29,6 +30,29 @@ of g, so E(f) = E(s) + E(g), and no multiplicity has to be matched to a
 root; the levels end when g is a constant.  A root of multiplicity m thus
 has one enclosure in each of the first m levels.
 
+Bipartite spectra are walked at half the degree.  A core with no odd power
+of x is q(x**2), and q(0) != 0 because the zero roots are gone.  Since
+f' = 2x q'(x**2) and x does not divide q(x**2), gcd(f, f') is
+gcd(q, q')(x**2), so the levels of f are those of q with y = x**2, and
+each level's square-free part is s(x) = s_q(x**2).  The Jacobi seeds
+y_1 < ... < y_r of q's level give x_i = sqrt(y_i) when y_1 > 0.  Each
+bracket [m_i - 1, m_i + 1] / 2**k around x_i, with m_i >= 1, lies in
+[0, inf), where x -> x**2 is increasing, so s changes sign strictly across
+it exactly when s_q does across [(m_i - 1)**2, (m_i + 1)**2] / 4**k: an
+integer sign check on s_q, at half the degree.  s is even, so the mirror
+image [-m_i - 1, -m_i + 1] / 2**k of a checked bracket changes sign too.
+The spacing check keeps the positive brackets apart, meeting at most at a
+shared end, where s is nonzero; so are the negative ones.  A negative and
+a positive bracket can meet only when m_1 = 1, and then only at 0, which
+is not a root since s(0) = s_q(0) != 0.  So the 2r brackets hold the 2r
+roots of s, one each.  The chain, the seeds and the sign checks run at
+degree r.  The seed error estimate is the one the Jacobi matrix of s, of
+order 2r, would give, so k and the brackets are those of the route in x up
+to the rounding of the seeds: an m can differ by one where its seed lies
+near a half-integer multiple of 2**-k.  A level whose smallest seed is not
+positive (a negative y is a pair of imaginary roots of s) or whose checks
+fail has the roots of s isolated by Sturm counting, at degree 2r.
+
 Enclosures narrower than the requested width come from sign bisection,
 which carries both ends as integer numerators over one denominator D and
 doubles D at each step, so every sign is that of an integer Horner sum.
@@ -48,7 +72,7 @@ from fractions import Fraction
 from .polynomials import (
     IntPolynomial,
     cauchy_bound,
-    poly_div_exact,
+    multiplicity_levels,
     sturm_chain,
     variations_at,
 )
@@ -241,23 +265,86 @@ def _core_enclosures(core: IntPolynomial, budget: Fraction) -> list[_Level]:
 
     Level i holds one enclosure per distinct root of multiplicity >= i, as
     (den, ends): ``ends`` lists the integer numerators (lo, hi) of each
-    enclosure's ends over the positive denominator den.
+    enclosure's ends over the positive denominator den.  An even core,
+    q(x**2), walks the levels of q (module docstring).
     """
+    q = _even_half(core)
+    if q is not None:
+        walk = multiplicity_levels(q)
+        return [_mirrored_level(chain, s, budget) for chain, s in walk]
     levels = []
-    f = core
-    while f.degree > 0:
-        chain = sturm_chain(f if f.leading > 0 else -f)
-        g = chain[-1]  # gcd(f, f') up to a constant
-        s = chain[0] if g.degree == 0 else poly_div_exact(chain[0], g)
+    for chain, s in multiplicity_levels(core):
         seeds = _jacobi_seeds(chain)
         level = None if seeds is None else _checked_enclosures(s, *seeds, budget)
-        if level is None:
-            level = _over_one_denominator(
-                [refine_enclosure(s, enc, budget) for enc in _isolate_squarefree(s)]
-            )
-        levels.append(level)
-        f = g
+        levels.append(_isolated(s, budget) if level is None else level)
     return levels
+
+
+def _even_half(f: IntPolynomial) -> IntPolynomial | None:
+    """q with f(x) = q(x**2), or None when f has an odd power of x."""
+    if any(f.coeffs[1::2]):
+        return None
+    return IntPolynomial(f.coeffs[::2])
+
+
+def _isolated(s: IntPolynomial, budget: Fraction) -> _Level:
+    """Sturm isolation of the roots of square-free s, refined to the budget."""
+    return _over_one_denominator(
+        [refine_enclosure(s, enc, budget) for enc in _isolate_squarefree(s)]
+    )
+
+
+def _mirrored_level(
+    chain: tuple[IntPolynomial, ...], s_q: IntPolynomial, budget: Fraction
+) -> _Level:
+    """One level of an even core: the roots +-sqrt(y) of s_q(x**2), for the
+    roots y of the square-free part s_q of a level of q.
+
+    ``chain`` is that level's Sturm chain.  Its Jacobi seeds y_1 < ... < y_r
+    give the positive seeds sqrt(y_i), checked at half the degree and
+    mirrored (module docstring); a level whose smallest seed is not positive
+    or whose checks fail isolates the roots of s_q(x**2) by Sturm counting.
+    """
+    coeffs = [0] * (2 * s_q.degree + 1)
+    coeffs[::2] = s_q.coeffs
+    s = IntPolynomial(tuple(coeffs))
+    seeds = _jacobi_seeds(chain)
+    level = None
+    if seeds is not None and seeds[0][0] > 0:
+        level = _mirrored_enclosures(s_q, s, *seeds, budget)
+    return _isolated(s, budget) if level is None else level
+
+
+def _mirrored_enclosures(
+    s_q: IntPolynomial, s: IntPolynomial, ys: list[float], err: float, budget: Fraction
+) -> _Level | None:
+    """Enclosures of the roots of s(x) = s_q(x**2) around +-sqrt(y) for the
+    ascending positive seeds ys of s_q, or None.
+
+    ``err`` estimates the seeds' error in y.  The brackets [m - 1, m + 1] /
+    2**k around sqrt(y_i) need m >= 1 and are checked by the sign of s_q at
+    (m -+ 1)**2 / 4**k; their mirror images enclose the negative roots.
+    """
+    xs = [math.sqrt(y) for y in ys]
+    # 2 * (2r) * u * max|x|, the estimate the Jacobi matrix of s itself, of
+    # order 2r, would give; -x_1 brings the gap across 0 into the spacing
+    k = _bracket_bits([-xs[0]] + xs, 2 * err / xs[-1], budget)
+    if k is None:
+        return None
+    ms = [round(math.ldexp(x, k)) for x in xs]
+    if ms[0] < 1 or any(b - a < 2 for a, b in zip(ms, ms[1:])):
+        return None
+    if not _changes_sign(s_q, 2 * k, [((m - 1) ** 2, (m + 1) ** 2) for m in ms]):
+        return None
+    den = 1 << k
+    if k >= _budget_bits(budget):  # the width 2 * 2**-k is within the budget
+        negative = [(-m - 1, -m + 1) for m in reversed(ms)]
+        return den, negative + [(m - 1, m + 1) for m in ms]
+    # s is even, so bisection of a mirrored bracket is the mirror of bisection
+    brackets = [RootEnclosure(Fraction(m - 1, den), Fraction(m + 1, den)) for m in ms]
+    positive = [refine_enclosure(s, enc, budget) for enc in brackets]
+    mirrored = [RootEnclosure(-enc.hi, -enc.lo) for enc in reversed(positive)]
+    return _over_one_denominator(mirrored + positive)
 
 
 def _over_one_denominator(encs: list[RootEnclosure]) -> _Level:
@@ -282,40 +369,55 @@ def _checked_enclosures(
     disjoint dyadic brackets around the seeds each show a strict sign change
     of f, checked in integer arithmetic.
     """
-    # 2**-k is the bracket's half-width: above four times the largest seed
-    # error, below a quarter of the smallest seed gap, and no wider than the
-    # budget allows unless the seeds cannot resolve the budget.  These are
-    # float estimates; the exact checks below decide.
+    k = _bracket_bits(seeds, err, budget)
+    if k is None:
+        return None
+    ms = [round(math.ldexp(x, k)) for x in seeds]
+    if any(b - a < 2 for a, b in zip(ms, ms[1:])):  # brackets may only touch
+        return None
+    if not _changes_sign(f, k, [(m - 1, m + 1) for m in ms]):
+        return None
+    den = 1 << k
+    if k >= _budget_bits(budget):  # the width 2 * 2**-k is within the budget
+        return den, [(m - 1, m + 1) for m in ms]
+    brackets = [RootEnclosure(Fraction(m - 1, den), Fraction(m + 1, den)) for m in ms]
+    return _over_one_denominator([refine_enclosure(f, enc, budget) for enc in brackets])
+
+
+def _bracket_bits(seeds: list[float], err: float, budget: Fraction) -> int | None:
+    """k for brackets of half-width 2**-k around the ascending seeds, or None.
+
+    2**-k is above four times the seed error, below a quarter of the
+    smallest seed gap, and no wider than the budget allows unless the seeds
+    cannot resolve the budget.  These are float estimates; the exact sign
+    checks decide.
+    """
     k_fine = -math.frexp(err)[1] - 2
     k_sep = 0
     if len(seeds) > 1:
         gap = min(b - a for a, b in zip(seeds, seeds[1:]))
         k_sep = max(0, 3 - math.frexp(gap)[1])
-    budget_bits = _budget_bits(budget)
-    k = min(max(budget_bits, k_sep), k_fine)
-    if k < k_sep:
-        return None
-    ms = [round(math.ldexp(x, k)) for x in seeds]
-    if any(b - a < 2 for a, b in zip(ms, ms[1:])):  # brackets may only touch
-        return None
+    k = min(max(_budget_bits(budget), k_sep), k_fine)
+    return None if k < k_sep else k
+
+
+def _changes_sign(f: IntPolynomial, k: int, pairs: list[tuple[int, int]]) -> bool:
+    """Whether f changes sign strictly from a / 2**k to b / 2**k for every
+    (a, b) in pairs, decided by the integers f(j / 2**k) * 2**(k*deg f)."""
     d = f.degree
     descending = [c << (k * (d - j)) for j, c in enumerate(f.coeffs)][::-1]
 
-    def scaled_value(m: int) -> int:  # f(m / 2**k) * 2**(k*d)
+    def scaled_value(m: int) -> int:
         acc = 0
         for c in descending:
             acc = acc * m + c
         return acc
 
-    for m in ms:
-        lo, hi = scaled_value(m - 1), scaled_value(m + 1)
+    for a, b in pairs:
+        lo, hi = scaled_value(a), scaled_value(b)
         if not (lo < 0 < hi or hi < 0 < lo):
-            return None
-    den = 1 << k
-    if k >= budget_bits:  # the width 2 * 2**-k is within the budget
-        return den, [(m - 1, m + 1) for m in ms]
-    brackets = [RootEnclosure(Fraction(m - 1, den), Fraction(m + 1, den)) for m in ms]
-    return _over_one_denominator([refine_enclosure(f, enc, budget) for enc in brackets])
+            return False
+    return True
 
 
 def _budget_bits(budget: Fraction) -> int:

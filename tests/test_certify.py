@@ -7,9 +7,13 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from oracles import squarefree_part
+import ucenergy.certify as certify
+import ucenergy.polynomials as polynomials
+from oracles import certify_poly_sign_reference, squarefree_part
 from ucenergy.certify import (
     A_POSITIVITY,
+    DOMAINS,
+    SIGNS,
     BETA2_EVEN,
     BETA2_ODD,
     C4_COFACTOR,
@@ -315,3 +319,47 @@ def test_only_the_verifier_evaluates_the_chain_at_the_bound(monkeypatch):
     points.clear()
     assert verify_certificate(cert)
     assert sorted(points) == [-cert.bound, 0, cert.bound]
+
+
+@st.composite
+def factored(draw):
+    """A product of up to three integer factors of degree 1 or 2, each to a
+    power 1..4, with a nonzero integer scale."""
+    p = P(draw(st.sampled_from([1, -1, 2, -3])))
+    for _ in range(draw(st.integers(1, 3))):
+        low = draw(st.lists(st.integers(-6, 6), min_size=1, max_size=2))
+        lead = draw(st.integers(1, 3)) * draw(st.sampled_from([1, -1]))
+        p = p * P(*low, lead) ** draw(st.integers(1, 4))
+    return p
+
+
+@given(factored(), st.sampled_from(DOMAINS), st.sampled_from(SIGNS))
+def test_the_level_walk_certifies_as_the_yun_core_did(p, domain, sign):
+    outcome = certify_poly_sign(p, domain, sign, "h")
+    assert outcome == certify_poly_sign_reference(p, domain, sign, "h")
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        P(-1, 1) ** 2 * P(-2, 1),  # strict: the square-free part
+        P(-1, 1) ** 4 * P(3, 0, 1) ** 2,  # weak: no odd part, the core is 1
+        P(1, 2) ** 3 * P(-5, 0, 1) ** 2 * P(-1, 1),  # weak: multiplicities 3 and 1
+    ],
+)
+def test_weak_and_strict_cores_of_repeated_factors(p):
+    for domain in DOMAINS:
+        for sign in SIGNS:
+            assert certify_poly_sign(p, domain, sign) == certify_poly_sign_reference(
+                p, domain, sign
+            )
+
+
+def test_the_claim_suite_runs_no_yun(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("squarefree_decomposition called")
+
+    monkeypatch.setattr(polynomials, "squarefree_decomposition", forbidden)
+    monkeypatch.setattr(certify, "squarefree_decomposition", forbidden, raising=False)
+    report = run_claim_suite()
+    assert report.results and all(r.ok for r in report.results)

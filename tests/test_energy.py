@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 import ucenergy.search as search
 from oracles import coulson_bracket, cycle_energy_reference
 from ucenergy.charpoly import charpoly
+import ucenergy.coulson as coulson
 from ucenergy.coulson import (
     energy_coulson,
     energy_diff_coulson,
@@ -13,7 +15,8 @@ from ucenergy.coulson import (
     modulus_sq_at_ix,
 )
 from ucenergy.eigensolver import energy_eigensolver
-from ucenergy.graphs import make_cycle, make_lollipop, make_path
+from ucenergy.graphs import Graph, make_cycle, make_lollipop, make_path
+from ucenergy.polynomials import IntPolynomial, reverse
 from ucenergy.roots import ConvergenceError, energy_of_poly
 from ucenergy.search import search_with_stats
 
@@ -191,3 +194,52 @@ def test_the_search_refuses_a_tolerance_before_the_word_stream(monkeypatch):
     monkeypatch.setattr(search, "unicyclic_words", forbidden)
     with pytest.raises(ValueError, match="tolerance"):
         search_with_stats(12, tol=math.nan)
+
+
+def _reference_integrands(m1, m2):
+    """The log-ratio integrands evaluated by ``IntPolynomial.__call__``,
+    which converts each coefficient to a double at every Horner step."""
+    z1, z2 = m1.lowest_power(), m2.lowest_power()
+    core1, core2 = m1.shift_down(z1), m2.shift_down(z2)
+    n2 = m1.degree
+    tail1 = (reverse(m1, n2) - IntPolynomial((1,))).shift_down(2)
+    tail2 = (reverse(m2, n2) - IntPolynomial((1,))).shift_down(2)
+
+    def near(x):
+        return math.log(core1(x)) - math.log(core2(x))
+
+    def far(y):
+        if y == 0.0:
+            return float(tail1(0.0)) - float(tail2(0.0))
+        y2 = y * y
+        return (math.log1p(y2 * tail1(y)) - math.log1p(y2 * tail2(y))) / y2
+
+    return near, far
+
+
+def _random_tree_on_a_cycle(n, rng):
+    cycle = rng.randint(3, n)
+    edges = [(i, (i + 1) % cycle) for i in range(cycle)]
+    edges += [(rng.randrange(v), v) for v in range(cycle, n)]
+    return Graph.from_edges(n, edges)
+
+
+def test_double_integrands_equal_the_integer_horner_bitwise():
+    graphs = [
+        make_lollipop(50, 6),
+        make_cycle(50),
+        _random_tree_on_a_cycle(40, random.Random(3)),
+    ]
+    moduli = [modulus_sq_at_ix(charpoly(g)) for g in graphs]
+    # the 15 Gauss-Kronrod nodes on [0, 1]
+    nodes = sorted({0.5 + s * 0.5 * x for x in coulson._XGK for s in (-1.0, 1.0)})
+    assert len(nodes) == 15
+    pairs = [(m, IntPolynomial((0,) * m.degree + (1,))) for m in moduli]
+    pairs.append((moduli[0], moduli[1]))
+    for m1, m2 in pairs:
+        near, far, log_term = coulson._integrands(m1, m2)
+        ref_near, ref_far = _reference_integrands(m1, m2)
+        assert log_term == m2.lowest_power() - m1.lowest_power()
+        for x in nodes + [0.0]:
+            assert near(x).hex() == ref_near(x).hex(), x
+            assert far(x).hex() == ref_far(x).hex(), x

@@ -10,7 +10,10 @@ from oracles import (
     bisect_reference,
     cycle_energy_reference,
     energy_reference,
+    level_sequence_parents,
+    rooted_level_sequences,
     squarefree_part,
+    unique_cycle,
 )
 import ucenergy.polynomials as polynomials
 import ucenergy.roots as roots
@@ -418,6 +421,155 @@ def test_large_seeded_enclosures_overlap_sturm_enclosures():
     seeded = _enclosures([level])
     sturm = [refine_enclosure(core, enc, width) for enc in _isolate_squarefree(core)]
     assert len(seeded) == len(sturm) == core.degree
+    for a, b in zip(seeded, sturm):
+        assert a.width <= width
+        assert a.lo <= b.hi and b.lo <= a.hi, (a, b)
+
+
+def _bipartite_spectra():
+    """Distinct characteristic polynomials with an even core: unicyclic
+    graphs of even girth and trees with n <= 10, C_2m with 2m <= 100 and
+    L(n,6) with n <= 60."""
+    polys = {
+        charpoly(g)
+        for n in range(4, 11)
+        for _, g in unicyclic_graphs(n)
+        if len(unique_cycle(g)) % 2 == 0
+    }
+    for k in range(1, 11):
+        for seq in rooted_level_sequences(k):
+            parents = level_sequence_parents(seq)
+            edges = [(parents[v], v) for v in range(1, k)]
+            polys.add(charpoly(Graph.from_edges(k, edges)))
+    polys.update(charpoly(make_cycle(n)) for n in range(4, 101, 2))
+    polys.update(charpoly(make_lollipop(n, 6)) for n in range(7, 61))
+    return sorted(polys, key=lambda p: (p.degree, p.coeffs))
+
+
+@pytest.fixture(scope="module")
+def bipartite_spectra():
+    return _bipartite_spectra()
+
+
+def test_even_cores_agree_with_the_yun_route(bipartite_spectra):
+    assert len(bipartite_spectra) > 600
+    for p in bipartite_spectra:
+        core = p.shift_down(p.lowest_power())
+        assert roots._even_half(core) is not None, p
+        a, b = energy_of_poly(p, 1e-7), energy_reference(p, 1e-7)
+        assert max(a.radius, b.radius) <= 1e-7
+        assert abs(a.value - b.value) <= a.radius + b.radius, p
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        charpoly(make_lollipop(50, 6)),
+        charpoly(make_cycle(100)),  # two levels
+        charpoly(make_path(9)),  # a zero root
+        P(1, 0, 1),  # complex roots: the Sturm fallback runs at degree 2
+    ],
+)
+def test_even_cores_build_chains_at_half_the_degree(monkeypatch, p):
+    degrees = []
+
+    def spy(f):
+        degrees.append(f.degree)
+        return sturm_chain(f)
+
+    monkeypatch.setattr(polynomials, "sturm_chain", spy)
+    monkeypatch.setattr(roots, "sturm_chain", spy)
+    core = p.shift_down(p.lowest_power())
+    try:
+        energy_of_poly(p)
+    except ValueError:
+        assert p == P(1, 0, 1)
+        assert degrees == [1, 2]  # the chain of q = y + 1, then of x^2 + 1
+        return
+    assert degrees and max(degrees) <= core.degree // 2
+
+
+def _spoiled_seeds(spoil):
+    """``_jacobi_seeds`` with its seeds passed through ``spoil``."""
+    seeds_of = roots._jacobi_seeds
+
+    def spoiled(chain):
+        seeds, err = seeds_of(chain)
+        return spoil(list(seeds)), err
+
+    return spoiled
+
+
+def _nonpositive(ys):
+    ys[0] = -ys[0]
+    return sorted(ys)
+
+
+def _perturbed(ys):
+    ys[len(ys) // 2] += 1e-3
+    return ys
+
+
+@pytest.mark.parametrize("spoil", [_nonpositive, _perturbed])
+@pytest.mark.parametrize(
+    "graph",
+    [make_lollipop(30, 6), make_cycle(24), make_path(11)],
+    ids=["L(30,6)", "C_24", "P_11"],
+)
+def test_a_spoiled_even_level_takes_the_sturm_fallback(monkeypatch, spoil, graph):
+    p = charpoly(graph)
+    expected = energy_of_poly(p, 1e-9)
+    isolated = []
+
+    def spy(f):
+        isolated.append(f)
+        return _isolate_squarefree(f)
+
+    monkeypatch.setattr(roots, "_jacobi_seeds", _spoiled_seeds(spoil))
+    monkeypatch.setattr(roots, "_isolate_squarefree", spy)
+    e = energy_of_poly(p, 1e-9)
+    core = p.shift_down(p.lowest_power())
+    levels = list(polynomials.multiplicity_levels(roots._even_half(core)))
+    assert len(isolated) == len(levels)
+    for f, (_, s_q) in zip(isolated, levels):  # each level's s_q(x^2)
+        assert f.degree == 2 * s_q.degree and f.coeffs[::2] == s_q.coeffs
+    assert e.radius <= 1e-9
+    assert abs(e.value - expected.value) <= e.radius + expected.radius
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [make_cycle(30), make_lollipop(40, 6), make_path(12)],
+    ids=["C_30", "L(40,6)", "P_12"],
+)
+def test_narrow_even_levels_refine_and_mirror_their_brackets(monkeypatch, graph):
+    # a budget finer than the seeds resolve: the positive brackets are
+    # bisected, and the negative ones are their mirror images
+    refined = []
+
+    def spy(f, enc, width):
+        refined.append(enc)
+        return refine_enclosure(f, enc, width)
+
+    monkeypatch.setattr(roots, "refine_enclosure", spy)
+    p = charpoly(graph)
+    core = p.shift_down(p.lowest_power())
+    width = Fraction(1, 2**60)
+    levels = roots._core_enclosures(core, width)
+    assert refined and all(enc.lo > 0 for enc in refined)
+    assert sum(len(ends) for _, ends in levels) == 2 * len(refined) == core.degree
+    for den, ends in levels:
+        assert ends == [(-hi, -lo) for lo, hi in reversed(ends)]
+    seeded = sorted(_enclosures(levels), key=lambda e: e.lo + e.hi)
+    sturm = sorted(
+        (
+            refine_enclosure(factor, enc, width)
+            for factor, mult in squarefree_decomposition(core)
+            for enc in _isolate_squarefree(factor)
+            for _ in range(mult)
+        ),
+        key=lambda e: e.lo + e.hi,
+    )
     for a, b in zip(seeded, sturm):
         assert a.width <= width
         assert a.lo <= b.hi and b.lo <= a.hi, (a, b)
