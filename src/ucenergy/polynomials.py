@@ -329,8 +329,7 @@ def sturm_chain(p: IntPolynomial) -> tuple[IntPolynomial, ...]:
 
     The chain ends in gcd(p, p') up to a constant, a nonzero constant when p
     is square-free.  The members are built as coefficient lists and wrapped
-    as ``IntPolynomial``s once, at the end.  A step whose degree drops by
-    one, the usual case, takes its pseudo-remainder in one pass.
+    as ``IntPolynomial``s once, at the end.
     """
     if p.is_zero:
         raise ValueError("zero polynomial")
@@ -341,31 +340,8 @@ def sturm_chain(p: IntPolynomial) -> tuple[IntPolynomial, ...]:
         chain.append(b)
         if len(b) == 1:
             break
-        rem = _step_remainder(a, b) if len(a) == len(b) + 1 else _pseudo_remainder(a, b)
-        a, b = b, _primitive(rem, negate=True)
+        a, b = b, _primitive(_pseudo_remainder(a, b), negate=True)
     return tuple(IntPolynomial(tuple(c)) for c in chain)
-
-
-def _step_remainder(a: list[int], b: list[int]) -> list[int]:
-    """``_pseudo_remainder`` when deg a = deg b + 1 >= 2, the common step of
-    a Sturm chain: its two elimination steps fused into one pass.
-
-    With s = |lc b| and e = sign(lc b), the first step leaves
-    r_i = s a_i - c1 b_(i-1) with c1 = e a_n, and the second clears
-    c2 = e r_(n-1) = e (s a_(n-1) - c1 b_(n-2)), so the remainder is
-    s**2 a_i - s c1 b_(i-1) - c2 b_i for i < n - 1 (b_(-1) = 0).
-    """
-    n = len(a) - 1
-    lead = b[-1]
-    scale, sign = abs(lead), (1 if lead > 0 else -1)
-    c1 = sign * a[n]
-    c2 = sign * (scale * a[n - 1] - c1 * b[n - 2])
-    s2, sc1 = scale * scale, scale * c1
-    r = [s2 * a[0] - c2 * b[0]]
-    r += [s2 * x - sc1 * y - c2 * z for x, y, z in zip(a[1 : n - 1], b, b[1:])]
-    while r and not r[-1]:
-        r.pop()
-    return r
 
 
 def multiplicity_levels(

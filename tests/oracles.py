@@ -33,11 +33,8 @@ per class and its ``charpoly``, fed to ucenergy's own filter and ranking,
 so it differs from the search only in the stream.  ``gaussian_of`` names
 each spectrum as the search does, z = phi(iX) / i**n, by Horner's rule on
 the coefficients rather than by the matching fold.
-``certify_poly_sign_reference`` is ``certify_poly_sign`` as it was before
-the multiplicity-level walk: its core is the product of ucenergy's Yun
-factors (all of them for a strict sign, those of odd multiplicity for a
-weak one), and the rest of the certificate comes from the certifier's own
-helpers, so it differs from the certifier only in the core.
+``yun_core`` is the certifier's core as it was built before the
+multiplicity-level walk, from ucenergy's Yun factors.
 """
 
 from __future__ import annotations
@@ -432,81 +429,17 @@ def _seeded_reference(f, budget_bits):
     return encs
 
 
-def certify_poly_sign_reference(p, domain, asserted_sign, claim_id=""):
-    """``certify_poly_sign`` with its core built from Yun factors."""
-    from fractions import Fraction
+def yun_core(p, strict):
+    """The core the certifier counted roots of before the multiplicity-level
+    walk: the product of ucenergy's Yun factors, all of them for a strict
+    sign and those of odd multiplicity for a weak one."""
+    from ucenergy.polynomials import ONE, squarefree_decomposition
 
-    from ucenergy.certify import (
-        DOMAINS,
-        SIGNS,
-        Refutation,
-        SignCertificate,
-        _domain_count,
-        _sample_candidates,
-        _sign_target,
-        _strict,
-        _variations_at_infinity,
-        _witness_interval,
-    )
-    from ucenergy.polynomials import (
-        ONE,
-        cauchy_bound,
-        squarefree_decomposition,
-        sturm_chain,
-    )
-
-    if domain not in DOMAINS:
-        raise ValueError("unknown domain %r" % domain)
-    if asserted_sign not in SIGNS:
-        raise ValueError("unknown sign %r" % asserted_sign)
-    if p.is_zero:
-        raise ValueError("zero polynomial has no sign certificate")
-
-    # one Yun pass: a strict sign counts the roots of every factor; a weak
-    # sign tolerates even-multiplicity touch points, so only odd ones count
-    strict = _strict(asserted_sign)
     core = ONE
     for f, mult in squarefree_decomposition(p):
         if strict or mult % 2:
             core = core * f
-    if core.degree > 0:
-        chain = sturm_chain(core)
-        bound = cauchy_bound(core)
-        v_lo, v_hi = _variations_at_infinity(chain)
-        count, labels = _domain_count(core, chain, domain, v_lo, v_hi)
-    else:
-        chain = (core,)
-        bound = Fraction(1)
-        count, labels = 0, (("-B", 0), ("+B", 0))
-
-    sample = next(
-        pt for pt in _sample_candidates(domain) if p.sign_at(pt) != 0
-    )
-    sample_sign = p.sign_at(sample)
-
-    ok = count == 0 and sample_sign == _sign_target(asserted_sign)
-    if ok:
-        return SignCertificate(
-            claim_id=claim_id,
-            asserted_sign=asserted_sign,
-            domain=domain,
-            polynomial=p,
-            radical_part=None,
-            rule="sturm",
-            root_count=count,
-            bound=bound,
-            sample_point=sample,
-            sample_sign=sample_sign,
-            variation_counts=tuple(labels),
-            chain=chain,
-        )
-    if count > 0:
-        lo, hi = _witness_interval(core, domain)
-        reason = "sign-changing root inside the domain"
-    else:
-        lo = hi = sample
-        reason = "sample sign %d contradicts %s" % (sample_sign, asserted_sign)
-    return Refutation(claim_id, asserted_sign, domain, p, lo, hi, reason)
+    return core
 
 
 def squarefree_part(p):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import ucenergy.certify as certify
 import ucenergy.polynomials as polynomials
-from oracles import certify_poly_sign_reference, squarefree_part
+from oracles import squarefree_part, yun_core
 from ucenergy.certify import (
     A_POSITIVITY,
     DOMAINS,
@@ -333,10 +333,23 @@ def factored(draw):
     return p
 
 
+def _yun_sign_core(p, strict):
+    core = yun_core(p, strict)
+    return core, (core,) if core.degree == 0 else sturm_chain(core)
+
+
+def _certifies_as_the_yun_core_did(p, domain, sign):
+    strict = certify._strict(sign)
+    assert certify._sign_core(p, strict) == _yun_sign_core(p, strict)
+    outcome = certify_poly_sign(p, domain, sign, "h")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(certify, "_sign_core", _yun_sign_core)
+        assert outcome == certify_poly_sign(p, domain, sign, "h")
+
+
 @given(factored(), st.sampled_from(DOMAINS), st.sampled_from(SIGNS))
 def test_the_level_walk_certifies_as_the_yun_core_did(p, domain, sign):
-    outcome = certify_poly_sign(p, domain, sign, "h")
-    assert outcome == certify_poly_sign_reference(p, domain, sign, "h")
+    _certifies_as_the_yun_core_did(p, domain, sign)
 
 
 @pytest.mark.parametrize(
@@ -350,9 +363,7 @@ def test_the_level_walk_certifies_as_the_yun_core_did(p, domain, sign):
 def test_weak_and_strict_cores_of_repeated_factors(p):
     for domain in DOMAINS:
         for sign in SIGNS:
-            assert certify_poly_sign(p, domain, sign) == certify_poly_sign_reference(
-                p, domain, sign
-            )
+            _certifies_as_the_yun_core_did(p, domain, sign)
 
 
 def test_the_claim_suite_runs_no_yun(monkeypatch):

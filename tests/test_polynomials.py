@@ -1,13 +1,12 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import bipartite_b_coeffs, squarefree_part, sturm_chain_reference
 from ucenergy.polynomials import (
     IntPolynomial,
-    _step_remainder,
     cauchy_bound,
     poly_div_exact,
     poly_gcd,
@@ -153,19 +152,6 @@ def test_sturm_chain_literal():
     assert chain == (P(-3, 1, 0, 0, 1), P(1, 0, 0, 4), P(4, -1), P(-1))
     bound = cauchy_bound(chain[0])
     assert variations_at(chain, -bound) - variations_at(chain, bound) == 2
-
-
-@given(st.integers(1, 8).flatmap(
-    lambda d: st.tuples(
-        st.lists(st.integers(-50, 50), min_size=d + 2, max_size=d + 2),
-        st.lists(st.integers(-50, 50), min_size=d + 1, max_size=d + 1),
-    )
-))
-def test_the_fused_step_is_the_pseudo_remainder(ab):
-    a, b = ab
-    assume(a[-1] != 0 and b[-1] != 0)
-    rem = pseudo_remainder(IntPolynomial(tuple(a)), IntPolynomial(tuple(b)))
-    assert _step_remainder(a, b) == list(rem.coeffs)
 
 
 @given(coeff_lists, coeff_lists)

@@ -202,6 +202,10 @@ def test_repeated_and_complex_roots_take_the_fallback(monkeypatch):
     assert abs(e.value - 8.0) <= e.radius
     assert [len(ends) for _, ends in levels] == [4, 2] and isolated == []
     levels.clear()
+    e = energy_of_poly(charpoly(make_cycle(9)))  # 2 once, four pairs: an odd core
+    assert abs(e.value - cycle_energy_reference(9)) <= e.radius + 1e-12
+    assert [len(ends) for _, ends in levels] == [5, 4] and isolated == []
+    levels.clear()
     with pytest.raises(ValueError):
         energy_of_poly(P(1, 0, 1))
     assert isolated == [P(1, 0, 1)] and levels == [(1, [])]
@@ -239,10 +243,12 @@ def test_squarefree_spectrum_never_reaches_sturm(monkeypatch, tol):
         return levels
 
     monkeypatch.setattr(roots, "_core_enclosures", record)
-    e = energy_of_poly(charpoly(make_lollipop(8, 6)), tol)
-    assert round(e.value, 5) == 10.42429
-    assert e.radius <= tol
-    assert len(levels) == 1
+    for t, energy in [(6, 10.42429), (5, 10.05177)]:  # an even and an odd core
+        levels.clear()
+        e = energy_of_poly(charpoly(make_lollipop(8, t)), tol)
+        assert round(e.value, 5) == energy
+        assert e.radius <= tol
+        assert len(levels) == 1
 
 
 def test_radius_covers_rounding_to_a_double():
@@ -264,6 +270,8 @@ def test_radius_covers_rounding_to_a_double():
         ("seeds", charpoly(make_path(5))),  # a zero root
         ("levels", charpoly(make_cycle(8))),  # repeated eigenvalues
         ("sturm", _NON_DYADIC),
+        ("seeds", charpoly(make_lollipop(8, 5))),  # an odd core
+        ("levels", charpoly(make_cycle(9))),  # repeated, with an odd core
     ],
 )
 def test_energy_is_the_exact_sum_of_its_enclosures(monkeypatch, route, p, tol):
@@ -388,7 +396,9 @@ def _random_unicyclic(n, rng):
 _LARGE = [
     ("L(50,6)", make_lollipop(50, 6)),
     ("L(80,6)", make_lollipop(80, 6)),
+    ("L(81,7)", make_lollipop(81, 7)),
     ("C_50", make_cycle(50)),
+    ("C_51", make_cycle(51)),
     ("C_80", make_cycle(80)),
 ] + [
     ("random %d" % n, _random_unicyclic(n, random.Random(n)))
@@ -534,6 +544,25 @@ def test_a_spoiled_even_level_takes_the_sturm_fallback(monkeypatch, spoil, graph
     for f, (_, s_q) in zip(isolated, levels):  # each level's s_q(x^2)
         assert f.degree == 2 * s_q.degree and f.coeffs[::2] == s_q.coeffs
     assert e.radius <= 1e-9
+    assert abs(e.value - expected.value) <= e.radius + expected.radius
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-13])
+@pytest.mark.parametrize(
+    "graph", [make_path(120), make_lollipop(100, 6)], ids=["P_120", "L(100,6)"]
+)
+def test_small_even_eigenvalues_are_seeded_at_tight_tolerances(monkeypatch, tol, graph):
+    # x_1 / x_max is about 0.013 and 0.015: sqrt(y_1) carries the error of
+    # y_1 times 1 / (2 x_1), more than the bracket width allows for, and the
+    # checks still pass because the error estimate in y is loose enough
+    def forbidden(f):
+        raise AssertionError("Sturm fallback at degree %d" % f.degree)
+
+    p = charpoly(graph)
+    expected = energy_reference(p, tol)
+    monkeypatch.setattr(roots, "_isolate_squarefree", forbidden)
+    e = energy_of_poly(p, tol)
+    assert e.radius <= tol
     assert abs(e.value - expected.value) <= e.radius + expected.radius
 
 
