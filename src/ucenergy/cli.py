@@ -71,7 +71,7 @@ from typing import Iterable
 from .certify import certificate_to_json, check_modulus_forms, run_claim_suite
 from .charpoly import charpoly
 from .coulson import energy_coulson, energy_diff_coulson
-from .eigensolver import energy_eigensolver
+from .eigensolver import adjacency_spectrum, energy_eigensolver
 from .enumeration import count_unicyclic, unicyclic_graphs
 from .graphs import (
     Graph,
@@ -195,10 +195,11 @@ def _cell(value, full: bool = False) -> str:
 
 def _cmd_energy(args) -> int:
     rows = []
-    for label, g in _expand_specs(args.spec):
+    # every selector is parsed before any energy is computed
+    for label, g in [pair for spec in args.spec for pair in _expand_specs(spec)]:
         row = {"graph": label, "n": g.n, "m": g.edge_count}
         if args.method in ("exact", "all"):
-            e = energy_of_poly(charpoly(g), args.tol)
+            e = energy_of_poly(charpoly(g), args.tol, adjacency_spectrum(g))
             row["exact"] = e.value
             row["exact_radius"] = e.radius
         if args.method in ("eig", "all"):
@@ -224,8 +225,8 @@ def _cmd_diff(args) -> int:
     g2 = parse_graph_spec(args.spec2)
     row = {"graph1": args.spec1, "graph2": args.spec2}
     if args.method in ("exact", "all"):
-        e1 = energy_of_poly(charpoly(g1), args.tol / 2)
-        e2 = energy_of_poly(charpoly(g2), args.tol / 2)
+        e1 = energy_of_poly(charpoly(g1), args.tol / 2, adjacency_spectrum(g1))
+        e2 = energy_of_poly(charpoly(g2), args.tol / 2, adjacency_spectrum(g2))
         row["exact"] = e1.value - e2.value
     if args.method in ("coulson", "all"):
         row["coulson"] = energy_diff_coulson(g1, g2, args.tol)
@@ -363,9 +364,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser(
-        "energy", parents=[tolerant], help="energy of one graph (or stdin batch)"
+        "energy", parents=[tolerant], help="energies of graphs, one row each (or stdin batch)"
     )
-    p.add_argument("spec")
+    p.add_argument("spec", nargs="+")
     p.add_argument("--method", choices=("exact", "eig", "coulson", "all"), default="exact")
     p.set_defaults(func=_cmd_energy)
 

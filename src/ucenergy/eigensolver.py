@@ -6,6 +6,13 @@ eigenvalues.  Its error radius is an estimate, not a bound: a backward-stable
 solver returns the exact spectrum of A + E with ||E|| of order
 n * ||A|| * 2**-52, each eigenvalue then moves by at most ||E|| (Weyl), and
 the radius sums that over the n eigenvalues.
+
+``adjacency_spectrum`` also seeds the exact route: ``tables`` and the CLI's
+``energy`` and ``diff`` pass it to ``roots.energy_of_poly``.  There the
+eigenvalues only place brackets whose integer sign checks prove the
+enclosures, and a bad eigenvalue only sends that route to its multiplicity
+walk, so an exact energy never rests on LAPACK's accuracy and the two
+routes, cross-checked against each other, stay independent.
 """
 
 from __future__ import annotations
@@ -14,6 +21,11 @@ import numpy as np
 
 from .graphs import Graph
 from .roots import ConvergenceError, EnergyValue, check_tolerance
+
+
+def adjacency_spectrum(g: Graph) -> np.ndarray:
+    """LAPACK's eigenvalues of the adjacency matrix of g, ascending."""
+    return np.linalg.eigvalsh(np.array(g.adjacency_matrix(), dtype=float))
 
 
 def energy_eigensolver(g: Graph, tol: float = 1e-8) -> EnergyValue:
@@ -25,7 +37,7 @@ def energy_eigensolver(g: Graph, tol: float = 1e-8) -> EnergyValue:
     check_tolerance(tol)
     if g.n == 0:
         return EnergyValue(0.0, 0.0)
-    eigenvalues = np.linalg.eigvalsh(np.array(g.adjacency_matrix(), dtype=float))
+    eigenvalues = adjacency_spectrum(g)
     magnitudes = np.abs(eigenvalues)
     radius = g.n * g.n * float(magnitudes.max()) * 2.0 ** -52
     if radius > tol:

@@ -3,7 +3,9 @@
 ``energy_of_poly`` encloses the roots of the core (p without its zero
 roots) one multiplicity level at a time, walking the levels with
 ``polynomials.multiplicity_levels``: one Sturm chain per level, then Sturm
-isolation for a level whose seeds fail.
+isolation for a level whose seeds fail.  Given float seeds for the roots of
+p, such as the spectrum of a graph, it first checks the whole core at once
+and builds no chain when that check passes (the last section below).
 
 1. The Sturm chain f, f', ... of the level's polynomial f ends in
    g = gcd(f, f') up to a constant.  Its monic members, divided by g, obey
@@ -56,11 +58,29 @@ fail has the roots of s isolated by Sturm counting, at degree 2r.
 Enclosures narrower than the requested width come from sign bisection,
 which carries both ends as integer numerators over one denominator D and
 doubles D at each step, so every sign is that of an integer Horner sum.
+For a polynomial with no odd power of x, such as s(x) = s_q(x**2) of an
+even level, the sum at m / D is that of s_q at m**2 / D**2: the same
+integer, from a Horner sum of half the length.
 Each level returns its enclosures as integer numerators over one
 denominator (2**k on the seeded route), and the energy adds them as
 integers over the least common multiple of those denominators, building
 one ``Fraction`` for the value and one for the radius.  Every route decides
 every sign exactly, so the reported energy carries a rigorous error radius.
+
+Seeds from a spectrum.  A caller that holds a symmetric matrix whose
+characteristic polynomial is p, as every caller holding a graph does with
+its adjacency matrix, can pass LAPACK's eigenvalues of it as ``seeds``.
+Before any chain is built, the zero_mult seeds nearest 0 are dropped and
+the core is checked at the rest as one level: by the check of step 1 for an
+odd core, and for an even core q(x**2) by the check on q at its positive
+seeds, as in the even walk above.  If deg(core) disjoint brackets each show
+a strict integer sign change, the core has deg(core) distinct real roots,
+one in each bracket, so it is square-free, all its roots are real, and that
+one level is its energy.  The seeds only place the brackets and the integer
+signs decide, so a seed that is inaccurate, missing or not finite, or a
+matrix that is not p's, can only fail the check; it cannot give a wrong
+enclosure.  A failed check, as repeated eigenvalues always cause, runs the
+multiplicity walk unchanged, which returns the energy of an unseeded call.
 """
 
 from __future__ import annotations
@@ -68,6 +88,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .polynomials import (
     IntPolynomial,
@@ -163,8 +184,9 @@ def refine_enclosure(
     The ends are integer numerators over one denominator D, which each step
     doubles; the point halfway between lo / D and hi / D is (lo + hi) / 2D,
     and the sign of f at any m / D is that of f(m / D) * D**d =
-    sum_i c_i m**i D**(d-i), an integer.  Only the returned ends are built
-    as ``Fraction``s.
+    sum_i c_i m**i D**(d-i), an integer.  When f has no odd power of x, that
+    sum is taken over the even i alone, as a Horner sum in m**2 of half the
+    length.  Only the returned ends are built as ``Fraction``s.
     """
     if enc.width <= width:
         return enc
@@ -177,13 +199,21 @@ def refine_enclosure(
     if width > 0:
         ratio = -(-(hi - lo) * width.denominator // (den * width.numerator))
         steps = (ratio - 1).bit_length()
-    d = f.degree
-    scaled = [c * den ** (d - i) for i, c in enumerate(f.coeffs)]
+    # f(x) = h(x**p) with p = 2 when f has no odd power of x, so the
+    # integer f(m / D) * D**d is h(m**p / D**p) * D**d: half the Horner steps.
+    # D = den * 2**t = odd * 2**(b + t), and the power of two is a shift
+    p = 1 if any(f.coeffs[1::2]) else 2
+    cs = f.coeffs[::p]
+    e = len(cs) - 1
+    b = (den & -den).bit_length() - 1
+    odd = den >> b
+    scaled = cs if odd == 1 else [c * odd ** (p * (e - i)) for i, c in enumerate(cs)]
 
     def sign(m: int, t: int) -> int:  # sign of f(m / (den * 2**t))
+        x = m ** p
         acc = 0
-        for i in range(d, -1, -1):
-            acc = acc * m + (scaled[i] << t * (d - i))
+        for i in range(e, -1, -1):
+            acc = acc * x + (scaled[i] << p * (b + t) * (e - i))
         return (acc > 0) - (acc < 0)
 
     sign_lo = sign(lo, 0)  # every later lo has this sign too
@@ -209,15 +239,22 @@ def check_tolerance(tol: float) -> None:
         raise ValueError("tolerance must be positive and finite, got %r" % tol)
 
 
-def energy_of_poly(p: IntPolynomial, tol: float = 1e-7) -> EnergyValue:
+def energy_of_poly(
+    p: IntPolynomial, tol: float = 1e-7, seeds: Sequence[float] | None = None
+) -> EnergyValue:
     """Sum of multiplicity-weighted absolute root values, radius <= tol.
 
     Requires every root of p to be real, which holds for characteristic
     polynomials of symmetric matrices; a complex pair raises ValueError.
-    The enclosures come one multiplicity level at a time: verified seeds
-    from the Jacobi matrix of the level's Sturm chain, which may end at
-    gcd(f, f') and whose weights are the multiplicities (after Schmeisser
-    1993), else Sturm isolation; see the module docstring.
+    ``seeds``, optional, are float approximations of all deg p roots of p,
+    such as LAPACK's eigenvalues of a symmetric matrix whose characteristic
+    polynomial is p.  When they pass one integer sign check of the whole
+    core, the core is square-free with real roots and no chain is built; a
+    seed that is bad, missing or not finite only fails that check.
+    Otherwise the enclosures come one multiplicity level at a time: verified
+    seeds from the Jacobi matrix of the level's Sturm chain, which may end
+    at gcd(f, f') and whose weights are the multiplicities (after
+    Schmeisser 1993), else Sturm isolation; see the module docstring.
     The radius covers the enclosures and the rounding of the value to a
     float; ConvergenceError is raised when tol is too tight for a double,
     and ValueError when tol is not a positive finite number.
@@ -228,7 +265,8 @@ def energy_of_poly(p: IntPolynomial, tol: float = 1e-7) -> EnergyValue:
     zero_mult = p.lowest_power()
     core = p.shift_down(zero_mult)
     budget = Fraction(tol) / (2 * (p.degree + 1))
-    levels = _core_enclosures(core, budget)
+    level = None if seeds is None else _seeded_core(core, zero_mult, seeds, budget)
+    levels = _core_enclosures(core, budget) if level is None else [level]
     real_roots = zero_mult + sum(len(ends) for _, ends in levels)
     if real_roots != p.degree:
         raise ValueError(
@@ -258,6 +296,30 @@ def energy_of_poly(p: IntPolynomial, tol: float = 1e-7) -> EnergyValue:
 
 
 _Level = tuple[int, list[tuple[int, int]]]
+
+
+def _seeded_core(
+    core: IntPolynomial, zeros: int, seeds: Sequence[float], budget: Fraction
+) -> _Level | None:
+    """All roots of core as one checked level, from float seeds of all roots
+    of p = x**zeros * core, or None.
+
+    The ``zeros`` seeds nearest 0 are dropped.  An odd core is checked at
+    the rest; an even core q(x**2) at its positive half, by signs of q
+    (module docstring).  None, and so the multiplicity walk, when a seed is
+    missing or not finite or a check fails.
+    """
+    xs = [float(x) for x in seeds]
+    n = core.degree + zeros
+    if core.degree == 0 or len(xs) != n or not all(map(math.isfinite, xs)):
+        return None
+    xs = sorted(sorted(xs, key=abs)[zeros:])
+    # the estimate of _jacobi_seeds for a symmetric matrix of order deg p
+    err = 2 * n * _UNIT_ROUNDOFF * max(-xs[0], xs[-1])
+    q = _even_half(core)
+    if q is None:
+        return _checked_enclosures(core, xs, err, budget)
+    return _mirrored_enclosures(q, core, xs[len(xs) // 2 :], err, budget)
 
 
 def _core_enclosures(core: IntPolynomial, budget: Fraction) -> list[_Level]:
@@ -311,28 +373,30 @@ def _mirrored_level(
     seeds = _jacobi_seeds(chain)
     level = None
     if seeds is not None and seeds[0][0] > 0:
-        level = _mirrored_enclosures(s_q, s, *seeds, budget)
+        ys, err = seeds
+        xs = [math.sqrt(y) for y in ys]
+        # 2 * (2r) * u * max|x|, the estimate the Jacobi matrix of s itself,
+        # of order 2r, would give.  sqrt magnifies the error of y_i by
+        # 1 / (2 x_i), more than this allows for when x_i < x_max / 4, but
+        # err is loose: on bipartite spectra with x_1 / x_max down to 0.013
+        # the seeds stayed within 0.14 of the half-width, and a failed check
+        # costs only the Sturm fallback
+        level = _mirrored_enclosures(s_q, s, xs, 2 * err / xs[-1], budget)
     return _isolated(s, budget) if level is None else level
 
 
 def _mirrored_enclosures(
-    s_q: IntPolynomial, s: IntPolynomial, ys: list[float], err: float, budget: Fraction
+    s_q: IntPolynomial, s: IntPolynomial, xs: list[float], err: float, budget: Fraction
 ) -> _Level | None:
-    """Enclosures of the roots of s(x) = s_q(x**2) around +-sqrt(y) for the
-    ascending positive seeds ys of s_q, or None.
+    """Enclosures of the roots of s(x) = s_q(x**2) around +-x for the
+    ascending positive seeds xs of the positive roots of s, or None.
 
-    ``err`` estimates the seeds' error in y.  The brackets [m - 1, m + 1] /
-    2**k around sqrt(y_i) need m >= 1 and are checked by the sign of s_q at
+    ``err`` estimates the seeds' error.  The brackets [m - 1, m + 1] / 2**k
+    around x_i need m >= 1 and are checked by the sign of s_q at
     (m -+ 1)**2 / 4**k; their mirror images enclose the negative roots.
     """
-    xs = [math.sqrt(y) for y in ys]
-    # 2 * (2r) * u * max|x|, the estimate the Jacobi matrix of s itself, of
-    # order 2r, would give; -x_1 brings the gap across 0 into the spacing.
-    # sqrt magnifies the error of y_i by 1 / (2 x_i), more than this allows
-    # for when x_i < x_max / 4, but err is loose: on bipartite spectra with
-    # x_1 / x_max down to 0.013 the seeds stayed within 0.14 of the
-    # half-width, and a failed check costs only the Sturm fallback
-    k = _bracket_bits([-xs[0]] + xs, 2 * err / xs[-1], budget)
+    # -x_1 brings the gap across 0 into the spacing
+    k = _bracket_bits([-xs[0]] + xs, err, budget)
     if k is None:
         return None
     ms = [round(math.ldexp(x, k)) for x in xs]

@@ -4,7 +4,8 @@ The three CSV assets hold the published reference values (5 printed
 decimals): the t-sweep of energy differences at order 17, the full
 (n, t) difference grid for 6 <= n <= 16, and the lollipop/cycle energies at
 the odd orders where the cycle wins.  ``compute_table`` recomputes every
-cell from exact root enclosures and reports the deviation.
+cell from exact root enclosures, seeded by the adjacency spectrum, and
+reports the deviation.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from functools import lru_cache
 from importlib import resources
 
 from .charpoly import charpoly
+from .eigensolver import adjacency_spectrum
 from .graphs import make_cycle, make_lollipop
 from .roots import energy_of_poly
 
@@ -46,7 +48,7 @@ def _read_csv(name: str) -> list[list[str]]:
 @lru_cache(maxsize=None)
 def _energy(kind: str, n: int, t: int = 0, tol: float = 1e-7) -> float:
     g = make_cycle(n) if kind == "cycle" else make_lollipop(n, t)
-    return energy_of_poly(charpoly(g), tol).value
+    return energy_of_poly(charpoly(g), tol, adjacency_spectrum(g)).value
 
 
 def load_table(table_id: int) -> list[tuple]:

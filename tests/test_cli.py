@@ -8,6 +8,7 @@ import pytest
 
 from ucenergy import certify
 from ucenergy.certify import certificate_from_json, verify_certificate
+from ucenergy.charpoly import charpoly
 from ucenergy.cli import (
     MAX_COUNT_ORDER,
     MAX_LIST_ORDER,
@@ -17,8 +18,9 @@ from ucenergy.cli import (
     main,
 )
 from ucenergy.enumeration import unicyclic_graphs
-from ucenergy.graphs import format_graph6
+from ucenergy.graphs import format_graph6, make_cycle, make_lollipop
 from ucenergy.polynomials import IntPolynomial
+from ucenergy.roots import energy_of_poly
 
 
 @pytest.mark.parametrize(
@@ -60,6 +62,7 @@ def test_nonpositive_tolerance_is_a_usage_error(argv, capsys):
         # selector orders above the cap are refused before a graph is built
         ["energy", "C:%d" % (MAX_SELECTOR_ORDER + 1)],
         ["energy", "C:100000000000"],
+        ["energy", "C:5", "C:100000000000"],  # every selector before any energy
         ["energy", "P:100000000000", "--method", "eig"],
         ["energy", "L:100000000000:6", "--method", "coulson"],
         ["diff", "C:5", "CP:100000000000:3:99999999997,0,0"],
@@ -87,6 +90,21 @@ def test_unreachable_tolerance_exits_3(capsys):
     # 2 * sqrt(2) cannot be rounded to a double within 1e-17
     assert main(["energy", "P:3", "--tol", "1e-17"]) == 3
     assert "convergence failure" in capsys.readouterr().err
+
+
+def test_spectrum_seeded_energies_equal_the_unseeded_ones(capsys):
+    # energy and diff seed the exact route with the adjacency spectrum
+    assert main(["energy", "L:61:7", "C:51", "--method", "all", "--format", "csv"]) == 0
+    header, *table = csv.reader(io.StringIO(capsys.readouterr().out))
+    assert [row[0] for row in table] == ["L:61:7", "C:51"]
+    exact = [float(row[header.index("exact")]) for row in table]
+    graphs = [make_lollipop(61, 7), make_cycle(51)]
+    assert exact == [energy_of_poly(charpoly(g)).value for g in graphs]
+    assert main(["diff", "L:61:7", "C:61", "--method", "exact", "--format", "csv"]) == 0
+    header, row = csv.reader(io.StringIO(capsys.readouterr().out))
+    pair = [make_lollipop(61, 7), make_cycle(61)]
+    e1, e2 = (energy_of_poly(charpoly(g), 1e-7 / 2) for g in pair)
+    assert float(row[header.index("exact")]) == e1.value - e2.value
 
 
 def test_certify_dumps_verifiable_certificates(capsys):

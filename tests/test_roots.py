@@ -18,7 +18,7 @@ from oracles import (
 import ucenergy.polynomials as polynomials
 import ucenergy.roots as roots
 from ucenergy.charpoly import charpoly
-from ucenergy.eigensolver import energy_eigensolver
+from ucenergy.eigensolver import adjacency_spectrum, energy_eigensolver
 from ucenergy.enumeration import unicyclic_graphs
 from ucenergy.graphs import Graph, make_cycle, make_lollipop, make_path
 from ucenergy.polynomials import (
@@ -602,3 +602,166 @@ def test_narrow_even_levels_refine_and_mirror_their_brackets(monkeypatch, graph)
     for a, b in zip(seeded, sturm):
         assert a.width <= width
         assert a.lo <= b.hi and b.lo <= a.hi, (a, b)
+
+
+def _full_degree_refine(f, enc, width):
+    """Integer bisection with every sign read at the full degree of f, as
+    ``refine_enclosure`` did before it read even polynomials in x**2."""
+    if enc.width <= width:
+        return enc
+    den = math.lcm(enc.lo.denominator, enc.hi.denominator)
+    lo = enc.lo.numerator * (den // enc.lo.denominator)
+    hi = enc.hi.numerator * (den // enc.hi.denominator)
+    ratio = -(-(hi - lo) * width.denominator // (den * width.numerator))
+    steps = (ratio - 1).bit_length()
+    d = f.degree
+    scaled = [c * den ** (d - i) for i, c in enumerate(f.coeffs)]
+
+    def sign(m, t):
+        acc = 0
+        for i in range(d, -1, -1):
+            acc = acc * m + (scaled[i] << t * (d - i))
+        return (acc > 0) - (acc < 0)
+
+    sign_lo = sign(lo, 0)
+    for t in range(1, steps + 1):
+        mid = lo + hi
+        s = sign(mid, t)
+        if s == 0:
+            return RootEnclosure(Fraction(mid, den << t), Fraction(mid, den << t))
+        if s == sign_lo:
+            lo, hi = mid, hi << 1
+        else:
+            lo, hi = lo << 1, mid
+    return RootEnclosure(Fraction(lo, den << steps), Fraction(hi, den << steps))
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-13])
+@pytest.mark.parametrize(
+    "graph",
+    [make_cycle(30), make_cycle(64), make_lollipop(40, 6), make_path(12), make_path(31)],
+    ids=["C_30", "C_64", "L(40,6)", "P_12", "P_31"],
+)
+def test_even_bisection_matches_the_full_degree_bisection(monkeypatch, tol, graph):
+    # signs read from h(m**2 / D**2) for f(x) = h(x**2): the same midpoints
+    # and signs, so the same enclosures as at the full degree
+    calls = []
+
+    def spy(f, enc, width):
+        out = refine_enclosure(f, enc, width)
+        calls.append((f, enc, width, out))
+        return out
+
+    monkeypatch.setattr(roots, "refine_enclosure", spy)
+    energy_of_poly(charpoly(graph), tol)
+    bisected = [c for c in calls if c[3] != c[1]]
+    assert bisected and all(not any(f.coeffs[1::2]) for f, *_ in bisected)
+    for f, enc, width, out in calls:
+        assert out == _full_degree_refine(f, enc, width)
+
+
+@given(squarefree_real_rooted(), st.sampled_from([3, 10**6, 7 * 10**12]))
+def test_even_integer_bisection_matches_fraction_bisection(p, inverse_width):
+    # p(x**2) has no odd power of x; its ends need not be dyadic
+    f = IntPolynomial(tuple(c for a in p.coeffs for c in (a, 0))[:-1])
+    for enc in _isolate_squarefree(f):
+        width = enc.width / inverse_width
+        assert refine_enclosure(f, enc, width) == bisect_reference(f, enc, width)
+
+
+def _unicyclic_to_ten():
+    return [g for n in range(3, 11) for _, g in unicyclic_graphs(n)]
+
+
+def _sturm_chain_spy(monkeypatch):
+    """The degrees of the Sturm chains built while the spy is installed."""
+    degrees = []
+
+    def spy(f):
+        degrees.append(f.degree)
+        return sturm_chain(f)
+
+    monkeypatch.setattr(polynomials, "sturm_chain", spy)
+    monkeypatch.setattr(roots, "sturm_chain", spy)
+    return degrees
+
+
+@pytest.mark.parametrize("tol", [1e-7, 1e-12])
+def test_seeded_energies_agree_with_the_multiplicity_walk(monkeypatch, tol):
+    graphs = _unicyclic_to_ten()
+    assert len(graphs) == 1040
+    chains = _sturm_chain_spy(monkeypatch)
+    chainless = 0
+    for g in graphs:
+        p = charpoly(g)
+        walked = energy_of_poly(p, tol)
+        before = len(chains)
+        seeded = energy_of_poly(p, tol, adjacency_spectrum(g))
+        chainless += len(chains) == before
+        assert max(seeded.radius, walked.radius) <= tol
+        assert abs(seeded.value - walked.value) <= seeded.radius + walked.radius, g
+    # only repeated eigenvalues, as in the cycles, need the walk
+    assert chainless > 0.8 * len(graphs)
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [make_lollipop(17, 5), make_lollipop(61, 7), make_lollipop(8, 6)],
+    ids=["L(17,5)", "L(61,7)", "L(8,6)"],
+)
+def test_spectrum_seeded_cores_build_no_sturm_chain(monkeypatch, graph):
+    p = charpoly(graph)
+    walked = energy_of_poly(p, 1e-9)
+    chains = _sturm_chain_spy(monkeypatch)
+    seeded = energy_of_poly(p, 1e-9, adjacency_spectrum(graph))
+    assert chains == []
+    assert abs(seeded.value - walked.value) <= seeded.radius + walked.radius
+
+
+def _perturbed_spectrum(g):
+    seeds = list(adjacency_spectrum(g))
+    seeds[len(seeds) // 2] += 1e-3
+    return seeds
+
+
+def _with(g, value):
+    seeds = list(adjacency_spectrum(g))
+    seeds[-1] = value
+    return seeds
+
+
+_BAD_SEEDS = [
+    ("C_9", make_cycle(9), adjacency_spectrum),  # repeated eigenvalues
+    ("C_50", make_cycle(50), adjacency_spectrum),
+    ("L(30,7) perturbed", make_lollipop(30, 7), _perturbed_spectrum),
+    ("L(30,6) perturbed", make_lollipop(30, 6), _perturbed_spectrum),
+    ("L(30,7) missing", make_lollipop(30, 7), lambda g: list(adjacency_spectrum(g))[1:]),
+    ("P_9 missing", make_path(9), lambda g: list(adjacency_spectrum(g))[:-1]),
+    ("L(30,7) nan", make_lollipop(30, 7), lambda g: _with(g, math.nan)),
+    ("L(30,6) inf", make_lollipop(30, 6), lambda g: _with(g, math.inf)),
+    ("L(30,7) -inf", make_lollipop(30, 7), lambda g: _with(g, -math.inf)),
+]
+
+
+@pytest.mark.parametrize("tol", [1e-7, 1e-12])
+@pytest.mark.parametrize(
+    "graph, seeds_of", [b[1:] for b in _BAD_SEEDS], ids=[b[0] for b in _BAD_SEEDS]
+)
+def test_failed_seeded_checks_return_the_walked_energy(monkeypatch, tol, graph, seeds_of):
+    p = charpoly(graph)
+    walked = energy_of_poly(p, tol)
+    chains = _sturm_chain_spy(monkeypatch)
+    assert energy_of_poly(p, tol, seeds_of(graph)) == walked
+    assert chains  # the walk ran
+
+
+def test_seeds_do_not_hide_complex_roots():
+    # (10^6 x^2 + 1)(x^2 - 9), an even core, and (x^2 + 1)(x - 2), an odd
+    # one, each given real seeds where their roots would be
+    for p, seeds in [
+        (P(1, 0, 10**6) * P(-9, 0, 1), [-3.0, -1e-3, 1e-3, 3.0]),
+        (P(1, 0, 1) * P(-2, 1), [-1.0, 1.0, 2.0]),
+        (P(1, 0, 1) * P(-2, 1), [0.0, 0.0, 2.0]),
+    ]:
+        with pytest.raises(ValueError, match="complex roots"):
+            energy_of_poly(p, 1e-7, seeds)
