@@ -17,9 +17,9 @@ overflows a double (``energy C:750 --method coulson`` does), and the exact
 route keeps growing: ``energy C:1000`` takes 2.8 s and 57 MiB,
 ``energy C:2000`` 13 s and 174 MiB.
 
-The orders of ``search`` and ``enumerate`` are capped the same way, before
-any work starts (exit 2, one line on stderr), each from a measured run on
-the same machine:
+The orders of ``search``, ``enumerate`` and ``closed-form-check`` are
+capped the same way, before any work starts (exit 2, one line on stderr),
+each from a measured run on the same machine:
 
 * ``search --n`` is at most MAX_SEARCH_ORDER = 18: ``search --n 17`` took
   20 s and 64 MiB of peak RSS, ``search --n 18`` 56 s and 125 MiB; time
@@ -40,6 +40,11 @@ the same machine:
   35 MiB of peak RSS (75 MiB, and 166 MiB as json, while every row was
   held), and n = 16 53 s and 43 MiB; ``--emit g6`` took 36 s and 42 MiB at
   n = 16.  The time grows about threefold per order.
+* ``closed-form-check --n`` is at most MAX_SELECTOR_ORDER = 500, the
+  selector cap: every odd t up to n checks one lollipop, so the time grows
+  about with n**3.  n = 300 took 5.0 s and 32 MiB of peak RSS, n = 500
+  35 s and 44 MiB, n = 600 50 s and 54 MiB; n = 1200 ran for more than
+  200 s.
 
 ``--tol`` (default 1e-7, positive and finite) is the accuracy each energy
 is computed to.  Only ``energy``, ``diff``, ``table`` and ``search`` take
@@ -330,9 +335,10 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_closed_form_check(args) -> int:
+    n = _capped(args.n, MAX_SELECTOR_ORDER)
     rows = [
         {"family": c.family, "t": c.t, "ok": c.ok}
-        for c in check_modulus_forms(args.n, args.t)
+        for c in check_modulus_forms(n, args.t)
     ]
     _emit(rows, ["family", "t", "ok"], args.format)
     failed = sum(not r["ok"] for r in rows)

@@ -32,35 +32,36 @@ of g, so E(f) = E(s) + E(g), and no multiplicity has to be matched to a
 root; the levels end when g is a constant.  A root of multiplicity m thus
 has one enclosure in each of the first m levels.
 
-Bipartite spectra are walked at half the degree.  A core with no odd power
-of x is q(x**2), and q(0) != 0 because the zero roots are gone.  Since
-f' = 2x q'(x**2) and x does not divide q(x**2), gcd(f, f') is
-gcd(q, q')(x**2), so the levels of f are those of q with y = x**2, and
-each level's square-free part is s(x) = s_q(x**2).  The Jacobi seeds
-y_1 < ... < y_r of q's level give x_i = sqrt(y_i) when y_1 > 0.  Each
-bracket [m_i - 1, m_i + 1] / 2**k around x_i, with m_i >= 1, lies in
-[0, inf), where x -> x**2 is increasing, so s changes sign strictly across
-it exactly when s_q does across [(m_i - 1)**2, (m_i + 1)**2] / 4**k: an
-integer sign check on s_q, at half the degree.  s is even, so the mirror
-image [-m_i - 1, -m_i + 1] / 2**k of a checked bracket changes sign too.
-The spacing check keeps the positive brackets apart, meeting at most at a
-shared end, where s is nonzero; so are the negative ones.  A negative and
-a positive bracket can meet only when m_1 = 1, and then only at 0, which
-is not a root since s(0) = s_q(0) != 0.  So the 2r brackets hold the 2r
-roots of s, one each.  The chain, the seeds and the sign checks run at
-degree r.  The seed error estimate is the one the Jacobi matrix of s, of
-order 2r, would give, so k and the brackets are those of the route in x up
-to the rounding of the seeds: an m can differ by one where its seed lies
-near a half-integer multiple of 2**-k.  A level whose smallest seed is not
-positive (a negative y is a pair of imaginary roots of s) or whose checks
-fail has the roots of s isolated by Sturm counting, at degree 2r.
+Even polynomials.  A level s(x) = h(x**2) with no odd power of x is
+checked at x_1 < ... < x_r, the upper, positive half of its 2r ascending
+seeds, by brackets [m_i - 1, m_i + 1] / 2**k with m_i >= 1.  Each lies in
+[0, inf), where x -> x**2 increases, so s changes sign strictly across it
+exactly when h does across [(m_i - 1)**2, (m_i + 1)**2] / 4**k: a check
+at half the degree.  s is even, so the mirror image of a checked bracket
+changes sign too.  The spacing check, which counts the gap 2 x_1 across
+0, keeps the positive brackets apart, meeting at most at a shared end,
+where s is nonzero; so are the negative ones.  A negative and a positive
+bracket can meet only at 0, when m_1 = 1, and 0 is not a root: s(0) != 0
+since s divides the core.  So the 2r brackets hold the 2r roots, one each;
+without m_i >= 1, a mirrored bracket could hold a root another one holds.
+This serves the even levels of odd cores, such as x**2 - 1 of
+(x - 1)**2 (x + 1), and the even cores given seeds.
+
+An even core q(x**2) walks at half the degree.  f' = 2x q'(x**2) and x
+does not divide q(x**2), as q(0) != 0, so gcd(f, f') = gcd(q, q')(x**2):
+the levels of f are those of q in y = x**2, each with s(x) = s_q(x**2).
+The Jacobi seeds y_1 < ... < y_r of q's level give the seeds +-sqrt(y_i)
+of s when y_1 > 0 (a negative y is a pair of imaginary roots of s), so the
+chain, the seeds and the checks run at degree r; Sturm isolation, when
+needed, runs at 2r.  The error estimate is the one the Jacobi matrix of s,
+of order 2r, would give, so k and the brackets are those of the route in x
+up to the rounding of the seeds: an m can differ by one where its seed
+lies near a half-integer multiple of 2**-k.
 
 Enclosures narrower than the requested width come from sign bisection,
 which carries both ends as integer numerators over one denominator D and
-doubles D at each step, so every sign is that of an integer Horner sum.
-For a polynomial with no odd power of x, such as s(x) = s_q(x**2) of an
-even level, the sum at m / D is that of s_q at m**2 / D**2: the same
-integer, from a Horner sum of half the length.
+doubles D at each step.  ``_sign_reader`` reads every sign, there and in
+the bracket checks, as that of an integer Horner sum, in m**2 for h.
 Each level returns its enclosures as integer numerators over one
 denominator (2**k on the seeded route), and the energy adds them as
 integers over the least common multiple of those denominators, building
@@ -71,16 +72,16 @@ Seeds from a spectrum.  A caller that holds a symmetric matrix whose
 characteristic polynomial is p, as every caller holding a graph does with
 its adjacency matrix, can pass LAPACK's eigenvalues of it as ``seeds``.
 Before any chain is built, the zero_mult seeds nearest 0 are dropped and
-the core is checked at the rest as one level: by the check of step 1 for an
-odd core, and for an even core q(x**2) by the check on q at its positive
-seeds, as in the even walk above.  If deg(core) disjoint brackets each show
-a strict integer sign change, the core has deg(core) distinct real roots,
-one in each bracket, so it is square-free, all its roots are real, and that
-one level is its energy.  The seeds only place the brackets and the integer
-signs decide, so a seed that is inaccurate, missing or not finite, or a
-matrix that is not p's, can only fail the check; it cannot give a wrong
-enclosure.  A failed check, as repeated eigenvalues always cause, runs the
-multiplicity walk unchanged, which returns the energy of an unseeded call.
+the core is checked at the rest as one level, by the check of step 1, or
+at its positive half when it is even.  If deg(core) disjoint brackets
+each show a strict integer sign change, the core has deg(core) distinct
+real roots, one in each bracket, so it is square-free, all its roots are
+real, and that one level is its energy.  The seeds only place the brackets
+and the integer signs decide, so a seed that is inaccurate, missing or not
+finite, or a matrix that is not p's, can only fail the check; it cannot
+give a wrong enclosure.  A failed check, as repeated eigenvalues always
+cause, runs the multiplicity walk unchanged, which returns the energy of
+an unseeded call.
 """
 
 from __future__ import annotations
@@ -88,7 +89,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .polynomials import (
     IntPolynomial,
@@ -183,10 +184,8 @@ def refine_enclosure(
 
     The ends are integer numerators over one denominator D, which each step
     doubles; the point halfway between lo / D and hi / D is (lo + hi) / 2D,
-    and the sign of f at any m / D is that of f(m / D) * D**d =
-    sum_i c_i m**i D**(d-i), an integer.  When f has no odd power of x, that
-    sum is taken over the even i alone, as a Horner sum in m**2 of half the
-    length.  Only the returned ends are built as ``Fraction``s.
+    and every sign is read by ``_sign_reader``.  Only the returned ends are
+    built as ``Fraction``s.
     """
     if enc.width <= width:
         return enc
@@ -199,24 +198,8 @@ def refine_enclosure(
     if width > 0:
         ratio = -(-(hi - lo) * width.denominator // (den * width.numerator))
         steps = (ratio - 1).bit_length()
-    # f(x) = h(x**p) with p = 2 when f has no odd power of x, so the
-    # integer f(m / D) * D**d is h(m**p / D**p) * D**d: half the Horner steps.
-    # D = den * 2**t = odd * 2**(b + t), and the power of two is a shift
-    p = 1 if any(f.coeffs[1::2]) else 2
-    cs = f.coeffs[::p]
-    e = len(cs) - 1
-    b = (den & -den).bit_length() - 1
-    odd = den >> b
-    scaled = cs if odd == 1 else [c * odd ** (p * (e - i)) for i, c in enumerate(cs)]
-
-    def sign(m: int, t: int) -> int:  # sign of f(m / (den * 2**t))
-        x = m ** p
-        acc = 0
-        for i in range(e, -1, -1):
-            acc = acc * x + (scaled[i] << p * (b + t) * (e - i))
-        return (acc > 0) - (acc < 0)
-
-    sign_lo = sign(lo, 0)  # every later lo has this sign too
+    sign = _sign_reader(f, den)
+    sign_lo = sign(lo)  # every later lo has this sign too
     for t in range(1, min(steps, _MAX_BISECTIONS) + 1):
         mid = lo + hi
         s = sign(mid, t)
@@ -230,6 +213,38 @@ def refine_enclosure(
     if steps > _MAX_BISECTIONS:
         raise ConvergenceError("bisection budget exhausted")
     return RootEnclosure(Fraction(lo, den << steps), Fraction(hi, den << steps))
+
+
+def _sign_reader(f: IntPolynomial, den: int) -> Callable[..., int]:
+    """``sign(m, t=0)``: the sign of f at m / (den * 2**t), read exactly.
+
+    With D = den * 2**t, f(m / D) * D**d = sum_i c_i m**i D**(d-i) is an
+    integer.  When f(x) = h(x**2), it is h(m**2 / D**2) * D**d, a Horner
+    sum in m**2 of half the length.  The power of two in D is a shift of
+    each coefficient, made in advance for t = 0, as in every bracket check.
+    """
+    h = _even_half(f)
+    p, cs = (1, f.coeffs) if h is None else (2, h.coeffs)
+    b = (den & -den).bit_length() - 1
+    odd = den >> b
+    small = cs[::-1]  # from the top, x**(e-j) has D**(p*j) = (odd * 2**(b+t))**(p*j)
+    if odd > 1:
+        small = [c * odd ** (p * j) for j, c in enumerate(small)]
+    shifted = [c << p * b * j for j, c in enumerate(small)]
+
+    def sign(m: int, t: int = 0) -> int:
+        if t == 0:
+            terms = shifted
+        else:
+            shift = p * (b + t)
+            terms = [c << shift * j for j, c in enumerate(small)]
+        x = m**p
+        acc = 0
+        for c in terms:
+            acc = acc * x + c
+        return (acc > 0) - (acc < 0)
+
+    return sign
 
 
 def check_tolerance(tol: float) -> None:
@@ -254,7 +269,9 @@ def energy_of_poly(
     Otherwise the enclosures come one multiplicity level at a time: verified
     seeds from the Jacobi matrix of the level's Sturm chain, which may end
     at gcd(f, f') and whose weights are the multiplicities (after
-    Schmeisser 1993), else Sturm isolation; see the module docstring.
+    Schmeisser 1993), else Sturm isolation.  A core or level with no odd
+    power of x is checked at its positive seeds and mirrored, and such a
+    core walks at half the degree; see the module docstring.
     The radius covers the enclosures and the rounding of the value to a
     float; ConvergenceError is raised when tol is too tight for a double,
     and ValueError when tol is not a positive finite number.
@@ -304,10 +321,9 @@ def _seeded_core(
     """All roots of core as one checked level, from float seeds of all roots
     of p = x**zeros * core, or None.
 
-    The ``zeros`` seeds nearest 0 are dropped.  An odd core is checked at
-    the rest; an even core q(x**2) at its positive half, by signs of q
-    (module docstring).  None, and so the multiplicity walk, when a seed is
-    missing or not finite or a check fails.
+    The ``zeros`` seeds nearest 0 are dropped and the core is checked at
+    the rest.  None, and so the multiplicity walk, when a seed is missing or
+    not finite or the check fails.
     """
     xs = [float(x) for x in seeds]
     n = core.degree + zeros
@@ -316,10 +332,7 @@ def _seeded_core(
     xs = sorted(sorted(xs, key=abs)[zeros:])
     # the estimate of _jacobi_seeds for a symmetric matrix of order deg p
     err = 2 * n * _UNIT_ROUNDOFF * max(-xs[0], xs[-1])
-    q = _even_half(core)
-    if q is None:
-        return _checked_enclosures(core, xs, err, budget)
-    return _mirrored_enclosures(q, core, xs[len(xs) // 2 :], err, budget)
+    return _checked_enclosures(core, xs, err, budget)
 
 
 def _core_enclosures(core: IntPolynomial, budget: Fraction) -> list[_Level]:
@@ -328,15 +341,28 @@ def _core_enclosures(core: IntPolynomial, budget: Fraction) -> list[_Level]:
     Level i holds one enclosure per distinct root of multiplicity >= i, as
     (den, ends): ``ends`` lists the integer numerators (lo, hi) of each
     enclosure's ends over the positive denominator den.  An even core,
-    q(x**2), walks the levels of q (module docstring).
+    q(x**2), walks the levels of q, each spread to s_q(x**2) and seeded
+    at +-sqrt(y) (module docstring).
     """
     q = _even_half(core)
-    if q is not None:
-        walk = multiplicity_levels(q)
-        return [_mirrored_level(chain, s, budget) for chain, s in walk]
     levels = []
-    for chain, s in multiplicity_levels(core):
+    for chain, s in multiplicity_levels(core if q is None else q):
         seeds = _jacobi_seeds(chain)
+        if q is not None:  # s is s_q: spread it to s_q(x**2), roots +-sqrt(y)
+            s = IntPolynomial(tuple(c for a in s.coeffs for c in (a, 0))[:-1])
+            if seeds is not None and seeds[0][0] > 0:
+                ys, err = seeds
+                xs = [math.sqrt(y) for y in ys]
+                # 2 * (2r) * u * max|x|, the estimate the Jacobi matrix of s
+                # itself, of order 2r, would give.  sqrt magnifies the error
+                # of y_i by 1 / (2 x_i), more than this allows for when
+                # x_i < x_max / 4, but err is loose: on bipartite spectra
+                # with x_1 / x_max down to 0.013 the seeds stayed within 0.14
+                # of the half-width, and a failed check costs only the Sturm
+                # fallback
+                seeds = [-x for x in reversed(xs)] + xs, 2 * err / xs[-1]
+            else:
+                seeds = None
         level = None if seeds is None else _checked_enclosures(s, *seeds, budget)
         levels.append(_isolated(s, budget) if level is None else level)
     return levels
@@ -356,59 +382,6 @@ def _isolated(s: IntPolynomial, budget: Fraction) -> _Level:
     )
 
 
-def _mirrored_level(
-    chain: tuple[IntPolynomial, ...], s_q: IntPolynomial, budget: Fraction
-) -> _Level:
-    """One level of an even core: the roots +-sqrt(y) of s_q(x**2), for the
-    roots y of the square-free part s_q of a level of q.
-
-    ``chain`` is that level's Sturm chain.  Its Jacobi seeds y_1 < ... < y_r
-    give the positive seeds sqrt(y_i), checked at half the degree and
-    mirrored (module docstring); a level whose smallest seed is not positive
-    or whose checks fail isolates the roots of s_q(x**2) by Sturm counting.
-    """
-    coeffs = [0] * (2 * s_q.degree + 1)
-    coeffs[::2] = s_q.coeffs
-    s = IntPolynomial(tuple(coeffs))
-    seeds = _jacobi_seeds(chain)
-    level = None
-    if seeds is not None and seeds[0][0] > 0:
-        ys, err = seeds
-        xs = [math.sqrt(y) for y in ys]
-        # 2 * (2r) * u * max|x|, the estimate the Jacobi matrix of s itself,
-        # of order 2r, would give.  sqrt magnifies the error of y_i by
-        # 1 / (2 x_i), more than this allows for when x_i < x_max / 4, but
-        # err is loose: on bipartite spectra with x_1 / x_max down to 0.013
-        # the seeds stayed within 0.14 of the half-width, and a failed check
-        # costs only the Sturm fallback
-        level = _mirrored_enclosures(s_q, s, xs, 2 * err / xs[-1], budget)
-    return _isolated(s, budget) if level is None else level
-
-
-def _mirrored_enclosures(
-    s_q: IntPolynomial, s: IntPolynomial, xs: list[float], err: float, budget: Fraction
-) -> _Level | None:
-    """Enclosures of the roots of s(x) = s_q(x**2) around +-x for the
-    ascending positive seeds xs of the positive roots of s, or None.
-
-    ``err`` estimates the seeds' error.  The brackets [m - 1, m + 1] / 2**k
-    around x_i need m >= 1 and are checked by the sign of s_q at
-    (m -+ 1)**2 / 4**k; their mirror images enclose the negative roots.
-    """
-    # -x_1 brings the gap across 0 into the spacing
-    k = _bracket_bits([-xs[0]] + xs, err, budget)
-    if k is None:
-        return None
-    ms = [round(math.ldexp(x, k)) for x in xs]
-    if ms[0] < 1 or any(b - a < 2 for a, b in zip(ms, ms[1:])):
-        return None
-    if not _changes_sign(s_q, 2 * k, [((m - 1) ** 2, (m + 1) ** 2) for m in ms]):
-        return None
-    # s is even, so bisection of a mirrored bracket is the mirror of bisection
-    den, ends = _bracketed(s, k, ms, budget)
-    return den, [(-hi, -lo) for lo, hi in reversed(ends)] + ends
-
-
 def _over_one_denominator(encs: list[RootEnclosure]) -> _Level:
     """(den, ends) for enclosures with ``Fraction`` ends: den is the least
     common denominator of all ends."""
@@ -425,31 +398,37 @@ def _over_one_denominator(encs: list[RootEnclosure]) -> _Level:
 def _checked_enclosures(
     f: IntPolynomial, seeds: list[float], err: float, budget: Fraction
 ) -> _Level | None:
-    """Enclosures of width <= budget around the ascending seeds, or None.
+    """Enclosures of width <= budget around the ascending seeds of the roots
+    of f, or None.
 
     ``err`` estimates every seed's error.  Returns None unless deg f
     disjoint dyadic brackets around the seeds each show a strict sign change
-    of f, checked in integer arithmetic.
+    of f, checked in integer arithmetic.  When f has no odd power of x, only
+    the positive half of the seeds is checked, each bracket with m >= 1,
+    and the checked brackets are mirrored (module docstring).
     """
-    k = _bracket_bits(seeds, err, budget)
+    even = _even_half(f) is not None
+    if even:
+        seeds = seeds[len(seeds) // 2 :]
+    # for an even f, -x_1 brings the gap across 0 into the spacing
+    k = _bracket_bits([-seeds[0]] + seeds if even else seeds, err, budget)
     if k is None:
         return None
     ms = [round(math.ldexp(x, k)) for x in seeds]
-    if any(b - a < 2 for a, b in zip(ms, ms[1:])):  # brackets may only touch
+    # even brackets lie in [0, inf), and brackets may only touch
+    if (even and ms[0] < 1) or any(b - a < 2 for a, b in zip(ms, ms[1:])):
         return None
-    if not _changes_sign(f, k, [(m - 1, m + 1) for m in ms]):
-        return None
-    return _bracketed(f, k, ms, budget)
-
-
-def _bracketed(f: IntPolynomial, k: int, ms: list[int], budget: Fraction) -> _Level:
-    """The level of checked brackets [m - 1, m + 1] / 2**k around roots of
-    f, bisected down to the budget where they are wider."""
     den = 1 << k
-    if k >= _budget_bits(budget):  # the width 2 * 2**-k is within the budget
-        return den, [(m - 1, m + 1) for m in ms]
-    brackets = [RootEnclosure(Fraction(m - 1, den), Fraction(m + 1, den)) for m in ms]
-    return _over_one_denominator([refine_enclosure(f, enc, budget) for enc in brackets])
+    sign = _sign_reader(f, den)
+    if any(sign(m - 1) * sign(m + 1) >= 0 for m in ms):
+        return None
+    ends = [(m - 1, m + 1) for m in ms]
+    if k < _budget_bits(budget):  # the width 2 * 2**-k is above the budget
+        encs = [RootEnclosure(Fraction(lo, den), Fraction(hi, den)) for lo, hi in ends]
+        den, ends = _over_one_denominator([refine_enclosure(f, e, budget) for e in encs])
+    if even:  # bisection of a mirrored bracket is the mirror of bisection
+        ends = [(-hi, -lo) for lo, hi in reversed(ends)] + ends
+    return den, ends
 
 
 def _bracket_bits(seeds: list[float], err: float, budget: Fraction) -> int | None:
@@ -467,25 +446,6 @@ def _bracket_bits(seeds: list[float], err: float, budget: Fraction) -> int | Non
         k_sep = max(0, 3 - math.frexp(gap)[1])
     k = min(max(_budget_bits(budget), k_sep), k_fine)
     return None if k < k_sep else k
-
-
-def _changes_sign(f: IntPolynomial, k: int, pairs: list[tuple[int, int]]) -> bool:
-    """Whether f changes sign strictly from a / 2**k to b / 2**k for every
-    (a, b) in pairs, decided by the integers f(j / 2**k) * 2**(k*deg f)."""
-    d = f.degree
-    descending = [c << (k * (d - j)) for j, c in enumerate(f.coeffs)][::-1]
-
-    def scaled_value(m: int) -> int:
-        acc = 0
-        for c in descending:
-            acc = acc * m + c
-        return acc
-
-    for a, b in pairs:
-        lo, hi = scaled_value(a), scaled_value(b)
-        if not (lo < 0 < hi or hi < 0 < lo):
-            return False
-    return True
 
 
 def _budget_bits(budget: Fraction) -> int:

@@ -77,6 +77,8 @@ def test_nonpositive_tolerance_is_a_usage_error(argv, capsys):
         ["enumerate", "--count-only", "--n", "100000000000"],
         ["enumerate", "--n", str(MAX_LIST_ORDER + 1), "--format", "csv"],
         ["enumerate", "--n", str(MAX_LIST_ORDER + 1), "--emit", "g6"],
+        ["closed-form-check", "--n", str(MAX_SELECTOR_ORDER + 1)],
+        ["closed-form-check", "--n", "100000"],
     ],
 )
 def test_rejected_input_exits_2_with_one_line(argv, capsys):

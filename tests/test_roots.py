@@ -162,6 +162,10 @@ def test_seeded_enclosures_overlap_sturm_enclosures(spectra_to_nine, monkeypatch
 # (x^2 - 1)^3 (x - 2): multiplicity 3 away from 0, three levels
 _TRIPLE = P(-1, 0, 1) ** 3 * P(-2, 1)
 
+# (x - 1)^2 (x + 1) and (x^2 - 1)^2 (x + 2): odd cores with the even level
+# x^2 - 1, first and last, checked at its positive half and mirrored
+_ODD_WITH_EVEN_LEVEL = [P(-1, 1) ** 2 * P(1, 1), P(-1, 0, 1) ** 2 * P(2, 1)]
+
 # (3x - 1)(2x + 5)(x^2 - 7) (5x + 2)^2 x^2: non-monic, with Yun factors whose
 # Cauchy bounds 1 + 44/6 = 25/3 and 1 + 2/5 = 7/5 have coprime odd parts
 _NON_DYADIC = P(-1, 3) * P(5, 2) * P(-7, 0, 1) * P(2, 5) ** 2 * P(0, 0, 1)
@@ -272,7 +276,8 @@ def test_radius_covers_rounding_to_a_double():
         ("sturm", _NON_DYADIC),
         ("seeds", charpoly(make_lollipop(8, 5))),  # an odd core
         ("levels", charpoly(make_cycle(9))),  # repeated, with an odd core
-    ],
+    ]
+    + [("levels", p) for p in _ODD_WITH_EVEN_LEVEL],
 )
 def test_energy_is_the_exact_sum_of_its_enclosures(monkeypatch, route, p, tol):
     found, isolated = [], []
@@ -367,6 +372,29 @@ def test_jacobi_recurrence_reproduces_the_monic_polynomial(p):
             prev = [c - beta[k - 1] * m for c, m in zip(prev, nxt + [0, 0])]
         nxt, cur = cur, prev
     assert cur == [Fraction(c, p.leading) for c in p.coeffs]
+
+
+@st.composite
+def nonzero_polynomials(draw):
+    """Integer polynomials, half of them with no odd power of x."""
+    coeffs = draw(st.lists(st.integers(-(10**6), 10**6), max_size=10))
+    coeffs.append(draw(st.integers(1, 10**6)) * draw(st.sampled_from([-1, 1])))
+    if draw(st.booleans()):
+        coeffs = [c for a in coeffs for c in (a, 0)][:-1]
+    return IntPolynomial(tuple(coeffs))
+
+
+@given(
+    nonzero_polynomials(),
+    st.integers(0, 10**4).map(lambda i: 2 * i + 1),
+    st.integers(0, 60),
+    st.integers(0, 8),
+    st.integers(),
+)
+def test_sign_reader_matches_the_rational_sign(f, odd, b, t, m):
+    den = odd << b
+    sign = roots._sign_reader(f, den)
+    assert sign(m, t) == f.sign_at(Fraction(m, den << t))
 
 
 def test_jacobi_route_needs_a_full_sturm_chain():
@@ -567,28 +595,34 @@ def test_small_even_eigenvalues_are_seeded_at_tight_tolerances(monkeypatch, tol,
 
 
 @pytest.mark.parametrize(
-    "graph",
-    [make_cycle(30), make_lollipop(40, 6), make_path(12)],
-    ids=["C_30", "L(40,6)", "P_12"],
+    "p",
+    [charpoly(make_cycle(30)), charpoly(make_lollipop(40, 6)), charpoly(make_path(12))]
+    + _ODD_WITH_EVEN_LEVEL,
+    ids=["C_30", "L(40,6)", "P_12", "(x-1)^2(x+1)", "(x^2-1)^2(x+2)"],
 )
-def test_narrow_even_levels_refine_and_mirror_their_brackets(monkeypatch, graph):
-    # a budget finer than the seeds resolve: the positive brackets are
-    # bisected, and the negative ones are their mirror images
+def test_narrow_even_levels_refine_and_mirror_their_brackets(monkeypatch, p):
+    # a budget finer than the seeds resolve: the positive brackets of a
+    # level with no odd power of x are bisected, and the negative ones are
+    # their mirror images, also in an odd core
     refined = []
 
     def spy(f, enc, width):
-        refined.append(enc)
+        refined.append((not any(f.coeffs[1::2]), enc))
         return refine_enclosure(f, enc, width)
 
     monkeypatch.setattr(roots, "refine_enclosure", spy)
-    p = charpoly(graph)
     core = p.shift_down(p.lowest_power())
     width = Fraction(1, 2**60)
     levels = roots._core_enclosures(core, width)
-    assert refined and all(enc.lo > 0 for enc in refined)
-    assert sum(len(ends) for _, ends in levels) == 2 * len(refined) == core.degree
-    for den, ends in levels:
-        assert ends == [(-hi, -lo) for lo, hi in reversed(ends)]
+    even = [enc for is_even, enc in refined if is_even]
+    assert even and all(enc.lo > 0 for enc in even)
+    assert sum(len(ends) for _, ends in levels) == core.degree
+    assert len(refined) + len(even) == core.degree  # even ones count twice
+    parts = [s for _, s in polynomials.multiplicity_levels(core)]
+    assert len(parts) == len(levels)
+    for (den, ends), s in zip(levels, parts):
+        if not any(s.coeffs[1::2]):
+            assert ends == [(-hi, -lo) for lo, hi in reversed(ends)]
     seeded = sorted(_enclosures(levels), key=lambda e: e.lo + e.hi)
     sturm = sorted(
         (
@@ -724,6 +758,16 @@ def _perturbed_spectrum(g):
     return seeds
 
 
+def _mirrored_spectrum(g):
+    # the second smallest positive eigenvalue moved to its mirror image: the
+    # positive half of the sorted seeds holds -x_1 and x_1, whose brackets
+    # both change sign, and mirrored they would enclose +-x_1 twice
+    seeds = sorted(adjacency_spectrum(g))
+    i = 1 + min(i for i, x in enumerate(seeds) if x > 1e-9)
+    seeds[i] = -seeds[i]
+    return seeds
+
+
 def _with(g, value):
     seeds = list(adjacency_spectrum(g))
     seeds[-1] = value
@@ -740,6 +784,8 @@ _BAD_SEEDS = [
     ("L(30,7) nan", make_lollipop(30, 7), lambda g: _with(g, math.nan)),
     ("L(30,6) inf", make_lollipop(30, 6), lambda g: _with(g, math.inf)),
     ("L(30,7) -inf", make_lollipop(30, 7), lambda g: _with(g, -math.inf)),
+    ("P_11 mirrored", make_path(11), _mirrored_spectrum),
+    ("L(8,6) mirrored", make_lollipop(8, 6), _mirrored_spectrum),
 ]
 
 
@@ -765,3 +811,20 @@ def test_seeds_do_not_hide_complex_roots():
     ]:
         with pytest.raises(ValueError, match="complex roots"):
             energy_of_poly(p, 1e-7, seeds)
+
+
+@pytest.mark.parametrize("seeded", [False, True], ids=["walked", "seeded"])
+def test_a_root_near_zero_keeps_the_even_brackets_apart(monkeypatch, seeded):
+    # (10^6 x^2 - 1)(x^2 - 9) at tol 0.1: the budget alone allows brackets
+    # of half-width 2^-8, wider than the root 1e-3; the gap 2e-3 between
+    # -1e-3 and 1e-3 narrows them to 2^-11, so the check of the positive
+    # half passes with m_1 >= 1 and no Sturm fallback runs
+    def forbidden(f):
+        raise AssertionError("Sturm fallback at degree %d" % f.degree)
+
+    monkeypatch.setattr(roots, "_isolate_squarefree", forbidden)
+    chains = _sturm_chain_spy(monkeypatch)
+    p = P(-1, 0, 10**6) * P(-9, 0, 1)
+    e = energy_of_poly(p, 0.1, [-3.0, -1e-3, 1e-3, 3.0] if seeded else None)
+    assert abs(e.value - 6.002) <= e.radius + 1e-12 and e.radius <= 0.1
+    assert (chains == []) == seeded
