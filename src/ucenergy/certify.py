@@ -42,7 +42,10 @@ d-coefficient signs, the exact factorisation identity of the fourth pair,
 positivity of the factored-bound cofactors for t in {3, 5}, the tail
 positivity used in the even-order subcases, and an exact cross-check that
 the assembled comparison bound f(5, x) equals its factored polynomial form,
-as an identity of integer polynomials in z.
+as an identity of integer polynomials in z.  Every claim is built by
+``_claim``, the one constructor of a ``ClaimResult``: from a sign
+certificate or its refutation, from the (ok, detail) pair of an exact
+identity (C8), or from both (C4).
 """
 
 from __future__ import annotations
@@ -75,6 +78,7 @@ from .polynomials import (
     reverse,
     sturm_chain,
     variations_at,
+    variations_at_infinity,
 )
 from .roots import _isolate_squarefree, refine_enclosure
 
@@ -160,20 +164,6 @@ def _in_domain(point: Fraction, domain: str) -> bool:
     return point < 0
 
 
-def _variations_at_infinity(chain) -> tuple[int, int]:
-    """Sign variations of a Sturm chain at -inf and +inf, read off each
-    member's leading coefficient and degree.
-
-    For the chain of a square-free core whose roots all lie in (-B, B),
-    Sturm's theorem on (-inf, -B] and (B, inf) makes these V(-B) and V(+B).
-    """
-    signs_hi = [1 if f.leading > 0 else -1 for f in chain]
-    signs_lo = [s if f.degree % 2 == 0 else -s for s, f in zip(signs_hi, chain)]
-    return tuple(
-        sum(a != b for a, b in zip(signs, signs[1:])) for signs in (signs_lo, signs_hi)
-    )
-
-
 def _domain_count(sf: IntPolynomial, chain, domain: str, v_lo: int, v_hi: int):
     """Distinct roots of the square-free polynomial sf inside the domain,
     given the chain's sign variations v_lo at -B and v_hi at +B."""
@@ -249,7 +239,7 @@ def certify_poly_sign(
     core, chain = _sign_core(p, _strict(asserted_sign))
     if core.degree > 0:
         bound = cauchy_bound(core)
-        v_lo, v_hi = _variations_at_infinity(chain)
+        v_lo, v_hi = variations_at_infinity(chain)
         count, labels = _domain_count(core, chain, domain, v_lo, v_hi)
     else:
         bound = Fraction(1)
@@ -707,111 +697,65 @@ class ClaimSuiteReport:
     results: tuple[ClaimResult, ...]
 
 
-def _poly_claim(
-    claim_id: str,
-    description: str,
-    p: IntPolynomial,
-    domain: str,
-    sign: str,
-) -> ClaimResult:
-    return _claim(claim_id, description, certify_poly_sign(p, domain, sign, claim_id))
-
-
 def _claim(
     claim_id: str,
     description: str,
-    outcome: SignCertificate | Refutation,
+    outcome: SignCertificate | Refutation | None = None,
+    identity: tuple[bool, str] | None = None,
 ) -> ClaimResult:
+    """The one constructor of a ``ClaimResult``: a sign certificate or its
+    refutation, the (ok, detail) pair of an exact identity, or both."""
+    ok, evidence, root_counts, detail = True, "", (), ""
+    certificates: tuple[SignCertificate, ...] = ()
+    refutations: tuple[Refutation, ...] = ()
     if isinstance(outcome, SignCertificate):
-        return ClaimResult(
-            claim_id,
-            description,
-            ok=True,
-            evidence="sturm-certificate" if outcome.rule == "sturm" else outcome.rule,
-            root_counts=((outcome.domain, outcome.root_count),),
-            detail="sample p(%s) sign %+d" % (outcome.sample_point, outcome.sample_sign),
-            certificates=(outcome,),
-        )
+        evidence = "sturm-certificate" if outcome.rule == "sturm" else outcome.rule
+        root_counts = ((outcome.domain, outcome.root_count),)
+        detail = "sample p(%s) sign %+d" % (outcome.sample_point, outcome.sample_sign)
+        certificates = (outcome,)
+    elif outcome is not None:
+        ok, evidence, detail, refutations = False, "refuted", outcome.reason, (outcome,)
+    if identity is not None:
+        identity_ok, detail = identity
+        ok = ok and identity_ok
+        evidence = "identity-failed"
+        if identity_ok:
+            evidence = "exact-identity" + ("" if outcome is None else "+sturm")
     return ClaimResult(
-        claim_id,
-        description,
-        ok=False,
-        evidence="refuted",
-        root_counts=(),
-        detail=outcome.reason,
-        refutations=(outcome,),
+        claim_id, description, ok, evidence, root_counts, detail,
+        certificates, refutations,
     )
 
 
 def run_claim_suite() -> ClaimSuiteReport:
     """Certify every polynomial inequality the comparison argument rests on."""
-    results: list[ClaimResult] = []
 
-    results.append(
-        _poly_claim(
-            "C1",
-            "growth coefficients positive: x^10+10x^8+36x^6+62x^4+51x^2+16 > 0",
-            A_POSITIVITY,
-            "R",
-            "positive",
-        )
-    )
+    def norm(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
+        return p * p - RADICAL_SQ * q * q  # the norm of p + q * sqrt(x**2 + 4)
 
-    eq1 = BETA2_ODD * BETA2_ODD - RADICAL_SQ * BETA2_EVEN * BETA2_EVEN
-    results.append(
-        _poly_claim(
-            "C2",
-            "degree-18 radical norm negative (beta_2 < 0, gamma_1 > 0)",
-            eq1,
-            "R",
-            "negative",
-        )
-    )
-
-    for i in (1, 2, 3):
-        p, q = P_POLYS[i], Q_POLYS[i]
-        results.append(
-            _poly_claim(
-                "C3/%d" % i,
-                "pair %d radical norm negative: p_%d^2 - (x^2+4) q_%d^2 < 0" % (i, i, i),
-                p * p - RADICAL_SQ * q * q,
-                "R",
-                "negative",
-            )
-        )
-
-    # C4: exact factorisation identity plus positivity of the cofactor.
-    p4, q4 = P_POLYS[4], Q_POLYS[4]
-    lhs = p4 * p4 - RADICAL_SQ * q4 * q4
-    rhs = 4 * (_SQ_PLUS_1 ** 2) * C4_COFACTOR
-    identity_ok = lhs == rhs
-    cof = _poly_claim(
-        "C4",
-        "fourth pair factors exactly and stays positive",
-        C4_COFACTOR,
-        "R",
-        "positive",
-    )
-    results.append(
-        ClaimResult(
-            "C4",
-            cof.description,
-            ok=identity_ok and cof.ok,
-            evidence="exact-identity+sturm" if identity_ok else "identity-failed",
-            root_counts=cof.root_counts,
-            detail="identity %s; lhs(1) = %d" % (identity_ok, lhs(1)),
-            certificates=cof.certificates,
-            refutations=cof.refutations,
-        )
-    )
-
-    for claim_id, desc, poly in (
-        ("C5/quartic", "f(5,x) quartic cofactor positive", F5_QUARTIC),
-        ("C5/deg12", "f(5,x) degree-12 cofactor positive", F5_DEG12),
-        ("C6/quadratic", "t=3 bound quadratic cofactor positive", T3_QUADRATIC),
-        ("C6/deg12", "t=3 bound degree-12 cofactor positive", T3_DEG12),
-    ):
-        results.append(_poly_claim(claim_id, desc, poly, "R", "positive"))
+    # C4: the fourth pair's norm factors exactly, with a positive cofactor
+    lhs = norm(P_POLYS[4], Q_POLYS[4])
+    c4_ok = lhs == 4 * (_SQ_PLUS_1 ** 2) * C4_COFACTOR
+    identities = {"C4": (c4_ok, "identity %s; lhs(1) = %d" % (c4_ok, lhs(1)))}
+    on_reals = [
+        ("C1", "growth coefficients positive: x^10+10x^8+36x^6+62x^4+51x^2+16 > 0",
+         A_POSITIVITY, "positive"),
+        ("C2", "degree-18 radical norm negative (beta_2 < 0, gamma_1 > 0)",
+         norm(BETA2_ODD, BETA2_EVEN), "negative"),
+        *(("C3/%d" % i,
+           "pair %d radical norm negative: p_%d^2 - (x^2+4) q_%d^2 < 0" % (i, i, i),
+           norm(P_POLYS[i], Q_POLYS[i]), "negative") for i in (1, 2, 3)),
+        ("C4", "fourth pair factors exactly and stays positive", C4_COFACTOR, "positive"),
+        ("C5/quartic", "f(5,x) quartic cofactor positive", F5_QUARTIC, "positive"),
+        ("C5/deg12", "f(5,x) degree-12 cofactor positive", F5_DEG12, "positive"),
+        ("C6/quadratic", "t=3 bound quadratic cofactor positive", T3_QUADRATIC,
+         "positive"),
+        ("C6/deg12", "t=3 bound degree-12 cofactor positive", T3_DEG12, "positive"),
+    ]
+    results = [
+        _claim(cid, desc, certify_poly_sign(p, "R", sign, cid), identities.get(cid))
+        for cid, desc, p, sign in on_reals
+    ]
 
     # C7: tail positivity for the even-order subcases, in z.
     p0, q0 = P_POLYS[0], Q_POLYS[0]
@@ -824,16 +768,8 @@ def run_claim_suite() -> ClaimSuiteReport:
 
     # C8: assembled f(5, x) equals its factored polynomial form, exactly.
     difference = assembled_f5_exact() - ZTerm.from_x(f5_factored_poly())
-    exact_ok = difference.p.is_zero
-    results.append(
-        ClaimResult(
-            "C8",
-            "assembled f(5,x) identical to the factored polynomial",
-            ok=exact_ok,
-            evidence="exact-identity" if exact_ok else "identity-failed",
-            root_counts=(),
-            detail="identity in z over (z^2+1)^%d: %s" % (difference.k, exact_ok),
-        )
-    )
-
+    ok = difference.p.is_zero
+    detail = "identity in z over (z^2+1)^%d: %s" % (difference.k, ok)
+    desc = "assembled f(5,x) identical to the factored polynomial"
+    results.append(_claim("C8", desc, identity=(ok, detail)))
     return ClaimSuiteReport(tuple(results))

@@ -54,9 +54,12 @@ and refuse it as an unknown option (exit 2).
 Exit codes: 0 success, 2 bad selector or argument (any ValueError the
 library raises for its input), 3 convergence failure, 4 golden-table
 mismatch or a lollipop closed form that is not an identity in z, 5 refuted
-certificate.  A reader that closes standard output early (``| head``) ends
-the command quietly with 0: the rest of the output is dropped, and no
-traceback is printed.
+certificate.  ``certify`` also exits 5, with one line on stderr and nothing
+on stdout, when a certificate it would report fails its round trip through
+``certificate_to_json`` and ``certificate_from_json`` or, read back, fails
+``verify_certificate``.  A reader that closes standard output early
+(``| head``) ends the command quietly with 0: the rest of the output is
+dropped, and no traceback is printed.
 
 ``--format csv`` writes its rows with ``csv.writer``, so a cell that holds a
 comma, such as a unicyclic code, is quoted.
@@ -73,7 +76,13 @@ import os
 import sys
 from typing import Iterable
 
-from .certify import certificate_to_json, check_modulus_forms, run_claim_suite
+from .certify import (
+    certificate_from_json,
+    certificate_to_json,
+    check_modulus_forms,
+    run_claim_suite,
+    verify_certificate,
+)
 from .charpoly import charpoly
 from .coulson import energy_coulson, energy_diff_coulson
 from .eigensolver import adjacency_spectrum, energy_eigensolver
@@ -324,14 +333,33 @@ def _cmd_certify(args) -> int:
         }
         for r in wanted
     ]
+    certificates = [c for r in wanted for c in r.certificates]
+    dumps = [certificate_to_json(c) for c in certificates]
+    for cert, text in zip(certificates, dumps):
+        if not _reverified(cert, text):
+            print(
+                "ucenergy certify: certificate %s fails its JSON round trip or its "
+                "re-verification" % cert.claim_id,
+                file=sys.stderr,
+            )
+            return EXIT_REFUTED
     _emit(rows, ["claim", "ok", "evidence", "root_counts", "detail"], args.format)
     if args.dump_certificates:
-        for r in wanted:
-            for cert in r.certificates:
-                print(certificate_to_json(cert))
+        for text in dumps:
+            print(text)
     if not all(r.ok for r in wanted):
         return EXIT_REFUTED
     return EXIT_OK
+
+
+def _reverified(cert, text: str) -> bool:
+    """Whether text, the JSON of cert, reads back as cert and the copy read
+    back passes ``verify_certificate``."""
+    try:
+        again = certificate_from_json(text)
+    except (ValueError, KeyError, TypeError):  # what a malformed document raises
+        return False
+    return again == cert and verify_certificate(again)
 
 
 def _cmd_closed_form_check(args) -> int:

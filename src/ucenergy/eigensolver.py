@@ -25,7 +25,8 @@ from .roots import ConvergenceError, EnergyValue, check_tolerance
 
 def adjacency_spectrum(g: Graph) -> np.ndarray:
     """LAPACK's eigenvalues of the adjacency matrix of g, ascending."""
-    return np.linalg.eigvalsh(np.array(g.adjacency_matrix(), dtype=float))
+    # shaped (n, n) so that the empty graph gives a 0 x 0 matrix and no eigenvalue
+    return np.linalg.eigvalsh(np.array(g.adjacency_matrix(), float).reshape(g.n, g.n))
 
 
 def energy_eigensolver(g: Graph, tol: float = 1e-8) -> EnergyValue:
@@ -35,11 +36,8 @@ def energy_eigensolver(g: Graph, tol: float = 1e-8) -> EnergyValue:
     LAPACK's backward error); ConvergenceError if it exceeds ``tol``.
     """
     check_tolerance(tol)
-    if g.n == 0:
-        return EnergyValue(0.0, 0.0)
-    eigenvalues = adjacency_spectrum(g)
-    magnitudes = np.abs(eigenvalues)
-    radius = g.n * g.n * float(magnitudes.max()) * 2.0 ** -52
+    magnitudes = np.abs(adjacency_spectrum(g))
+    radius = g.n * g.n * float(magnitudes.max(initial=0.0)) * 2.0 ** -52
     if radius > tol:
         raise ConvergenceError(
             "error estimate %.3e exceeds requested tolerance %.1e" % (radius, tol)

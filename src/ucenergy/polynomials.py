@@ -385,6 +385,22 @@ def variations_at(chain: Sequence[IntPolynomial], point) -> int:
     return count
 
 
+def variations_at_infinity(chain: Sequence[IntPolynomial]) -> tuple[int, int]:
+    """Sign variations of a Sturm chain at -inf and +inf, read off each
+    member's leading coefficient and degree.
+
+    These are V(-B) and V(+B) for any B such that every root of the chain's
+    head lies in (-B, B): by Sturm's theorem V(a) - V(b) counts the distinct
+    roots of the head in (a, b], so V cannot change on (-inf, -B] or on
+    [B, inf), which hold none.
+    """
+    signs_hi = [1 if f.leading > 0 else -1 for f in chain]
+    signs_lo = [s if f.degree % 2 == 0 else -s for s, f in zip(signs_hi, chain)]
+    return tuple(
+        sum(a != b for a, b in zip(signs, signs[1:])) for signs in (signs_lo, signs_hi)
+    )
+
+
 def cauchy_bound(p: IntPolynomial) -> Fraction:
     """Strict bound B: every real root lies in (-B, B)."""
     if p.is_zero or p.degree == 0:

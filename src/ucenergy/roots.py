@@ -97,6 +97,7 @@ from .polynomials import (
     multiplicity_levels,
     sturm_chain,
     variations_at,
+    variations_at_infinity,
 )
 
 _MAX_BISECTIONS = 4096
@@ -140,15 +141,24 @@ class EnergyValue:
 
 
 def _isolate_squarefree(f: IntPolynomial) -> list[RootEnclosure]:
+    """Isolating intervals of the real roots of f, ascending, by Sturm counts.
+
+    Each interval on the stack carries the chain's variations at its ends,
+    so a split evaluates the chain at its new point only.  The first
+    interval is (-B, B) with B the Cauchy bound, and its end counts are read
+    off the chain's leading terms: no root lies outside (-B, B), so the
+    counts at -B and +B are those at -inf and +inf
+    (``polynomials.variations_at_infinity``).
+    """
     if f.degree == 0:
         return []
     chain = sturm_chain(f)
     bound = cauchy_bound(f)
     out: list[RootEnclosure] = []
-    total = variations_at(chain, -bound) - variations_at(chain, bound)
-    stack = [(-bound, bound, total)]
+    stack = [(-bound, bound, *variations_at_infinity(chain))]
     while stack:
-        lo, hi, count = stack.pop()
+        lo, hi, v_lo, v_hi = stack.pop()
+        count = v_lo - v_hi
         if count == 0:
             continue
         if count == 1:
@@ -157,9 +167,9 @@ def _isolate_squarefree(f: IntPolynomial) -> list[RootEnclosure]:
         mid = _nonroot_split(f, lo, hi)
         if mid is None:
             raise ConvergenceError("no root-free split point found")
-        left = variations_at(chain, lo) - variations_at(chain, mid)
-        stack.append((lo, mid, left))
-        stack.append((mid, hi, count - left))
+        v_mid = variations_at(chain, mid)
+        stack.append((lo, mid, v_lo, v_mid))
+        stack.append((mid, hi, v_mid, v_hi))
     out.sort(key=lambda e: e.lo)
     return out
 

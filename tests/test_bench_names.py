@@ -52,10 +52,8 @@ def test_every_benchmark_workload_passes_its_checks(name, monkeypatch):
     assert checks.failures == []
 
 
-# Functions that only tests and users call, each with its reason: the reader
-# of ``certify --dump-certificates``, which the round-trip test uses to check
-# that a dump is complete.
-UNCALLED_BY_DESIGN = {"certify.certificate_from_json"}
+# Functions that only tests and users call, each with its reason.
+UNCALLED_BY_DESIGN = set()
 
 
 def _definitions(tree: ast.Module, prefix: str):

@@ -22,7 +22,6 @@ from ucenergy.certify import (
     SignCertificate,
     ZTerm,
     _in_z,
-    _variations_at_infinity,
     assembled_f5_exact,
     certificate_from_json,
     certificate_to_json,
@@ -38,6 +37,7 @@ from ucenergy.polynomials import (
     cauchy_bound,
     sturm_chain,
     variations_at,
+    variations_at_infinity,
 )
 
 
@@ -250,6 +250,29 @@ def test_claim_suite_evidence_kinds(claim_report):
     for r in claim_report.results:
         assert len(r.certificates) == (r.claim_id != "C8"), r.claim_id
         assert all(verify_certificate(c) for c in r.certificates)
+    assert [r.claim_id for r in claim_report.results] == [
+        "C1", "C2", "C3/1", "C3/2", "C3/3", "C4", "C5/quartic", "C5/deg12",
+        "C6/quadratic", "C6/deg12", "C7/pos", "C7/neg", "C8",
+    ]
+
+
+def test_a_failed_identity_fails_its_claim_and_keeps_the_certificate(monkeypatch):
+    # a wrong fourth pair breaks C4's factorisation, not its cofactor's sign
+    q4 = list(Q_POLYS[4].coeffs)
+    q4[1] = -q4[1]
+    monkeypatch.setitem(Q_POLYS, 4, IntPolynomial.from_coeffs(q4))
+    # and a wrong factored form breaks C8
+    monkeypatch.setattr(certify, "f5_factored_poly", lambda: -f5_factored_poly())
+    by_id = {r.claim_id: r for r in run_claim_suite().results}
+    c4, c8 = by_id["C4"], by_id["C8"]
+    assert (c4.ok, c4.evidence) == (c8.ok, c8.evidence) == (False, "identity-failed")
+    assert c4.detail.startswith("identity False; lhs(1) = ")
+    assert c8.detail.endswith(": False")
+    (cert,) = c4.certificates
+    assert cert.polynomial == C4_COFACTOR and verify_certificate(cert)
+    assert c4.root_counts == (("R", 0),) and not c4.refutations
+    assert c8.certificates == c8.refutations == ()
+    assert all(r.ok for r in by_id.values() if r.claim_id not in ("C4", "C8"))
 
 
 def test_mutation_is_refuted(monkeypatch):
@@ -299,7 +322,7 @@ def test_variations_at_infinity_are_those_at_the_bound(cs):
     assume(core.degree > 0)
     chain = sturm_chain(core)
     bound = cauchy_bound(core)
-    assert _variations_at_infinity(chain) == (
+    assert variations_at_infinity(chain) == (
         variations_at(chain, -bound),
         variations_at(chain, bound),
     )

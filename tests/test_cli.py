@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from ucenergy import certify
+from ucenergy import certify, cli
 from ucenergy.certify import certificate_from_json, verify_certificate
 from ucenergy.charpoly import charpoly
 from ucenergy.cli import (
@@ -18,7 +18,7 @@ from ucenergy.cli import (
     main,
 )
 from ucenergy.enumeration import unicyclic_graphs
-from ucenergy.graphs import format_graph6, make_cycle, make_lollipop
+from ucenergy.graphs import Graph, format_graph6, make_cycle, make_lollipop
 from ucenergy.polynomials import IntPolynomial
 from ucenergy.roots import energy_of_poly
 
@@ -107,6 +107,36 @@ def test_spectrum_seeded_energies_equal_the_unseeded_ones(capsys):
     pair = [make_lollipop(61, 7), make_cycle(61)]
     e1, e2 = (energy_of_poly(charpoly(g), 1e-7 / 2) for g in pair)
     assert float(row[header.index("exact")]) == e1.value - e2.value
+    # the empty graph too: its adjacency matrix is 0 x 0
+    assert main(["energy", "g6:?", "--method", "all", "--format", "csv"]) == 0
+    header, row = csv.reader(io.StringIO(capsys.readouterr().out))
+    assert row[0] == "g6:?"
+    assert float(row[header.index("exact")]) == energy_of_poly(charpoly(Graph(0, ()))).value
+    assert float(row[header.index("eig")]) == float(row[header.index("coulson")]) == 0
+    assert main(["diff", "g6:?", "g6:?", "--method", "all", "--format", "csv"]) == 0
+    header, row = csv.reader(io.StringIO(capsys.readouterr().out))
+    assert float(row[header.index("exact")]) == float(row[header.index("coulson")]) == 0
+
+
+def _json_dropped_for_c7_neg(cert):
+    return "{}" if cert.claim_id == "C7/neg" else certify.certificate_to_json(cert)
+
+
+@pytest.mark.parametrize(
+    "name, fake",
+    [
+        ("verify_certificate", lambda cert: cert.claim_id != "C7/neg"),
+        ("certificate_to_json", _json_dropped_for_c7_neg),
+    ],
+)
+def test_certify_exits_5_when_a_certificate_fails_reverification(
+    name, fake, monkeypatch, capsys
+):
+    monkeypatch.setattr(cli, name, fake)
+    assert main(["certify", "--dump-certificates"]) == 5
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and "C7/neg" in err
 
 
 def test_certify_dumps_verifiable_certificates(capsys):

@@ -1,7 +1,11 @@
 """The paper's artefacts: the exhaustive-search winners and golden tables 1-3."""
 
+import csv
+from pathlib import Path
+
 import pytest
 
+import ucenergy
 from ucenergy.charpoly import charpoly
 from ucenergy.enumeration import count_unicyclic
 from ucenergy.graphs import make_cycle, make_lollipop
@@ -38,6 +42,12 @@ def test_golden_table(table_id, cells):
     assert len(rows) == cells
     worst = max(rows, key=lambda r: r.deviation)
     assert worst.deviation <= TOLERANCE, worst
+    # one row per record of the CSV, in its order; table 1's rows are at n = 17
+    path = Path(ucenergy.__file__).parent / "data" / ("table%d.csv" % table_id)
+    with open(path, newline="") as handle:
+        records = [r for r in csv.reader(handle) if not r[0].startswith("#")]
+    expected = [(17, int(r[0])) if table_id == 1 else (int(r[0]), int(r[1])) for r in records]
+    assert [(r.n, r.t) for r in rows] == expected
 
 
 @pytest.mark.parametrize("n", [31, 40, 49, 60])
