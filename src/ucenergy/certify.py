@@ -4,9 +4,10 @@ A certificate for "p keeps sign S on domain D" consists of an exact Sturm
 root count over D, which must be zero, together with one exactly evaluated
 sample sign.  The roots counted are those of a core taken from
 ``polynomials.multiplicity_levels``: the square-free part of p for a strict
-sign, and the product of its odd-multiplicity factors for a weak sign,
-which tolerates the touch points of even multiplicity.  A square-free p
-needs one pseudo-remainder sequence in all, its first level's Sturm chain.
+sign, and for a weak sign the product of the odd-multiplicity factors that
+``squarefree_decomposition`` reads off the same walk, which tolerates the
+touch points of even multiplicity.  A square-free p needs one
+pseudo-remainder sequence in all, its first level's Sturm chain.
 
 Expressions a(x) + b(x) * sqrt(x**2 + 4) become plain polynomials under the
 substitution x = z - 1/z.  It maps z in (0, inf) increasingly onto the real
@@ -74,8 +75,8 @@ from .polynomials import (
     IntPolynomial,
     cauchy_bound,
     multiplicity_levels,
-    poly_div_exact,
     reverse,
+    squarefree_decomposition,
     sturm_chain,
     variations_at,
     variations_at_infinity,
@@ -202,13 +203,11 @@ def _sign_core(
     A strict sign counts every distinct root of p, so the core is the
     square-free part s_1 of p's first multiplicity level.  A weak sign
     tolerates touch points of even multiplicity, so the core is the product
-    of the odd-multiplicity parts s_i / s_(i+1), i odd (the
-    ``polynomials`` module docstring).  A square-free p is its own core, and
-    its first level's chain is the core's chain.  A constant core is 1, with
-    the chain (1,).
+    of the factors of odd multiplicity from ``squarefree_decomposition``.
+    A square-free p is its own core, and its first level's chain is the
+    core's chain.  A constant core is 1, with the chain (1,).
     """
-    levels = multiplicity_levels(p)
-    first = next(levels, None)
+    first = next(multiplicity_levels(p), None)
     if first is None:
         return ONE, (ONE,)
     chain, s = first
@@ -216,10 +215,10 @@ def _sign_core(
         return s, chain
     core = s
     if not strict:
-        parts = [s] + [s_i for _, s_i in levels] + [ONE]
         core = ONE
-        for i in range(0, len(parts) - 1, 2):
-            core = core * poly_div_exact(parts[i], parts[i + 1])
+        for factor, mult in squarefree_decomposition(p):
+            if mult % 2:
+                core = core * factor
     if core.leading < 0:
         core = -core
     return core, (core,) if core.degree == 0 else sturm_chain(core)

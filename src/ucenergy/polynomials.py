@@ -14,9 +14,8 @@ chain ends in the gcd up to a constant, so each level costs one
 pseudo-remainder sequence and one exact division.  As multisets the roots of
 f_i are those of s_i and those of f_(i+1), so s_i is the product of the
 distinct irreducible factors of f of multiplicity >= i, and s_i / s_(i+1)
-that of the factors of multiplicity exactly i.  Yun's square-free
-decomposition and the primitive gcd it runs on remain only for the
-benchmark's trace (see ``squarefree_decomposition``).
+that of the factors of multiplicity exactly i.  ``squarefree_decomposition``
+reads those factors off the walk, so the Sturm chain is the only gcd here.
 """
 
 from __future__ import annotations
@@ -126,26 +125,7 @@ class IntPolynomial:
             acc = acc * x + c
         return acc
 
-    def derivative(self) -> "IntPolynomial":
-        return IntPolynomial.from_coeffs(
-            [k * c for k, c in enumerate(self.coeffs)][1:]
-        )
-
-    # -- normalisation helpers -----------------------------------------
-
-    def content(self) -> int:
-        """Positive gcd of the coefficients (0 for the zero polynomial)."""
-        g = 0
-        for c in self.coeffs:
-            g = gcd(g, abs(c))
-        return g
-
-    def primitive(self) -> "IntPolynomial":
-        """Divide out the content; the sign of the leading term is kept."""
-        g = self.content()
-        if g in (0, 1):
-            return self
-        return IntPolynomial(tuple(c // g for c in self.coeffs))
+    # -- powers of x ----------------------------------------------------
 
     def shift_up(self, k: int) -> "IntPolynomial":
         """Multiplication by x**k; the zero polynomial stays zero."""
@@ -218,20 +198,13 @@ def reverse(p: IntPolynomial, degree: int) -> IntPolynomial:
 # ---------------------------------------------------------------------------
 
 
-def pseudo_remainder(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    """Remainder of |lc b|**(deg a - deg b + 1) * a on division by b.
+def _pseudo_remainder(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Remainder of |lc b|**(deg a - deg b + 1) * a on division by b, on
+    coefficient lists, b nonzero; trailing zeros are stripped.
 
     The scale is positive, so the remainder has the signs of the remainder
     over Q; a of lower degree than b is returned as it is.
     """
-    if b.is_zero:
-        raise ZeroDivisionError("polynomial division by zero")
-    return IntPolynomial(tuple(_pseudo_remainder(a.coeffs, b.coeffs)))
-
-
-def _pseudo_remainder(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """``pseudo_remainder`` on coefficient lists, b nonzero; trailing zeros
-    are stripped."""
     db, lead = len(b) - 1, b[-1]
     scale, sign = abs(lead), (1 if lead > 0 else -1)
     low = b[:-1]
@@ -245,18 +218,6 @@ def _pseudo_remainder(a: Sequence[int], b: Sequence[int]) -> list[int]:
     while r and not r[-1]:
         r.pop()
     return r
-
-
-def poly_gcd(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
-    """Primitive gcd, normalised to a positive leading coefficient.
-
-    Primitive pseudo-remainder sequence (Brown and Traub, J. ACM 18(4),
-    1971): the gcd over Q, computed in integers alone.
-    """
-    a, b = p.primitive(), q.primitive()
-    while not b.is_zero:
-        a, b = b, pseudo_remainder(a, b).primitive()
-    return -a if not a.is_zero and a.leading < 0 else a
 
 
 def poly_div_exact(p: IntPolynomial, d: IntPolynomial) -> IntPolynomial:
@@ -278,45 +239,6 @@ def poly_div_exact(p: IntPolynomial, d: IntPolynomial) -> IntPolynomial:
     if any(r):
         raise ValueError("division is not exact over the integers")
     return IntPolynomial.from_coeffs(quo)
-
-
-# ---------------------------------------------------------------------------
-# Square-free structure (Yun's algorithm).
-# ---------------------------------------------------------------------------
-
-
-def squarefree_decomposition(p: IntPolynomial) -> list[tuple[IntPolynomial, int]]:
-    """Yun decomposition: pairs (factor, multiplicity), factors primitive.
-
-    The product of factor**multiplicity equals p up to a nonzero rational
-    constant; the factors are pairwise coprime and square-free.  The energy
-    and the certifier take their square-free parts from
-    ``multiplicity_levels`` instead; this stays while the benchmark's trace
-    names it (as ``roots.yun``), and ``poly_gcd`` with it.
-    """
-    if p.is_zero:
-        raise ValueError("zero polynomial")
-    if p.degree == 0:
-        return []
-    work = p.primitive()
-    dp = work.derivative()
-    g = poly_gcd(work, dp)
-    if g.degree == 0:
-        return [(work if work.leading > 0 else -work, 1)]
-    # Yun's recurrence; intermediate c, d must not be rescaled or the sums
-    # below would mix incompatible normalisations.
-    c = poly_div_exact(work, g)
-    d = poly_div_exact(dp, g) - c.derivative()
-    out: list[tuple[IntPolynomial, int]] = []
-    i = 1
-    while c.degree > 0:
-        f = poly_gcd(c, d)
-        if f.degree > 0:
-            out.append((f, i))
-        c = poly_div_exact(c, f)
-        d = poly_div_exact(d, f) - c.derivative()
-        i += 1
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +283,27 @@ def multiplicity_levels(
         g = chain[-1]  # gcd(f, f') up to a constant
         yield chain, chain[0] if g.degree == 0 else poly_div_exact(chain[0], g)
         f = g
+
+
+def squarefree_decomposition(p: IntPolynomial) -> list[tuple[IntPolynomial, int]]:
+    """Pairs (factor, multiplicity), read off ``multiplicity_levels``: the
+    factor of multiplicity i is s_i / s_(i+1), with s = 1 after the last
+    level, kept when it is not a constant.
+
+    The factors are square-free, pairwise coprime, primitive and with a
+    positive leading coefficient, and the product of factor**multiplicity
+    equals p up to a constant.  ``certify`` takes the core of a weak sign
+    from it, and the benchmark's trace names it (as ``roots.yun``).
+    """
+    if p.is_zero:
+        raise ValueError("zero polynomial")
+    parts = [s for _, s in multiplicity_levels(p)] + [ONE]
+    out = []
+    for mult, (s, t) in enumerate(zip(parts, parts[1:]), 1):
+        factor = poly_div_exact(s, t)
+        if factor.degree > 0:
+            out.append((factor if factor.leading > 0 else -factor, mult))
+    return out
 
 
 def _primitive(cs: list[int], negate: bool = False) -> list[int]:

@@ -148,17 +148,21 @@ def _isolate_squarefree(f: IntPolynomial) -> list[RootEnclosure]:
     interval is (-B, B) with B the Cauchy bound, and its end counts are read
     off the chain's leading terms: no root lies outside (-B, B), so the
     counts at -B and +B are those at -inf and +inf
-    (``polynomials.variations_at_infinity``).
+    (``polynomials.variations_at_infinity``).  A count below 0 or above
+    deg f, or an interval split more than ``_MAX_BISECTIONS`` times, raises
+    ``ConvergenceError``.
     """
     if f.degree == 0:
         return []
     chain = sturm_chain(f)
     bound = cauchy_bound(f)
     out: list[RootEnclosure] = []
-    stack = [(-bound, bound, *variations_at_infinity(chain))]
+    stack = [(-bound, bound, *variations_at_infinity(chain), 0)]
     while stack:
-        lo, hi, v_lo, v_hi = stack.pop()
+        lo, hi, v_lo, v_hi, splits = stack.pop()
         count = v_lo - v_hi
+        if not 0 <= count <= f.degree or splits > _MAX_BISECTIONS:
+            raise ConvergenceError("Sturm count out of range or split budget exhausted")
         if count == 0:
             continue
         if count == 1:
@@ -168,8 +172,8 @@ def _isolate_squarefree(f: IntPolynomial) -> list[RootEnclosure]:
         if mid is None:
             raise ConvergenceError("no root-free split point found")
         v_mid = variations_at(chain, mid)
-        stack.append((lo, mid, v_lo, v_mid))
-        stack.append((mid, hi, v_mid, v_hi))
+        stack.append((lo, mid, v_lo, v_mid, splits + 1))
+        stack.append((mid, hi, v_mid, v_hi, splits + 1))
     out.sort(key=lambda e: e.lo)
     return out
 

@@ -13,28 +13,32 @@ the bracelet rule compares a word with every rotation of its reversal.
 The parent of a vertex in a level sequence is found by scanning back for
 the nearest vertex one level up.
 
-Some helpers are exceptions.  ``squarefree_part``, the radical of p that
-tests of the Sturm and root code start from, multiplies ucenergy's own Yun
-factors.  ``coulson_bracket`` and the tuple bracket helpers expand
-|p(ix)|**2 term by term and only wrap the result in an ``IntPolynomial``.
-``bisect_reference`` halves ``Fraction`` intervals and reads signs from
-``IntPolynomial.sign_at``.  ``sturm_chain_reference`` builds the chain from
-``IntPolynomial`` pseudo-remainders and contents.  ``energy_reference`` is
-the exact energy by an earlier route: Yun factors, each seeded by
-ucenergy's Jacobi seeds of its own square-free Sturm chain and checked by
-``sign_at`` at ``Fraction`` bracket ends, else isolated by Sturm counting,
-and summed in ``Fraction``s.  ``search_enclose_all`` is the search as it was
-before the Coulson-bracket filter.  It takes its graphs, characteristic
-polynomials and enclosures from ucenergy, which other tests check against
-their own oracles, and encloses every distinct spectrum, so it shares no
-code with the filter it is compared against.  ``search_from_graphs`` is the
-search as it was before phi was read from the bracelet word: a ``Graph``
-per class and its ``charpoly``, fed to ucenergy's own filter and ranking,
-so it differs from the search only in the stream.  ``gaussian_of`` names
-each spectrum as the search does, z = phi(iX) / i**n, by Horner's rule on
-the coefficients rather than by the matching fold.
+Some helpers are exceptions.  ``yun_decomposition`` is Yun's square-free
+decomposition on a primitive pseudo-remainder gcd (``primitive_gcd``), both
+kept here because the package reads its factors off the Sturm chains'
+multiplicity walk instead; it divides with ucenergy's ``poly_div_exact``.
+``squarefree_part``, the radical of p that tests of the Sturm and root code
+start from, multiplies its factors.  ``coulson_bracket`` and the tuple
+bracket helpers expand |p(ix)|**2 term by term and only wrap the result in
+an ``IntPolynomial``.  ``bisect_reference`` halves ``Fraction`` intervals
+and reads signs from ``IntPolynomial.sign_at``.  ``sturm_chain_reference``
+builds the chain from the pseudo-remainders and contents of this module.
+``energy_reference`` is the exact energy by an earlier route: Yun factors,
+each seeded by ucenergy's Jacobi seeds of its own square-free Sturm chain
+and checked by ``sign_at`` at ``Fraction`` bracket ends, else isolated by
+Sturm counting, and summed in ``Fraction``s.  ``search_enclose_all`` is
+the search as it was before the Coulson-bracket filter.  It takes its
+graphs, characteristic polynomials and enclosures from ucenergy, which
+other tests check against their own oracles, and encloses every distinct
+spectrum, so it shares no code with the filter it is compared against.
+``search_from_graphs`` is the search as it was before phi was read from the
+bracelet word: a ``Graph`` per class and its ``charpoly``, fed to
+ucenergy's own filter and ranking, so it differs from the search only in
+the stream.  ``gaussian_of`` names each spectrum as the search does,
+z = phi(iX) / i**n, by Horner's rule on the coefficients rather than by the
+matching fold.
 ``yun_core`` is the certifier's core as it was built before the
-multiplicity-level walk, from ucenergy's Yun factors.
+multiplicity-level walk, from the Yun factors of this module.
 """
 
 from __future__ import annotations
@@ -346,14 +350,78 @@ def bisect_reference(f, enc, width):
     return RootEnclosure(lo, hi)
 
 
+def derivative(p):
+    """p' with integer coefficients."""
+    from ucenergy.polynomials import IntPolynomial
+
+    return IntPolynomial.from_coeffs([k * c for k, c in enumerate(p.coeffs)][1:])
+
+
+def _primitive(p):
+    """p divided by the gcd of its coefficients; the sign is kept."""
+    from ucenergy.polynomials import IntPolynomial
+
+    g = math.gcd(*p.coeffs)
+    return p if g in (0, 1) else IntPolynomial(tuple(c // g for c in p.coeffs))
+
+
+def _pseudo_remainder(a, b):
+    """Remainder of |lc b|**(deg a - deg b + 1) * a on division by b, b
+    nonzero: one scaled step per power of x from deg a down to deg b."""
+    scale, sign = abs(b.leading), (1 if b.leading > 0 else -1)
+    r = a
+    for k in range(a.degree, b.degree - 1, -1):
+        top = r.coeffs[k] if k <= r.degree else 0
+        r = r * scale - (b * (sign * top)).shift_up(k - b.degree)
+    return r
+
+
+def primitive_gcd(p, q):
+    """Primitive gcd with a positive leading coefficient, by the primitive
+    pseudo-remainder sequence (Brown and Traub, J. ACM 18(4), 1971)."""
+    a, b = _primitive(p), _primitive(q)
+    while not b.is_zero:
+        a, b = b, _primitive(_pseudo_remainder(a, b))
+    return -a if not a.is_zero and a.leading < 0 else a
+
+
+def yun_decomposition(p):
+    """Yun's square-free decomposition: pairs (factor, multiplicity), the
+    factors primitive with a positive leading coefficient, their product to
+    the multiplicities equal to p up to a constant."""
+    from ucenergy.polynomials import poly_div_exact
+
+    if p.is_zero:
+        raise ValueError("zero polynomial")
+    if p.degree == 0:
+        return []
+    work = _primitive(p)
+    dp = derivative(work)
+    g = primitive_gcd(work, dp)
+    if g.degree == 0:
+        return [(work if work.leading > 0 else -work, 1)]
+    # Yun's recurrence; intermediate c, d must not be rescaled or the sums
+    # below would mix incompatible normalisations.
+    c = poly_div_exact(work, g)
+    d = poly_div_exact(dp, g) - derivative(c)
+    out = []
+    i = 1
+    while c.degree > 0:
+        f = primitive_gcd(c, d)
+        if f.degree > 0:
+            out.append((f, i))
+        c = poly_div_exact(c, f)
+        d = poly_div_exact(d, f) - derivative(c)
+        i += 1
+    return out
+
+
 def sturm_chain_reference(p):
     """``sturm_chain`` on ``IntPolynomial``s: p, p', then the negated
     primitive pseudo-remainders until one is zero or a constant."""
-    from ucenergy.polynomials import pseudo_remainder
-
-    chain = [p.primitive(), p.derivative().primitive()]
+    chain = [_primitive(p), _primitive(derivative(p))]
     while not chain[-1].is_zero and chain[-1].degree > 0:
-        nxt = -pseudo_remainder(chain[-2], chain[-1]).primitive()
+        nxt = -_primitive(_pseudo_remainder(chain[-2], chain[-1]))
         if nxt.is_zero:
             break
         chain.append(nxt)
@@ -373,7 +441,6 @@ def energy_reference(p, tol=1e-7):
     """
     from fractions import Fraction
 
-    from ucenergy.polynomials import squarefree_decomposition
     from ucenergy.roots import (
         ConvergenceError,
         EnergyValue,
@@ -386,7 +453,7 @@ def energy_reference(p, tol=1e-7):
     core = p.shift_down(zero_mult)
     budget = Fraction(tol) / (2 * (p.degree + 1))
     found = []
-    for factor, mult in squarefree_decomposition(core) if core.degree > 0 else []:
+    for factor, mult in yun_decomposition(core) if core.degree > 0 else []:
         encs = _seeded_reference(factor, _budget_bits(budget))
         if encs is None:
             encs = _isolate_squarefree(factor)
@@ -431,12 +498,12 @@ def _seeded_reference(f, budget_bits):
 
 def yun_core(p, strict):
     """The core the certifier counted roots of before the multiplicity-level
-    walk: the product of ucenergy's Yun factors, all of them for a strict
-    sign and those of odd multiplicity for a weak one."""
-    from ucenergy.polynomials import ONE, squarefree_decomposition
+    walk: the product of the Yun factors, all of them for a strict sign and
+    those of odd multiplicity for a weak one."""
+    from ucenergy.polynomials import ONE
 
     core = ONE
-    for f, mult in squarefree_decomposition(p):
+    for f, mult in yun_decomposition(p):
         if strict or mult % 2:
             core = core * f
     return core
@@ -444,15 +511,15 @@ def yun_core(p, strict):
 
 def squarefree_part(p):
     """Product of the distinct irreducible factors (radical of p), primitive
-    with a positive leading coefficient, from ucenergy's Yun factors."""
-    from ucenergy.polynomials import ONE, squarefree_decomposition
+    with a positive leading coefficient, from the Yun factors."""
+    from ucenergy.polynomials import ONE
 
     result = ONE
-    for f, _ in squarefree_decomposition(p):
+    for f, _ in yun_decomposition(p):
         result = result * f
     if not result.is_zero and result.leading < 0:
         result = -result
-    return result.primitive()
+    return _primitive(result)
 
 
 def unique_cycle(g) -> list[int] | None:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import ucenergy.certify as certify
 import ucenergy.polynomials as polynomials
-from oracles import squarefree_part, yun_core
+from oracles import squarefree_part, yun_core, yun_decomposition
 from ucenergy.certify import (
     A_POSITIVITY,
     DOMAINS,
@@ -35,6 +35,7 @@ from ucenergy.closedforms import F7, F8, P_POLYS, Q_POLYS
 from ucenergy.polynomials import (
     IntPolynomial,
     cauchy_bound,
+    squarefree_decomposition,
     sturm_chain,
     variations_at,
     variations_at_infinity,
@@ -373,6 +374,16 @@ def _certifies_as_the_yun_core_did(p, domain, sign):
 @given(factored(), st.sampled_from(DOMAINS), st.sampled_from(SIGNS))
 def test_the_level_walk_certifies_as_the_yun_core_did(p, domain, sign):
     _certifies_as_the_yun_core_did(p, domain, sign)
+
+
+@given(factored())
+def test_squarefree_decomposition_reads_yun_off_the_walk(p):
+    factors = squarefree_decomposition(p)
+    assert factors == yun_decomposition(p)
+    product = P(1)
+    for factor, mult in factors:
+        product = product * factor**mult
+    assert p * product.leading == product * p.leading
 
 
 @pytest.mark.parametrize(

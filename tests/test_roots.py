@@ -14,6 +14,7 @@ from oracles import (
     rooted_level_sequences,
     squarefree_part,
     unique_cycle,
+    yun_decomposition,
 )
 import ucenergy.polynomials as polynomials
 import ucenergy.roots as roots
@@ -52,6 +53,33 @@ def test_isolates_pm_one():
     enclosures = _isolate_squarefree(P(-1, 0, 1))
     assert len(enclosures) == 2
     assert enclosures[0].lo < -1 < enclosures[0].hi or enclosures[0].lo == enclosures[0].hi == -1
+
+
+@pytest.mark.parametrize(
+    "p, at_infinity, splits",
+    [
+        # the counts at -inf and +inf swapped: x^2 - 1 counts -2 roots
+        (P(-1, 0, 1), lambda c: polynomials.variations_at_infinity(c)[::-1], 0),
+        # a count above the degree
+        (P(-1, 0, 1), lambda c: (3, 0), 0),
+        # (x^2 - 1)(x^2 + 1) counted as four real roots: every interval that
+        # ends at -B keeps a count of at least 2 and is split until the budget
+        (P(-1, 0, 0, 0, 1), lambda c: (4, 0), roots._MAX_BISECTIONS + 1),
+    ],
+    ids=["negative", "above-degree", "split-budget"],
+)
+def test_isolation_raises_on_a_wrong_count(monkeypatch, p, at_infinity, splits):
+    points = []
+
+    def spy(chain, point):
+        points.append(point)
+        return polynomials.variations_at(chain, point)
+
+    monkeypatch.setattr(roots, "variations_at_infinity", at_infinity)
+    monkeypatch.setattr(roots, "variations_at", spy)
+    with pytest.raises(ConvergenceError):
+        _isolate_squarefree(p)
+    assert len(points) == splits
 
 
 def test_isolates_c4_spectrum_with_multiplicity():
@@ -136,7 +164,7 @@ def test_seeded_enclosures_overlap_sturm_enclosures(spectra_to_nine, monkeypatch
     repeated = 0
     for p in spectra_to_nine:
         core = p.shift_down(p.lowest_power())
-        factors = squarefree_decomposition(core)
+        factors = yun_decomposition(core)
         levels = roots._core_enclosures(core, width)
         # one level per unit of the largest multiplicity: only repeated
         # eigenvalues (the cycles among them) take a second level
@@ -219,9 +247,8 @@ def test_c6_runs_no_poly_gcd_and_no_yun(monkeypatch):
     def forbidden(*args):
         raise AssertionError("Yun or a gcd run")
 
-    for name in ("poly_gcd", "squarefree_decomposition"):
-        monkeypatch.setattr(polynomials, name, forbidden)
-        monkeypatch.setattr(roots, name, forbidden, raising=False)
+    monkeypatch.setattr(polynomials, "squarefree_decomposition", forbidden)
+    monkeypatch.setattr(roots, "squarefree_decomposition", forbidden, raising=False)
     # C_8 has eigenvalues +-2, +-sqrt(2) twice and 0 twice
     for p, energy in [
         (charpoly(make_cycle(6)), 8.0),
@@ -627,7 +654,7 @@ def test_narrow_even_levels_refine_and_mirror_their_brackets(monkeypatch, p):
     sturm = sorted(
         (
             refine_enclosure(factor, enc, width)
-            for factor, mult in squarefree_decomposition(core)
+            for factor, mult in yun_decomposition(core)
             for enc in _isolate_squarefree(factor)
             for _ in range(mult)
         ),
