@@ -2,12 +2,16 @@
 
 A certificate for "p keeps sign S on domain D" consists of an exact Sturm
 root count over D, which must be zero, together with one exactly evaluated
-sample sign.  The roots counted are those of a core taken from
-``polynomials.multiplicity_levels``: the square-free part of p for a strict
-sign, and for a weak sign the product of the odd-multiplicity factors that
-``squarefree_decomposition`` reads off the same walk, which tolerates the
-touch points of even multiplicity.  A square-free p needs one
-pseudo-remainder sequence in all, its first level's Sturm chain.
+sample sign.  The roots counted are those of a core read off p's first
+multiplicity level (``polynomials.multiplicity_levels``): its square-free
+part s for a strict sign.  A weak sign tolerates touch points of even
+multiplicity, so its core is s over the factors of odd multiplicity in the
+level's gcd g = gcd(p, p'), which are p's factors of even multiplicity;
+``squarefree_decomposition(g)`` reads them off the levels below the first.
+A square-free p needs one pseudo-remainder sequence in all, its first
+level's Sturm chain, and a refutation isolates its witness on the core's
+chain.  ``_DOMAIN_SIGN`` maps each x-domain to the sign of its points (0
+for R); sampling, membership and the maps below read it.
 
 Expressions a(x) + b(x) * sqrt(x**2 + 4) become plain polynomials under the
 substitution x = z - 1/z.  It maps z in (0, inf) increasingly onto the real
@@ -26,7 +30,11 @@ in w decides the sign exactly:
     (-inf,0)    1 / (1 + w)  (1 + w)**deg P * P(1 / (1 + w))
 
 ``w_polynomial`` applies the same map to any polynomial in z, so the sign of
-any quantity written in z can be certified on each x-domain.
+any quantity written in z can be certified on each x-domain.  With the
+domain's sign e, z is w for e = 0 and (1 + w)**e otherwise.
+
+A certificate's JSON is written by ``_encode``, by field type and in
+declaration order, and read back through the ``_DECODE`` table.
 
 The comparison algebra itself lives here in z as well: a ``ZTerm`` is
 z**e * p(z) / (z**2 + 1)**k, and ``lollipop_terms(t)`` assembles the
@@ -51,8 +59,9 @@ identity (C8), or from both (C4).
 
 from __future__ import annotations
 
+import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional
 
@@ -75,6 +84,7 @@ from .polynomials import (
     IntPolynomial,
     cauchy_bound,
     multiplicity_levels,
+    poly_div_exact,
     reverse,
     squarefree_decomposition,
     sturm_chain,
@@ -83,7 +93,9 @@ from .polynomials import (
 )
 from .roots import _isolate_squarefree, refine_enclosure
 
-DOMAINS = ("R", "(0,inf)", "(-inf,0)")
+# each x-domain and the sign of its points, 0 where they take any sign
+_DOMAIN_SIGN = {"R": 0, "(0,inf)": 1, "(-inf,0)": -1}
+DOMAINS = tuple(_DOMAIN_SIGN)
 SIGNS = ("positive", "negative", "nonnegative", "nonpositive")
 
 # sqrt(x**2 + 4) squared; t**2 + 1 (t = x or z); 1 + w.
@@ -144,44 +156,41 @@ def _sign_target(sign: str) -> int:
 
 
 def _sample_candidates(domain: str):
-    if domain == "R":
-        base = [0, 1, -1, 2, -2, 3, -3]
-    elif domain == "(0,inf)":
-        base = [1, 2, Fraction(1, 2), 3, Fraction(1, 3)]
+    side = _DOMAIN_SIGN[domain]
+    if side == 0:
+        base = (0, 1, -1, 2, -2, 3, -3)
     else:
-        base = [-1, -2, Fraction(-1, 2), -3, Fraction(-1, 3)]
-    k = 4
+        base = (side * c for c in (1, 2, Fraction(1, 2), 3, Fraction(1, 3)))
     yield from (Fraction(c) for c in base)
-    while True:
-        yield Fraction(-k if domain == "(-inf,0)" else k)
-        k += 1
+    yield from (Fraction((side or 1) * k) for k in itertools.count(4))
 
 
 def _in_domain(point: Fraction, domain: str) -> bool:
-    if domain == "R":
-        return True
-    if domain == "(0,inf)":
-        return point > 0
-    return point < 0
+    """Whether point lies in the domain; never for an unknown domain."""
+    return _DOMAIN_SIGN.get(domain) in (0, (point > 0) - (point < 0))
 
 
 def _domain_count(sf: IntPolynomial, chain, domain: str, v_lo: int, v_hi: int):
     """Distinct roots of the square-free polynomial sf inside the domain,
     given the chain's sign variations v_lo at -B and v_hi at +B."""
     labels = [("-B", v_lo), ("+B", v_hi)]
-    if domain == "R":
+    side = _DOMAIN_SIGN[domain]
+    if side == 0:
         return v_lo - v_hi, labels
     v0 = variations_at(chain, Fraction(0))
     labels.append(("0", v0))
-    if domain == "(0,inf)":
+    if side > 0:
         return v0 - v_hi, labels
     at_zero = 1 if sf.sign_at(0) == 0 else 0
     return v_lo - v0 - at_zero, labels
 
 
-def _witness_interval(core: IntPolynomial, domain: str) -> tuple[Fraction, Fraction]:
-    """An enclosure of some root of ``core`` lying inside the domain."""
-    for enc in _isolate_squarefree(core):
+def _witness_interval(
+    core: IntPolynomial, chain: tuple[IntPolynomial, ...], domain: str
+) -> tuple[Fraction, Fraction]:
+    """An enclosure of some root of ``core``, whose Sturm chain is ``chain``,
+    lying inside the domain."""
+    for enc in _isolate_squarefree(core, chain):
         cand = enc
         for _ in range(256):
             if _in_domain(cand.lo, domain) and _in_domain(cand.hi, domain):
@@ -200,25 +209,26 @@ def _sign_core(
     """(core, its Sturm chain): the polynomial whose roots a sign certificate
     counts, primitive with a positive leading coefficient.
 
-    A strict sign counts every distinct root of p, so the core is the
-    square-free part s_1 of p's first multiplicity level.  A weak sign
-    tolerates touch points of even multiplicity, so the core is the product
-    of the factors of odd multiplicity from ``squarefree_decomposition``.
-    A square-free p is its own core, and its first level's chain is the
-    core's chain.  A constant core is 1, with the chain (1,).
+    Both cores come from p's first multiplicity level: its chain, with tail
+    g = gcd(p, p'), and its square-free part s.  A strict sign counts every
+    distinct root of p, so its core is s.  A weak sign tolerates touch
+    points of even multiplicity, so its core is s over the factors of odd
+    multiplicity in g, which are p's factors of even multiplicity;
+    ``squarefree_decomposition(g)`` reads them off the levels below the
+    first, so the first level's chain is built once.  A square-free p is
+    its own core, with its first level's chain.  A constant core is 1, with
+    the chain (1,).
     """
     first = next(multiplicity_levels(p), None)
     if first is None:
         return ONE, (ONE,)
-    chain, s = first
+    chain, core = first
     if chain[-1].degree == 0:
-        return s, chain
-    core = s
+        return core, chain
     if not strict:
-        core = ONE
-        for factor, mult in squarefree_decomposition(p):
+        for factor, mult in squarefree_decomposition(chain[-1]):
             if mult % 2:
-                core = core * factor
+                core = poly_div_exact(core, factor)
     if core.leading < 0:
         core = -core
     return core, (core,) if core.degree == 0 else sturm_chain(core)
@@ -228,7 +238,7 @@ def certify_poly_sign(
     p: IntPolynomial, domain: str, asserted_sign: str, claim_id: str = ""
 ) -> SignCertificate | Refutation:
     """Certify (or refute) that p keeps ``asserted_sign`` on ``domain``."""
-    if domain not in DOMAINS:
+    if domain not in _DOMAIN_SIGN:
         raise ValueError("unknown domain %r" % domain)
     if asserted_sign not in SIGNS:
         raise ValueError("unknown sign %r" % asserted_sign)
@@ -244,29 +254,17 @@ def certify_poly_sign(
         bound = Fraction(1)
         count, labels = 0, (("-B", 0), ("+B", 0))
 
-    sample = next(
-        pt for pt in _sample_candidates(domain) if p.sign_at(pt) != 0
-    )
+    sample = next(pt for pt in _sample_candidates(domain) if p.sign_at(pt) != 0)
     sample_sign = p.sign_at(sample)
 
     ok = count == 0 and sample_sign == _sign_target(asserted_sign)
     if ok:
         return SignCertificate(
-            claim_id=claim_id,
-            asserted_sign=asserted_sign,
-            domain=domain,
-            polynomial=p,
-            radical_part=None,
-            rule="sturm",
-            root_count=count,
-            bound=bound,
-            sample_point=sample,
-            sample_sign=sample_sign,
-            variation_counts=tuple(labels),
-            chain=chain,
+            claim_id, asserted_sign, domain, p, None, "sturm", count, bound,
+            sample, sample_sign, tuple(labels), chain,
         )
     if count > 0:
-        lo, hi = _witness_interval(core, domain)
+        lo, hi = _witness_interval(core, chain, domain)
         reason = "sign-changing root inside the domain"
     else:
         lo = hi = sample
@@ -300,27 +298,19 @@ def _shift_one(p: IntPolynomial) -> IntPolynomial:
     return out
 
 
-# z as a function of w for each x-domain a radical certificate accepts
-_Z_OF_W = {
-    "R": lambda w: w,
-    "(0,inf)": lambda w: 1 + w,
-    "(-inf,0)": lambda w: 1 / (1 + w),
-}
-
-
 def _x_of_w(w: Fraction, domain: str) -> Fraction:
-    z = _Z_OF_W[domain](w)
+    side = _DOMAIN_SIGN[domain]
+    z = (1 + w) ** side if side else w
     return z - 1 / z
 
 
 def w_polynomial(p: IntPolynomial, domain: str) -> IntPolynomial:
     """The polynomial in w whose sign on (0,inf) is that of p(z) on the
     x-domain, x = z - 1/z (the table in the module docstring)."""
-    if domain == "R":
+    side = _DOMAIN_SIGN[domain]
+    if side == 0:
         return p
-    if domain == "(0,inf)":
-        return _shift_one(p)
-    return _shift_one(reverse(p, p.degree))
+    return _shift_one(p if side > 0 else reverse(p, p.degree))
 
 
 def _radical_in_w(a: IntPolynomial, b: IntPolynomial, domain: str) -> IntPolynomial:
@@ -347,7 +337,7 @@ def certify_radical_sign(
     """
     if b.is_zero:
         raise ValueError("radical part must be nonzero; use certify_poly_sign")
-    if domain not in _Z_OF_W:
+    if domain not in _DOMAIN_SIGN:
         raise ValueError(
             "radical certificates need domain R, (0,inf) or (-inf,0), got %r" % domain
         )
@@ -357,20 +347,11 @@ def certify_radical_sign(
     if isinstance(sub, Refutation):
         lo, hi = sorted(_x_of_w(w, domain) for w in (sub.witness_lo, sub.witness_hi))
         return Refutation(claim_id, asserted_sign, domain, a, lo, hi, sub.reason)
-    return SignCertificate(
-        claim_id=claim_id,
-        asserted_sign=asserted_sign,
-        domain=domain,
-        polynomial=a,
-        radical_part=b,
-        rule="z-substitution",
-        root_count=sub.root_count,
-        bound=sub.bound,
-        sample_point=_x_of_w(sub.sample_point, domain),
-        sample_sign=sub.sample_sign,
-        variation_counts=(),
-        chain=(),
-        sub_certificates=(sub,),
+    # the sign, root count, bound and sample sign are the sub-certificate's
+    return replace(
+        sub, claim_id=claim_id, domain=domain, polynomial=a, radical_part=b,
+        rule="z-substitution", sample_point=_x_of_w(sub.sample_point, domain),
+        variation_counts=(), chain=(), sub_certificates=(sub,),
     )
 
 
@@ -385,17 +366,17 @@ def verify_certificate(cert: SignCertificate) -> bool:
     Chains are only evaluated (variation counts, sample signs, bound versus
     the Cauchy bound); they are not rebuilt.
     """
+    if not _in_domain(cert.sample_point, cert.domain):
+        return False
     if cert.rule == "sturm":
         p = cert.polynomial
         if p.sign_at(cert.sample_point) != cert.sample_sign:
             return False
         if cert.sample_sign != _sign_target(cert.asserted_sign):
             return False
-        if cert.domain not in DOMAINS or not _in_domain(cert.sample_point, cert.domain):
-            return False
         if cert.root_count != 0:
             return False
-        core = cert.chain[0] if cert.chain else IntPolynomial((1,))
+        core = cert.chain[0] if cert.chain else ONE
         if core.degree > 0:
             if cert.bound < cauchy_bound(core):
                 return False
@@ -407,11 +388,7 @@ def verify_certificate(cert: SignCertificate) -> bool:
                 return False
         return True
     if cert.rule == "z-substitution":
-        if (
-            cert.radical_part is None
-            or cert.domain not in _Z_OF_W
-            or len(cert.sub_certificates) != 1
-        ):
+        if cert.radical_part is None or len(cert.sub_certificates) != 1:
             return False
         (sub,) = cert.sub_certificates
         # the polynomial in w is recomputed, never taken from the certificate
@@ -429,32 +406,28 @@ def verify_certificate(cert: SignCertificate) -> bool:
     return False
 
 
+def _encode(value):
+    """JSON data of a certificate or a field: fields in declaration order,
+    polynomials as decimal strings, fractions as strings, tuples as lists."""
+    if isinstance(value, SignCertificate):
+        return {f.name: _encode(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, IntPolynomial):
+        return value.to_decimal_strings()
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, tuple):
+        return [_encode(item) for item in value]
+    return value
+
+
 def certificate_to_json(cert: SignCertificate) -> str:
-    return json.dumps({"format": CERT_FORMAT, **_cert_dict(cert)}, indent=2)
-
-
-def _cert_dict(cert: SignCertificate) -> dict:
-    return {
-        "claim_id": cert.claim_id,
-        "asserted_sign": cert.asserted_sign,
-        "domain": cert.domain,
-        "polynomial": cert.polynomial.to_decimal_strings(),
-        "radical_part": (
-            cert.radical_part.to_decimal_strings() if cert.radical_part else None
-        ),
-        "rule": cert.rule,
-        "root_count": cert.root_count,
-        "bound": str(cert.bound),
-        "sample_point": str(cert.sample_point),
-        "sample_sign": cert.sample_sign,
-        "variation_counts": list(list(item) for item in cert.variation_counts),
-        "chain": [c.to_decimal_strings() for c in cert.chain],
-        "sub_certificates": [_cert_dict(c) for c in cert.sub_certificates],
-    }
+    return json.dumps({"format": CERT_FORMAT, **_encode(cert)}, indent=2)
 
 
 def certificate_from_json(text: str) -> SignCertificate:
     data = json.loads(text)
+    if not isinstance(data, dict):
+        raise ValueError("a JSON %s is no certificate" % type(data).__name__)
     if data.get("format") != CERT_FORMAT:
         raise ValueError(
             "certificate format %r, expected %d" % (data.get("format"), CERT_FORMAT)
@@ -462,31 +435,25 @@ def certificate_from_json(text: str) -> SignCertificate:
     return _cert_from_dict(data)
 
 
+_from_strings = IntPolynomial.from_decimal_strings
+# the fields that are not plain JSON, each with its decoder
+_DECODE = {
+    "polynomial": _from_strings,
+    "radical_part": lambda v: None if v is None else _from_strings(v),
+    "bound": Fraction,
+    "sample_point": Fraction,
+    "variation_counts": lambda v: tuple((label, count) for label, count in v),
+    "chain": lambda v: tuple(map(_from_strings, v)),
+    "sub_certificates": lambda v: tuple(map(_cert_from_dict, v)),
+}
+
+
 def _cert_from_dict(data: dict) -> SignCertificate:
     return SignCertificate(
-        claim_id=data["claim_id"],
-        asserted_sign=data["asserted_sign"],
-        domain=data["domain"],
-        polynomial=IntPolynomial.from_decimal_strings(data["polynomial"]),
-        radical_part=(
-            IntPolynomial.from_decimal_strings(data["radical_part"])
-            if data["radical_part"]
-            else None
-        ),
-        rule=data["rule"],
-        root_count=data["root_count"],
-        bound=Fraction(data["bound"]),
-        sample_point=Fraction(data["sample_point"]),
-        sample_sign=data["sample_sign"],
-        variation_counts=tuple(
-            (label, count) for label, count in data["variation_counts"]
-        ),
-        chain=tuple(
-            IntPolynomial.from_decimal_strings(c) for c in data["chain"]
-        ),
-        sub_certificates=tuple(
-            _cert_from_dict(c) for c in data["sub_certificates"]
-        ),
+        **{
+            f.name: _DECODE.get(f.name, lambda v: v)(data[f.name])
+            for f in fields(SignCertificate)
+        }
     )
 
 
@@ -591,17 +558,22 @@ def _b_terms(t: int) -> tuple[ZTerm, ZTerm, ZTerm, ZTerm]:
     return b11, b12, b21, b22
 
 
+def _b_squares(
+    b11: ZTerm, b12: ZTerm, b21: ZTerm, b22: ZTerm
+) -> tuple[ZTerm, ZTerm, ZTerm]:
+    """b11**2 + b12**2, b21**2 + b22**2 and b11 b21 + b12 b22."""
+    return b11 * b11 + b12 * b12, b21 * b21 + b22 * b22, b11 * b21 + b12 * b22
+
+
 def lollipop_terms(t: int) -> LollipopTerms:
     """The comparison coefficients for odd t >= 3, exactly, at x = z - 1/z."""
-    b11, b12, b21, b22 = _b_terms(t)
+    b = _b_terms(t)
     a1, a2 = _a_terms()
-    b1sq = b11 * b11 + b12 * b12
-    b2sq = b21 * b21 + b22 * b22
-    bcross = b11 * b21 + b12 * b22
+    b1sq, b2sq, bcross = _b_squares(*b)
     alpha = a2 * a2 * b1sq - a1 * a1 * b2sq
     beta = _TWO * (a1 * a1 * bcross - a1 * a2 * b1sq)
     gamma = _TWO * (a1 * a2 * b2sq - a2 * a2 * bcross)
-    return LollipopTerms(t, a1, a2, b11, b12, b21, b22, alpha, beta, gamma)
+    return LollipopTerms(t, a1, a2, *b, alpha, beta, gamma)
 
 
 class ModulusCheck(NamedTuple):
@@ -643,9 +615,7 @@ def check_modulus_forms(
     a1, a2 = _a_terms()
     rows = [check("L(n,6)", 6, a1 * a1, a2 * a2, a1 * a2)]
     for t in odd:
-        b11, b12, b21, b22 = _b_terms(t)
-        b1sq, b2sq = b11 * b11 + b12 * b12, b21 * b21 + b22 * b22
-        rows.append(check("L(n,t)", t, b1sq, b2sq, b11 * b21 + b12 * b22))
+        rows.append(check("L(n,t)", t, *_b_squares(*_b_terms(t))))
     return tuple(rows)
 
 

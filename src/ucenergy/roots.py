@@ -140,8 +140,11 @@ class EnergyValue:
     radius: float
 
 
-def _isolate_squarefree(f: IntPolynomial) -> list[RootEnclosure]:
-    """Isolating intervals of the real roots of f, ascending, by Sturm counts.
+def _isolate_squarefree(
+    f: IntPolynomial, chain: tuple[IntPolynomial, ...] | None = None
+) -> list[RootEnclosure]:
+    """Isolating intervals of the real roots of f, ascending, by Sturm counts
+    on f's chain, built here unless the caller already holds it.
 
     Each interval on the stack carries the chain's variations at its ends,
     so a split evaluates the chain at its new point only.  The first
@@ -154,7 +157,7 @@ def _isolate_squarefree(f: IntPolynomial) -> list[RootEnclosure]:
     """
     if f.degree == 0:
         return []
-    chain = sturm_chain(f)
+    chain = chain or sturm_chain(f)
     bound = cauchy_bound(f)
     out: list[RootEnclosure] = []
     stack = [(-bound, bound, *variations_at_infinity(chain), 0)]

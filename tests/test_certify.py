@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import ucenergy.certify as certify
 import ucenergy.polynomials as polynomials
+import ucenergy.roots as roots
 from oracles import squarefree_part, yun_core, yun_decomposition
 from ucenergy.certify import (
     A_POSITIVITY,
@@ -408,3 +409,81 @@ def test_the_claim_suite_runs_no_yun(monkeypatch):
     monkeypatch.setattr(certify, "squarefree_decomposition", forbidden, raising=False)
     report = run_claim_suite()
     assert report.results and all(r.ok for r in report.results)
+
+
+@pytest.mark.parametrize("text", ["[]", "5", "null", '"x"'])
+def test_a_json_document_that_is_no_object_is_rejected(text):
+    with pytest.raises(ValueError):
+        certificate_from_json(text)
+
+
+def test_the_json_keys_are_the_fields_in_declaration_order(claim_report):
+    names = [f.name for f in dataclasses.fields(SignCertificate)]
+    certs = [c for r in claim_report.results for c in r.certificates]
+    subs = [s for c in certs if c.claim_id.startswith("C7") for s in c.sub_certificates]
+    assert len(subs) == 2
+    for cert in certs + subs:
+        data = json.loads(certificate_to_json(cert))
+        assert list(data) == ["format", *names]
+        for sub in data["sub_certificates"]:
+            assert list(sub) == names
+    # a decoder for a field that does not exist would go unnoticed
+    assert set(certify._DECODE) <= set(names)
+
+
+def _chains_built(monkeypatch):
+    """The degrees of the Sturm chains built while the spy is installed."""
+    degrees = []
+
+    def spy(f):
+        degrees.append(f.degree)
+        return sturm_chain(f)
+
+    for module in (polynomials, certify, roots):
+        monkeypatch.setattr(module, "sturm_chain", spy)
+    return degrees
+
+
+def test_a_weak_core_walks_the_first_level_once(monkeypatch):
+    from ucenergy.charpoly import charpoly
+    from ucenergy.graphs import make_cycle
+
+    p = charpoly(make_cycle(60))
+    chains = _chains_built(monkeypatch)
+    core, chain = certify._sign_core(p, False)
+    assert len(chains) == 3 and chain == sturm_chain(core)
+    # a refutation isolates its witness on the core's chain it holds
+    chains.clear()
+    assert isinstance(certify_poly_sign(p, "R", "nonnegative"), Refutation)
+    assert len(chains) == 3
+
+
+def test_a_refutation_builds_no_second_chain(monkeypatch):
+    chains = _chains_built(monkeypatch)
+    r = certify_poly_sign(P(-2, 0, 1), "(0,inf)", "positive")
+    assert isinstance(r, Refutation) and r.witness_lo < 2 ** 0.5 < r.witness_hi
+    assert chains == [2]
+
+
+def test_a_strict_core_below_a_repeated_factor_builds_two_chains(monkeypatch):
+    chains = _chains_built(monkeypatch)
+    assert isinstance(certify_poly_sign(A_POSITIVITY, "R", "positive"), SignCertificate)
+    assert len(chains) == 2
+
+
+@pytest.mark.parametrize(
+    "domain, roots_at, sample",
+    [
+        ("R", [0, 1, -1, 2, -2, 3, -3], 4),
+        ("(0,inf)", [1, 2, Fraction(1, 2), 3, Fraction(1, 3)], 4),
+        ("(-inf,0)", [-1, -2, Fraction(-1, 2), -3, Fraction(-1, 3)], -4),
+    ],
+)
+def test_the_sample_passes_the_roots_and_stays_in_the_domain(domain, roots_at, sample):
+    # a square vanishing at every first sample point of the domain
+    p = P(1)
+    for r in map(Fraction, roots_at):
+        p = p * P(-r.numerator, r.denominator) ** 2
+    cert = certify_poly_sign(p, domain, "nonnegative")
+    assert isinstance(cert, SignCertificate) and cert.sample_point == sample
+    assert verify_certificate(cert)
