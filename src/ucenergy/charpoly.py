@@ -22,14 +22,15 @@ nb[v] is that neighbour, and the neighbour drops v by XOR-ing it out of its
 own nb.  No adjacency list is built.  A vertex left with no neighbour is
 the root of a whole tree, which is G when every vertex has been folded;
 otherwise G is disconnected.  When no leaf is left, the vertices not
-folded are the 2-core, which holds a cycle, so with fewer than n edges G
-is disconnected.  With n edges, stripping k vertices removes k edges, so
-the core has as many edges as vertices and minimum degree 2: every core
-vertex has degree 2, and the core is one cycle exactly when one walk
-around it (next = nb[cur] ^ prev) covers it.  A
-unicyclic graph then carries one tree at each cycle vertex
-c_0 .. c_{l-1}; with f_j = m+(T_{c_j}) and r_j = m+(T_{c_j} - c_j), a
-matching leaves the edge uv = c_{l-1} c_0 out or takes it, so
+folded are the 2-core, and every component holds a cycle, since a tree
+component ends at its root first; so G has at least n edges.  With n
+edges, stripping k vertices removes k edges, so the core has as many
+edges as vertices and minimum degree 2: every core vertex has degree 2,
+and the core is one cycle exactly when one walk around it
+(next = nb[cur] ^ prev) covers it.  A unicyclic graph then carries one
+tree at each cycle vertex c_0 .. c_{l-1}; with f_j = m+(T_{c_j}) and
+r_j = m+(T_{c_j} - c_j), a matching leaves the edge uv = c_{l-1} c_0 out
+or takes it, so
 
     P = m+(G)     = chain(f, r) + r_0 * r_{l-1} * chain(f[1:-1], r[1:-1]),
     C = m+(G - Z) = prod_j r_j,
@@ -171,8 +172,6 @@ def _sparse_value(g: Graph, bits: int) -> Optional[tuple[int, int]]:
         deg[p] -= 1
         if deg[p] == 1:
             stack.append(p)
-    if g.edge_count < n:  # a cycle, but too few edges to connect it
-        return None
     # every vertex not peeled has degree 2 (module docstring); peeled ones
     # kept degree 1, so an edge with two ends of degree 2 lies on the core
     start, cur = next((u, v) for u, v in g.edges if deg[u] == 2 == deg[v])

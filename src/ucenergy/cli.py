@@ -227,9 +227,11 @@ def _cmd_energy(args) -> int:
                 abs(row["exact"] - row["eig"]), abs(row["exact"] - row["coulson"])
             )
         rows.append(row)
-    columns = [c for c in (
-        "graph", "n", "m", "exact", "exact_radius", "eig", "coulson", "max_cross_dev"
-    ) if any(c in r for r in rows)]
+    # from --method, not the rows, so an empty stdin still gets its header
+    columns = ["graph", "n", "m"] + [
+        c for c in ("exact", "exact_radius", "eig", "coulson", "max_cross_dev")
+        if args.method == "all" or c.startswith(args.method)
+    ]
     _emit(rows, columns, args.format)
     return EXIT_OK
 

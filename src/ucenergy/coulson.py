@@ -151,8 +151,6 @@ def energy_coulson(g: Graph, tol: float = 1e-7) -> EnergyValue:
     double integrand can evaluate (module docstring).
     """
     check_tolerance(tol)
-    if g.n == 0:
-        return EnergyValue(0.0, 0.0)
     empty = IntPolynomial((0,) * 2 * g.n + (1,))  # |(ix)**n|**2 = x**(2n)
     modulus = _in_double_range(modulus_sq_at_ix(charpoly(g)))
     value, err = _log_ratio_integral(modulus, empty, tol)
@@ -168,12 +166,8 @@ def energy_diff_coulson(g1: Graph, g2: Graph, tol: float = 1e-7) -> float:
     if g1.n != g2.n:
         raise ValueError("graphs must have the same number of vertices")
     check_tolerance(tol)
-    if g1.n == 0:
-        return 0.0
     m1 = _in_double_range(modulus_sq_at_ix(charpoly(g1)))
     m2 = _in_double_range(modulus_sq_at_ix(charpoly(g2)))
-    if m1 == m2:
-        return 0.0
     return _log_ratio_integral(m1, m2, tol)[0]
 
 

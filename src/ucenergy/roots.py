@@ -25,7 +25,9 @@ and builds no chain when that check passes (the last section below).
    simple root: all roots of s are real and isolated.
 
 2. A level whose chain gives no Jacobi matrix (complex roots) or whose
-   seeds fail the check has the roots of s isolated by Sturm counting.
+   seeds fail the check has the roots of s isolated by Sturm counting on
+   that same chain: it counts the distinct roots of f, which are exactly
+   the roots of s.
 
 The next level is g.  As multisets the roots of f are those of s and those
 of g, so E(f) = E(s) + E(g), and no multiplicity has to be matched to a
@@ -53,10 +55,10 @@ the levels of f are those of q in y = x**2, each with s(x) = s_q(x**2).
 The Jacobi seeds y_1 < ... < y_r of q's level give the seeds +-sqrt(y_i)
 of s when y_1 > 0 (a negative y is a pair of imaginary roots of s), so the
 chain, the seeds and the checks run at degree r; Sturm isolation, when
-needed, runs at 2r.  The error estimate is the one the Jacobi matrix of s,
-of order 2r, would give, so k and the brackets are those of the route in x
-up to the rounding of the seeds: an m can differ by one where its seed
-lies near a half-integer multiple of 2**-k.
+needed, builds a chain of s in x, at 2r.  The error estimate is the one
+the Jacobi matrix of s, of order 2r, would give, so k and the brackets
+are those of the route in x up to the rounding of the seeds: an m can
+differ by one where its seed lies near a half-integer multiple of 2**-k.
 
 Enclosures narrower than the requested width come from sign bisection,
 which carries both ends as integer numerators over one denominator D and
@@ -144,7 +146,9 @@ def _isolate_squarefree(
     f: IntPolynomial, chain: tuple[IntPolynomial, ...] | None = None
 ) -> list[RootEnclosure]:
     """Isolating intervals of the real roots of f, ascending, by Sturm counts
-    on f's chain, built here unless the caller already holds it.
+    on ``chain``, which is f's own chain, built here when None, or the chain
+    of any polynomial whose distinct roots are those of f: a multiplicity
+    level's chain counts the roots of the level's square-free part.
 
     Each interval on the stack carries the chain's variations at its ends,
     so a split evaluates the chain at its new point only.  The first
@@ -357,9 +361,11 @@ def _core_enclosures(core: IntPolynomial, budget: Fraction) -> list[_Level]:
 
     Level i holds one enclosure per distinct root of multiplicity >= i, as
     (den, ends): ``ends`` lists the integer numerators (lo, hi) of each
-    enclosure's ends over the positive denominator den.  An even core,
-    q(x**2), walks the levels of q, each spread to s_q(x**2) and seeded
-    at +-sqrt(y) (module docstring).
+    enclosure's ends over the positive denominator den.  A level whose
+    seeds fail is isolated by Sturm counts on its own chain.  An even core,
+    q(x**2), walks the levels of q, each spread to s_q(x**2) and seeded at
+    +-sqrt(y); q's chains count in y, so there the fallback builds the chain
+    of s (module docstring).
     """
     q = _even_half(core)
     levels = []
@@ -367,6 +373,7 @@ def _core_enclosures(core: IntPolynomial, budget: Fraction) -> list[_Level]:
         seeds = _jacobi_seeds(chain)
         if q is not None:  # s is s_q: spread it to s_q(x**2), roots +-sqrt(y)
             s = IntPolynomial(tuple(c for a in s.coeffs for c in (a, 0))[:-1])
+            chain = None
             if seeds is not None and seeds[0][0] > 0:
                 ys, err = seeds
                 xs = [math.sqrt(y) for y in ys]
@@ -381,7 +388,10 @@ def _core_enclosures(core: IntPolynomial, budget: Fraction) -> list[_Level]:
             else:
                 seeds = None
         level = None if seeds is None else _checked_enclosures(s, *seeds, budget)
-        levels.append(_isolated(s, budget) if level is None else level)
+        if level is None:  # Sturm isolation, refined to the budget
+            encs = _isolate_squarefree(s, chain)
+            level = _over_one_denominator([refine_enclosure(s, e, budget) for e in encs])
+        levels.append(level)
     return levels
 
 
@@ -390,13 +400,6 @@ def _even_half(f: IntPolynomial) -> IntPolynomial | None:
     if any(f.coeffs[1::2]):
         return None
     return IntPolynomial(f.coeffs[::2])
-
-
-def _isolated(s: IntPolynomial, budget: Fraction) -> _Level:
-    """Sturm isolation of the roots of square-free s, refined to the budget."""
-    return _over_one_denominator(
-        [refine_enclosure(s, enc, budget) for enc in _isolate_squarefree(s)]
-    )
 
 
 def _over_one_denominator(encs: list[RootEnclosure]) -> _Level:

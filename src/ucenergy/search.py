@@ -57,11 +57,12 @@ distinct spectra, hence at least k + 1 graphs, strictly above it, so it can
 never be among them, and it is dropped before any root work.  The filter
 runs in the one pass over the words.  It holds only a kept set K of
 spectra, each with its bracket, a dominator count and its words.  A word
-whose spectrum is in K adds itself.  Any other spectrum counts its
-dominators in K, and stops at k + 1; with fewer it joins K with that count,
-raises the count of every member it dominates and drops any member whose
-count reaches k + 1.  That keeps exactly the spectra with at most k
-dominators among all spectra, in any order of arrival:
+whose spectrum is in K adds itself.  Any other spectrum, from the first on,
+takes one path: it counts its dominators in K, and stops at k + 1; with
+fewer it joins K with that count, raises the count of every member it
+dominates and drops any member whose count reaches k + 1.  That keeps
+exactly the spectra with at most k dominators among all spectra, in any
+order of arrival:
 
 1. A count counts only members of K, each a distinct spectrum that truly
    dominates, so nothing with at most k dominators is ever dropped.
@@ -72,13 +73,6 @@ dominators among all spectra, in any order of arrival:
 3. When X is dropped, k + 1 members of K dominate it.  If one of them is
    dropped later, its own k + 1 dominators dominate X too.  So X keeps
    k + 1 dominators in K, and it is dropped again if it arrives again.
-4. While K holds at most k + 1 spectra, a count, which counts other
-   members, stays below k + 1, so nothing is dropped.  Arrivals therefore
-   join K untested until it first holds k + 1, and then one pass over its
-   pairs (``_settle``) sets every count: the state the tests would have
-   reached.  K never holds fewer than k + 1 again: in any linear order of
-   the spectra that have arrived that extends dominance, the first k + 1
-   have at most k dominators each, so K keeps them.
 
 No set of all spectra and no map of all words is held.  Equal brackets
 (phi(x) and +-phi(-x) share one) never dominate each other, so such spectra
@@ -299,64 +293,39 @@ def _undominated(
             member[2].append(tag)
             continue
         key = _bracket_key(z, n)
-        if len(kept) < count:  # nothing can be dropped yet (point 4)
-            kept[z] = [key, 0, [tag]]
-            if len(kept) == count:
-                compared += _settle(list(kept.values()), guard)
-        else:
-            above = 0
-            for other, _, _ in kept.values():
-                compared += 1
-                if _dominates(other, key, guard):
-                    above += 1
-                    if above == count:
-                        break
-            if above == count:
-                dropped += 1
-                continue
-            for other_z, member in list(kept.items()):
-                compared += 1
-                if _dominates(key, member[0], guard):
-                    member[1] += 1
-                    if member[1] == count:
-                        del kept[other_z]
-                        dropped += 1
-            kept[z] = [key, above, [tag]]
+        above = 0
+        for other, _, _ in kept.values():
+            compared += 1
+            if _dominates(other, key, guard):
+                above += 1
+                if above == count:
+                    break
+        if above == count:
+            dropped += 1
+            continue
+        for other_z, member in list(kept.items()):
+            compared += 1
+            if _dominates(key, member[0], guard):
+                member[1] += 1
+                if member[1] == count:
+                    del kept[other_z]
+                    dropped += 1
+        kept[z] = [key, above, [tag]]
         held_max = max(held_max, len(kept))
     tags_of = {z: member[2] for z, member in kept.items()}
     counts = dict(graphs=seen, held_max=held_max, compared=compared, dropped=dropped)
     return tags_of, counts
 
 
-def _settle(members: list[list], guard: int) -> int:
-    """Add to each member's count its dominators among ``members``, in one
-    pass over the pairs; returns the number of dominance tests made."""
-    tests = 0
-    for a, b in itertools.combinations(members, 2):
-        tests += 1
-        if _dominates(a[0], b[0], guard):
-            b[1] += 1
-            continue
-        tests += 1
-        if _dominates(b[0], a[0], guard):
-            a[1] += 1
-    return tests
-
-
 def _overlapping(energy_of: dict) -> set:
-    """The keys whose enclosure overlaps another's, in one sweep by lower
-    end rather than K**2 pairs: an enclosure overlaps an earlier one exactly
-    when it starts at or below the highest upper end so far, and then it
-    overlaps the one that reached there, which is marked with it."""
-    out = set()
-    reach = (float("-inf"), None)  # the highest upper end so far, and its key
-    for lo, hi, key in sorted(
-        (e.value - e.radius, e.value + e.radius, k) for k, e in energy_of.items()
-    ):
-        if lo <= reach[0]:
-            out |= {key, reach[1]}
-        reach = max(reach, (hi, key))
-    return out
+    """The keys whose enclosure overlaps another's, by the ``_overlap`` test
+    that also flags ties."""
+    return {
+        key
+        for a, b in itertools.combinations(energy_of, 2)
+        if _overlap(energy_of[a], energy_of[b])
+        for key in (a, b)
+    }
 
 
 def _overlap(a: EnergyValue, b: EnergyValue) -> bool:

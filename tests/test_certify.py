@@ -70,9 +70,11 @@ def test_domain_punctured_at_zero():
     p = P(0, 0, -1)
     assert isinstance(certify_poly_sign(p, "R", "negative"), Refutation)
     assert isinstance(certify_poly_sign(p, "R", "nonpositive"), SignCertificate)
-    # the punctured line is not a certificate domain, like any unknown one
-    with pytest.raises(ValueError):
-        certify_poly_sign(p, "R\\{0}", "negative")
+    # the punctured line is not a certificate domain, like any unknown one;
+    # an unknown sign and the zero polynomial are refused too
+    for args in [(p, "R\\{0}", "negative"), (p, "R", "zero"), (P(), "R", "positive")]:
+        with pytest.raises(ValueError):
+            certify_poly_sign(*args)
 
 
 def test_half_line_domains():
@@ -197,6 +199,25 @@ def test_tampered_certificate_fails_verification():
     cert = certify_poly_sign(P(0, 1), "(-inf,0)", "negative")
     assert verify_certificate(cert)
     assert not verify_certificate(dataclasses.replace(cert, domain="R\\{0}"))
+
+
+_TAMPERED = {  # one field of C1's certificate (4 variations at -B and +B) or C7/pos's
+    "sample sign": ("C1", lambda c: {"sample_sign": -c.sample_sign}),
+    "asserted sign": ("C1", lambda c: {"asserted_sign": "negative"}),
+    "root count": ("C1", lambda c: {"root_count": 1}),
+    "bound below Cauchy": ("C1", lambda c: {"bound": cauchy_bound(c.chain[0]) - 1}),
+    "variation count": ("C1", lambda c: {"variation_counts": (("-B", 5), ("+B", 4))}),
+    "no radical part": ("C7/pos", lambda c: {"radical_part": None}),
+    "two sub-certificates": ("C7/pos", lambda c: {"sub_certificates": c.sub_certificates * 2}),
+    "unknown rule": ("C1", lambda c: {"rule": "newton"}),
+}
+
+
+@pytest.mark.parametrize("claim, change", list(_TAMPERED.values()), ids=list(_TAMPERED))
+def test_each_tampered_field_fails_verification(claim_report, claim, change):
+    (cert,) = next(r for r in claim_report.results if r.claim_id == claim).certificates
+    assert verify_certificate(cert)
+    assert not verify_certificate(dataclasses.replace(cert, **change(cert)))
 
 
 @given(

@@ -51,6 +51,9 @@ def test_disconnected_is_component_product():
     g = Graph.from_edges(7, [(0, 1), (1, 2), (0, 2), (3, 4), (5, 6)])
     expected = charpoly(make_cycle(3)) * charpoly(make_path(2)) ** 2
     assert charpoly(g) == expected
+    # C_3 + K_2: a cycle component and a tree component, one edge short of n
+    g = Graph.from_edges(5, [(0, 1), (1, 2), (0, 2), (3, 4)])
+    assert charpoly(g) == charpoly_reference(g) == charpoly(make_cycle(3)) * P(-1, 0, 1)
 
 
 def test_moment_coefficients():

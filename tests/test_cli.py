@@ -118,6 +118,35 @@ def test_spectrum_seeded_energies_equal_the_unseeded_ones(capsys):
     assert float(row[header.index("exact")]) == float(row[header.index("coulson")]) == 0
 
 
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_energy_of_graph6_lines_on_stdin_equals_naming_them(capsys, monkeypatch, fmt):
+    lines = [format_graph6(make_cycle(5)), format_graph6(make_lollipop(7, 4))]
+    monkeypatch.setattr(sys, "stdin", io.StringIO("\n".join(lines) + "\n"))
+    assert main(["energy", "g6:-", "--method", "all", "--format", fmt]) == 0
+    piped = capsys.readouterr().out
+    named = ["g6:" + line for line in lines]
+    assert main(["energy", *named, "--method", "all", "--format", fmt]) == 0
+    assert piped == capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "method, fmt, out",
+    [
+        ("exact", "text", "graph  n  m  exact  exact_radius\n"),
+        ("exact", "csv", "graph,n,m,exact,exact_radius\n"),
+        ("all", "csv", "graph,n,m,exact,exact_radius,eig,coulson,max_cross_dev\n"),
+        ("exact", "json", "[]\n"),
+    ],
+    ids=["text", "csv", "csv-all", "json"],
+)
+def test_energy_of_an_empty_stdin_prints_the_header_of_its_method(
+    capsys, monkeypatch, method, fmt, out
+):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+    assert main(["energy", "g6:-", "--method", method, "--format", fmt]) == 0
+    assert capsys.readouterr().out == out
+
+
 def _json_dropped_for_c7_neg(cert):
     return "{}" if cert.claim_id == "C7/neg" else certify.certificate_to_json(cert)
 
@@ -203,7 +232,7 @@ def test_search_stats_is_one_json_line_on_stderr(capsys):
     assert json.loads(captured.err) == {
         "graphs": 89,
         "held_max": 10,
-        "compared": 737,
+        "compared": 740,
         "dropped": 78,
         "enclosed": 10,
         "tie_refinements": 0,

@@ -155,9 +155,9 @@ def spectra_to_nine():
 def test_seeded_enclosures_overlap_sturm_enclosures(spectra_to_nine, monkeypatch):
     isolated = []
 
-    def spy(f):
+    def spy(f, chain=None):
         isolated.append(f)
-        return _isolate_squarefree(f)
+        return _isolate_squarefree(f, chain)
 
     monkeypatch.setattr(roots, "_isolate_squarefree", spy)
     width = Fraction(1, 2**30)
@@ -224,9 +224,9 @@ def test_repeated_and_complex_roots_take_the_fallback(monkeypatch):
         levels.extend(core_enclosures(core, budget))
         return levels
 
-    def spy(f):
+    def spy(f, chain=None):
         isolated.append(f)
-        return _isolate_squarefree(f)
+        return _isolate_squarefree(f, chain)
 
     monkeypatch.setattr(roots, "_core_enclosures", record)
     monkeypatch.setattr(roots, "_isolate_squarefree", spy)
@@ -314,9 +314,9 @@ def test_energy_is_the_exact_sum_of_its_enclosures(monkeypatch, route, p, tol):
         found.extend(core_enclosures(core, budget))
         return found
 
-    def spy_isolate(f):
+    def spy_isolate(f, chain=None):
         isolated.append(f)
-        return _isolate_squarefree(f)
+        return _isolate_squarefree(f, chain)
 
     monkeypatch.setattr(roots, "_core_enclosures", record)
     monkeypatch.setattr(roots, "_isolate_squarefree", spy_isolate)
@@ -465,9 +465,9 @@ _LARGE = [
 def test_large_spectra_are_seeded_without_sturm(monkeypatch, name, graph):
     isolated = []
 
-    def spy(f):
+    def spy(f, chain=None):
         isolated.append(f)
-        return _isolate_squarefree(f)
+        return _isolate_squarefree(f, chain)
 
     monkeypatch.setattr(roots, "_isolate_squarefree", spy)
     exact = energy_of_poly(charpoly(graph), 1e-7)
@@ -586,9 +586,9 @@ def test_a_spoiled_even_level_takes_the_sturm_fallback(monkeypatch, spoil, graph
     expected = energy_of_poly(p, 1e-9)
     isolated = []
 
-    def spy(f):
+    def spy(f, chain=None):
         isolated.append(f)
-        return _isolate_squarefree(f)
+        return _isolate_squarefree(f, chain)
 
     monkeypatch.setattr(roots, "_jacobi_seeds", _spoiled_seeds(spoil))
     monkeypatch.setattr(roots, "_isolate_squarefree", spy)
@@ -610,7 +610,7 @@ def test_small_even_eigenvalues_are_seeded_at_tight_tolerances(monkeypatch, tol,
     # x_1 / x_max is about 0.013 and 0.015: sqrt(y_1) carries the error of
     # y_1 times 1 / (2 x_1), more than the bracket width allows for, and the
     # checks still pass because the error estimate in y is loose enough
-    def forbidden(f):
+    def forbidden(f, chain=None):
         raise AssertionError("Sturm fallback at degree %d" % f.degree)
 
     p = charpoly(graph)
@@ -828,6 +828,32 @@ def test_failed_seeded_checks_return_the_walked_energy(monkeypatch, tol, graph, 
     assert chains  # the walk ran
 
 
+@pytest.mark.parametrize(
+    "graph, degrees",
+    [
+        (make_cycle(15), [15, 7]),
+        (make_lollipop(9, 3), [9, 1]),
+        (make_lollipop(41, 5), [41]),
+        (make_cycle(24), [11, 12, 5, 10]),
+        (make_path(11), [5, 10]),
+    ],
+    ids=["C_15", "L(9,3)", "L(41,5)", "C_24", "P_11"],
+)
+def test_the_sturm_fallback_counts_on_the_level_chain(monkeypatch, graph, degrees):
+    # every check fails, so each level is isolated by Sturm counts: an odd
+    # level on the chain the walk already built, an even core's level on a
+    # new chain of its spread s(x), since q's chain counts in y.  The energy
+    # equals, bit for bit, the one from a chain of s built for every level
+    p = charpoly(graph)
+    monkeypatch.setattr(roots, "_checked_enclosures", lambda *args: None)
+    with monkeypatch.context() as m:
+        m.setattr(roots, "_isolate_squarefree", lambda f, chain=None: _isolate_squarefree(f))
+        rebuilt = energy_of_poly(p, 1e-9)
+    chains = _sturm_chain_spy(monkeypatch)
+    assert energy_of_poly(p, 1e-9) == rebuilt
+    assert chains == degrees
+
+
 def test_seeds_do_not_hide_complex_roots():
     # (10^6 x^2 + 1)(x^2 - 9), an even core, and (x^2 + 1)(x - 2), an odd
     # one, each given real seeds where their roots would be
@@ -846,7 +872,7 @@ def test_a_root_near_zero_keeps_the_even_brackets_apart(monkeypatch, seeded):
     # of half-width 2^-8, wider than the root 1e-3; the gap 2e-3 between
     # -1e-3 and 1e-3 narrows them to 2^-11, so the check of the positive
     # half passes with m_1 >= 1 and no Sturm fallback runs
-    def forbidden(f):
+    def forbidden(f, chain=None):
         raise AssertionError("Sturm fallback at degree %d" % f.degree)
 
     monkeypatch.setattr(roots, "_isolate_squarefree", forbidden)
