@@ -37,12 +37,18 @@ A certificate's JSON is written by ``_encode``, by field type and in
 declaration order, and read back through the ``_DECODE`` table.
 
 The comparison algebra itself lives here in z as well: a ``ZTerm`` is
-z**e * p(z) / (z**2 + 1)**k, and ``lollipop_terms(t)`` assembles the
-closed-form coefficients a1, a2, b11..b22, alpha, beta and gamma of the
-L(n,6) versus L(n,t) comparison, for any odd t, exactly.
-``check_modulus_forms(n)`` builds the closed forms of the squared moduli
-from these terms and proves them identities in z against the exact
-characteristic polynomials (the ``closed-form-check`` command).
+z**e * p(z) / (z**2 + 1)**k, and every lollipop comes from one closed form.
+Deleting the cycle edge of L(n,l) at the vertex where the path hangs leaves
+P_n, and deleting both its ends leaves P_(l-2) and P_(n-l), so
+phi(L(n,l), iX) / i**n = P - 2 i**(-l) C with P = p_n + p_(l-2) p_(n-l) and
+C = p_(n-l), where p_k = (z1**(k+1) - z2**(k+1)) / (z1 - z2) is the
+matching polynomial of the path P_k.  For n >= l this is z1**n and z2**n
+times coefficients free of n (``_gaussian_terms``), which give
+|phi(L(n,l), ix)|**2 = c1 z1**2n + c2 z2**2n + (-1)**n 2 cross
+(``_modulus_coeffs``).  ``lollipop_terms(t)`` and ``check_modulus_forms(n)``
+read L(n,6) and the odd L(n,t) off it; the latter proves the squared moduli
+identities in z against the exact characteristic polynomials (the
+``closed-form-check`` command).
 
 ``run_claim_suite`` certifies the inequality backbone of the lollipop
 comparison: positivity of the growth coefficients, the degree-18 inequality
@@ -69,8 +75,6 @@ from .charpoly import charpoly
 from .closedforms import (
     F5_DEG12,
     F5_QUARTIC,
-    F7,
-    F8,
     P_POLYS,
     Q_POLYS,
     T3_DEG12,
@@ -189,17 +193,16 @@ def _witness_interval(
     core: IntPolynomial, chain: tuple[IntPolynomial, ...], domain: str
 ) -> tuple[Fraction, Fraction]:
     """An enclosure of some root of ``core``, whose Sturm chain is ``chain``,
-    lying inside the domain."""
+    lying inside the domain.  Every nonzero root r has |r| > 1/B, with B the
+    Cauchy bound of core's reverse without its zero roots, so one refinement
+    to width 1/B moves an enclosure of r onto r's side of 0."""
+    nonzero = core.shift_down(core.lowest_power())
+    width = 1 / cauchy_bound(reverse(nonzero, nonzero.degree))
     for enc in _isolate_squarefree(core, chain):
-        cand = enc
-        for _ in range(256):
-            if _in_domain(cand.lo, domain) and _in_domain(cand.hi, domain):
-                return cand.lo, cand.hi
-            cand = refine_enclosure(core, cand, cand.width / 2)
-            if cand.lo == cand.hi:
-                if _in_domain(cand.lo, domain):
-                    return cand.lo, cand.hi
-                break
+        if not (_in_domain(enc.lo, domain) and _in_domain(enc.hi, domain)):
+            enc = refine_enclosure(core, enc, width)
+        if _in_domain(enc.lo, domain) and _in_domain(enc.hi, domain):
+            return enc.lo, enc.hi
     raise AssertionError("no witness found although the count was positive")
 
 
@@ -500,11 +503,9 @@ class ZTerm:
         return ZTerm(self.p ** n, self.e * n, self.k * n)
 
 
-# z1 = z, z2 = -1/z, 1/(z1**2 + 1) = 1/(z**2 + 1), 1/(z2**2 + 1) =
-# z**2/(z**2 + 1) and 1/(x**2 + 4) = z**2/(z**2 + 1)**2
-Z1, Z2 = ZTerm(X), ZTerm(-ONE, -1)
-INV1, INV2 = ZTerm(ONE, 0, 1), ZTerm(ONE, 2, 1)
-H = ZTerm(ONE, 2, 2)
+# z1 = z, z2 = -1/z and 1/(z1 - z2) = z/(z**2 + 1)
+Z1, Z2 = ZTerm(ONE, 1), ZTerm(-ONE, -1)
+_INV_GAP = ZTerm(ONE, 1, 1)
 
 
 def _const(c: int) -> ZTerm:
@@ -512,10 +513,33 @@ def _const(c: int) -> ZTerm:
 
 
 _ONE, _TWO = _const(1), _const(2)
-# the t-free parts of b11, b21 and b12, b22
-G1 = Z1 * Z1 * (Z1 * Z1 + _TWO) * INV1 ** 2
-G2 = Z2 * Z2 * (Z2 * Z2 + _TWO) * INV2 ** 2
-M1, M2 = -(_TWO * INV1), -(_TWO * INV2)
+
+
+def _gaussian_terms(l: int) -> tuple[ZTerm, ZTerm, ZTerm, ZTerm]:
+    """(re1, im1, re2, im2): the coefficients of z1**n and z2**n in the real
+    and imaginary parts of P - 2 i**(-l) C (module docstring), n >= l >= 3.
+
+    -2 i**(-l) is -2, 2i, 2, -2i for l = 0, 1, 2, 3 (mod 4); for odd l the
+    imaginary part is taken as +2C, the conjugate's, with the same modulus.
+    As z1**(1-l) = (-z2)**(l-1), P + rC is the sum over j of
+    +-z_j**n (z_j + (p_(l-2) + r) z_j**(1-l)) / (z1 - z2), + for z1.
+    """
+    real, imag = _const((-2, 0, 2, 0)[l % 4]), _const(2 * (l % 2))
+    p = (Z1 ** (l - 1) - Z2 ** (l - 1)) * _INV_GAP  # p_(l-2)
+    low1, low2 = (-Z2) ** (l - 1) * _INV_GAP, (-Z1) ** (l - 1) * _INV_GAP
+    return (
+        Z1 * _INV_GAP + (p + real) * low1,
+        imag * low1,
+        -(Z2 * _INV_GAP + (p + real) * low2),
+        -(imag * low2),
+    )
+
+
+def _modulus_coeffs(l: int) -> tuple[ZTerm, ZTerm, ZTerm]:
+    """(c1, c2, cross): |phi(L(n,l), ix)|**2 = c1 z1**2n + c2 z2**2n +
+    (-1)**n 2 cross for every n >= l, as z1 z2 = -1."""
+    re1, im1, re2, im2 = _gaussian_terms(l)
+    return re1 * re1 + im1 * im1, re2 * re2 + im2 * im2, re1 * re2 + im1 * im2
 
 
 class LollipopTerms(NamedTuple):
@@ -539,37 +563,18 @@ class LollipopTerms(NamedTuple):
     gamma: ZTerm
 
 
-def _a_terms() -> tuple[ZTerm, ZTerm]:
-    """a1 and a2, the coefficients of z1**n and z2**n in phi(L(n,6), ix)."""
-    f8, f7 = ZTerm.from_x(F8), ZTerm.from_x(F7)
-    a1 = -((Z1 * f8 + f7) * INV1) * Z2 ** 7
-    a2 = -((Z2 * f8 + f7) * INV2) * Z1 ** 7
-    return a1, a2
+def lollipop_terms(t: int) -> LollipopTerms:
+    """The comparison coefficients for odd t >= 3, exactly, at x = z - 1/z.
 
-
-def _b_terms(t: int) -> tuple[ZTerm, ZTerm, ZTerm, ZTerm]:
-    """b11, b12, b21 and b22 of phi(L(n,t), ix) for odd t >= 3."""
+    a1, a2 and b11..b22 come from the one closed form (``_gaussian_terms``)
+    P - 2 i**(-l) C at l = 6 and l = t, with P = p_n + p_(l-2) p_(n-l),
+    C = p_(n-l) and p_k = (z1**(k+1) - z2**(k+1)) / (z1 - z2).
+    """
     if t < 3 or t % 2 == 0:
         raise ValueError("t must be an odd integer >= 3, got %r" % t)
-    b11 = G1 - Z2 ** (2 * t - 2) * H
-    b12 = M1 * Z2 ** (t - 2)
-    b21 = G2 - Z1 ** (2 * t - 2) * H
-    b22 = M2 * Z1 ** (t - 2)
-    return b11, b12, b21, b22
-
-
-def _b_squares(
-    b11: ZTerm, b12: ZTerm, b21: ZTerm, b22: ZTerm
-) -> tuple[ZTerm, ZTerm, ZTerm]:
-    """b11**2 + b12**2, b21**2 + b22**2 and b11 b21 + b12 b22."""
-    return b11 * b11 + b12 * b12, b21 * b21 + b22 * b22, b11 * b21 + b12 * b22
-
-
-def lollipop_terms(t: int) -> LollipopTerms:
-    """The comparison coefficients for odd t >= 3, exactly, at x = z - 1/z."""
-    b = _b_terms(t)
-    a1, a2 = _a_terms()
-    b1sq, b2sq, bcross = _b_squares(*b)
+    b = _gaussian_terms(t)
+    a1, _, a2, _ = _gaussian_terms(6)
+    b1sq, b2sq, bcross = _modulus_coeffs(t)
     alpha = a2 * a2 * b1sq - a1 * a1 * b2sq
     beta = _TWO * (a1 * a1 * bcross - a1 * a2 * b1sq)
     gamma = _TWO * (a1 * a2 * b2sq - a2 * a2 * bcross)
@@ -606,17 +611,14 @@ def check_modulus_forms(
             raise ValueError("t must be odd with 3 <= t <= n = %d, got %d" % (n, bad[0]))
         odd = [t for t in odd if t in wanted]
 
-    def check(family: str, l: int, c1: ZTerm, c2: ZTerm, cross: ZTerm) -> ModulusCheck:
+    def check(family: str, l: int) -> ModulusCheck:
         # the closed form c1 z1**2n + c2 z2**2n + (-1)**n 2 cross
+        c1, c2, cross = _modulus_coeffs(l)
         closed = c1 * Z1 ** (2 * n) + c2 * Z2 ** (2 * n) + _const(2 * (-1) ** n) * cross
         exact = modulus_sq_at_ix(charpoly(make_lollipop(n, l)))
         return ModulusCheck(family, l, (closed - ZTerm.from_x(exact)).p.is_zero)
 
-    a1, a2 = _a_terms()
-    rows = [check("L(n,6)", 6, a1 * a1, a2 * a2, a1 * a2)]
-    for t in odd:
-        rows.append(check("L(n,t)", t, *_b_squares(*_b_terms(t))))
-    return tuple(rows)
+    return (check("L(n,6)", 6), *(check("L(n,t)", t) for t in odd))
 
 
 def assembled_f5_exact() -> ZTerm:

@@ -3,13 +3,12 @@
 The two real roots z1 > z2 of z**2 = x*z + 1 drive the two-term closed forms
 of the lollipop characteristic polynomials at imaginary argument.  This
 module holds the integer polynomials in x that the comparison is built from:
-F8 and F7, which give the growth coefficients a1, a2 of the hexagon-lollipop
-family; the p/q pairs whose radical combinations decide the coefficient
-signs; and the factors of the bounds f(5, x) and f(3, x).
+the p/q pairs whose radical combinations decide the coefficient signs, and
+the factors of the bounds f(5, x) and f(3, x).
 
-The comparison algebra itself (the closed forms of the squared moduli, a1,
-a2, the b-coefficients, alpha, beta, gamma and the bounds, as rational
-functions of z where x = z - 1/z), the check of the closed forms against the
+The comparison algebra itself (the one closed form of phi(L(n,l), ix) in z,
+where x = z - 1/z, the squared moduli, a1, a2, the b-coefficients, alpha,
+beta, gamma and the bounds), the check of the closed forms against the
 characteristic polynomials and the sign certificates of the inequalities
 live in the certify module.
 """
@@ -29,10 +28,6 @@ def _even_poly(desc_coeffs: Sequence[int], top_power: int) -> IntPolynomial:
         power -= 2
     return IntPolynomial.from_coeffs(coeffs)
 
-
-# phi(L(8,6), ix) and i * phi(L(7,6), ix) as real polynomials.
-F8 = _even_poly([1, 8, 19, 16, 4], 8)
-F7 = _even_poly([1, 7, 13, 7], 7)
 
 # Sign-deciding polynomial pairs; Q_POLYS holds the polynomial factor of the
 # radical part (the full q_i carries an extra sqrt(x**2 + 4)).

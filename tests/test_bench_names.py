@@ -7,11 +7,13 @@ own arguments; a change to a signature it uses would fail the benchmark, so
 each workload runs once here, in-process.  This only reads ``perfbench/``.
 A stale ``__all__`` entry would break ``from ucenergy import *``.
 
-The last test keeps the package free of code that nothing runs: every
+The last two tests keep the package free of code that nothing runs: every
 function, method and property in ``src/ucenergy`` must be named by package
 code outside its own body, exported in ``__all__`` or traced by the
-benchmark, save the few listed with their reasons.  Those that only the
-trace names are listed too, so what benchmark v2 frees stays in view.
+benchmark, and every module-level constant and class must be read by
+package code outside its own statement or exported, save the few listed
+with their reasons.  Functions that only the trace names are listed too, so
+what benchmark v2 frees stays in view.
 """
 
 import ast
@@ -79,6 +81,15 @@ def _names_used(node: ast.AST) -> Counter:
     )
 
 
+def _package():
+    """(module name -> parsed tree, names read anywhere, names __all__ exports)."""
+    trees = {
+        path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))
+    }
+    used = sum((_names_used(tree) for tree in trees.values()), Counter())
+    return trees, used, set(importlib.import_module("ucenergy").__all__)
+
+
 def test_every_package_function_has_a_caller(monkeypatch):
     # a function is kept when package code outside its own body names it,
     # when __all__ exports it, or when the benchmark's trace names it; those
@@ -86,11 +97,7 @@ def test_every_package_function_has_a_caller(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     tracing = importlib.import_module("tracing")
     traced = {name for _, name, *_ in tracing.LAYERS + tracing.PARTS}
-    exported = set(importlib.import_module("ucenergy").__all__)
-    trees = {
-        path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))
-    }
-    used = sum((_names_used(tree) for tree in trees.values()), Counter())
+    trees, used, exported = _package()
     uncalled = [
         (qualified, node.name)
         for module, tree in trees.items()
@@ -103,3 +110,40 @@ def test_every_package_function_has_a_caller(monkeypatch):
     only_traced = [qualified for qualified, name in uncalled if name in traced]
     assert sorted(unused) == sorted(UNCALLED_BY_DESIGN)
     assert sorted(only_traced) == sorted(KEPT_FOR_THE_TRACE)
+
+
+# Module-level constants and classes that only tests and users read, each
+# with its reason.
+UNREAD_BY_DESIGN = {
+    # the public tuple of domain names, kept by name beside the domain map
+    "certify.DOMAINS",
+}
+
+
+def _bindings(tree: ast.Module):
+    """(name, node) of every class and every name a module-level assignment
+    binds."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for n in ast.walk(target):
+                    if isinstance(n, ast.Name):
+                        yield n.id, node
+
+
+def test_every_package_constant_and_class_is_read():
+    # kept when package code outside its own statement reads it or when
+    # __all__ exports it; a constant only tests read belongs in the tests
+    trees, used, exported = _package()
+    unread = [
+        module + "." + name
+        for module, tree in trees.items()
+        for name, node in _bindings(tree)
+        if not (name.startswith("__") and name.endswith("__"))
+        and used[name] == _names_used(node)[name]
+        and name not in exported
+    ]
+    assert sorted(unread) == sorted(UNREAD_BY_DESIGN)

@@ -32,7 +32,9 @@ from ucenergy.certify import (
     run_claim_suite,
     verify_certificate,
 )
-from ucenergy.closedforms import F7, F8, P_POLYS, Q_POLYS
+from ucenergy.charpoly import charpoly
+from ucenergy.closedforms import P_POLYS, Q_POLYS
+from ucenergy.graphs import make_lollipop
 from ucenergy.polynomials import (
     IntPolynomial,
     cauchy_bound,
@@ -252,9 +254,16 @@ def test_known_claim_values():
 
 
 def test_beta2_norm_ties_back_to_growth_polynomials():
-    # x*F8*F7 + F7^2 - F8^2 == -(growth positivity polynomial), exactly
+    # x*F8*F7 + F7^2 - F8^2 == -(growth positivity polynomial), exactly, with
+    # F8 = phi(L(8,6), ix) and F7 = i phi(L(7,6), ix) as real polynomials
+    def at_ix(n):  # phi(L(n,6), ix) / i**n; c_j is 0 unless n - j is even
+        phi = charpoly(make_lollipop(n, 6))
+        return P(*(c * (-1) ** ((n - j) // 2) for j, c in enumerate(phi.coeffs)))
+
+    f8, f7 = at_ix(8), at_ix(7)
+    assert f8 == P(4, 0, 16, 0, 19, 0, 8, 0, 1) and f7 == P(0, 7, 0, 13, 0, 7, 0, 1)
     x = P(0, 1)
-    assert x * F8 * F7 + F7 * F7 - F8 * F8 == -1 * A_POSITIVITY
+    assert x * f8 * f7 + f7 * f7 - f8 * f8 == -1 * A_POSITIVITY
 
 
 def test_claim_suite_all_certified(claim_report):
@@ -318,7 +327,7 @@ def test_exact_cross_assembly_identity():
     assert g.e == -factored.degree
     for z in (Fraction(1, 3), Fraction(2), Fraction(-5, 7)):
         assert g.p(z) == z ** factored.degree * factored(z - 1 / z)
-    assert f5.k == 6 and f5.e <= g.e
+    assert f5.k == 8 and f5.e <= g.e
     rhs = P(1, 0, 1) ** f5.k * g.p.shift_up(g.e - f5.e)
     assert f5.p == rhs
 
@@ -484,6 +493,23 @@ def test_a_refutation_builds_no_second_chain(monkeypatch):
     r = certify_poly_sign(P(-2, 0, 1), "(0,inf)", "positive")
     assert isinstance(r, Refutation) and r.witness_lo < 2 ** 0.5 < r.witness_hi
     assert chains == [2]
+
+
+@pytest.mark.parametrize(
+    "certify_sign",
+    [
+        lambda: certify_poly_sign(P(-1, 2 ** 300), "(0,inf)", "negative"),
+        lambda: certify_radical_sign(
+            P(-(2 ** 301), 2 ** 300), P(0, 1), "(0,inf)", "positive"
+        ),
+    ],
+    ids=["polynomial", "radical"],
+)
+def test_a_witness_near_zero_lies_inside_the_domain(certify_sign):
+    # a root within 2**-300 of 0: the witness is refined past 0 at once
+    r = certify_sign()
+    assert isinstance(r, Refutation)
+    assert 0 < r.witness_lo <= r.witness_hi
 
 
 def test_a_strict_core_below_a_repeated_factor_builds_two_chains(monkeypatch):

@@ -19,7 +19,6 @@ from ucenergy.cli import (
 )
 from ucenergy.enumeration import unicyclic_graphs
 from ucenergy.graphs import Graph, format_graph6, make_cycle, make_lollipop
-from ucenergy.polynomials import IntPolynomial
 from ucenergy.roots import energy_of_poly
 
 
@@ -202,8 +201,14 @@ def test_closed_form_check_has_no_grid_option(capsys):
 
 
 def test_closed_form_check_exits_4_on_a_wrong_form(monkeypatch, capsys):
-    # phi(L(8,6), ix) with its constant term off by one
-    monkeypatch.setattr(certify, "F8", certify.F8 + IntPolynomial.constant(1))
+    # phi(L(n,6), iX) / i**n with the z1**n coefficient of its real part off by one
+    gaussian = certify._gaussian_terms
+
+    def wrong(l):
+        re1, *rest = gaussian(l)
+        return (re1 + certify._const(int(l == 6)), *rest)
+
+    monkeypatch.setattr(certify, "_gaussian_terms", wrong)
     assert main(["closed-form-check", "--n", "9", "--format", "csv"]) == 4
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err

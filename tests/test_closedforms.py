@@ -18,17 +18,11 @@ import pytest
 from ucenergy.certify import (
     BETA2_EVEN,
     BETA2_ODD,
-    G1,
-    G2,
-    H,
-    INV1,
-    INV2,
-    M1,
-    M2,
     Z1,
     Z2,
     SignCertificate,
     ZTerm,
+    _modulus_coeffs,
     assembled_f5_exact,
     certify_poly_sign,
     check_modulus_forms,
@@ -57,6 +51,14 @@ XT = ZTerm.from_x(X)
 SQ_PLUS_1 = ZTerm.from_x(P(1, 0, 1))  # x**2 + 1
 RADICAL = ZTerm(P(1, 0, 1), -1)  # sqrt(x**2 + 4) = z + 1/z
 INV_RADICAL_5 = ZTerm(P(1), 5, 5)  # (x**2 + 4)**(-5/2)
+
+# The paper's t-free blocks: 1/(z_i**2 + 1), h = 1/(x**2 + 4),
+# G_i = z_i**2 (z_i**2 + 2) / (z_i**2 + 1)**2 and M_i = -2 / (z_i**2 + 1).
+INV1, INV2 = ZTerm(P(1), 0, 1), ZTerm(P(1), 2, 1)
+H = ZTerm(P(1), 2, 2)
+G1 = Z1 * Z1 * (Z1 * Z1 + TWO) * INV1 ** 2
+G2 = Z2 * Z2 * (Z2 * Z2 + TWO) * INV2 ** 2
+M1, M2 = -(TWO * INV1), -(TWO * INV2)
 
 
 def value(term, z):
@@ -94,21 +96,20 @@ def modulus_charpoly(n, l):
     return modulus_sq_at_ix(charpoly(make_lollipop(n, l)))
 
 
-def modulus_p6(terms, n):
-    """|phi(L(n,6), ix)|**2 by its closed form (``LollipopTerms``)."""
-    return closed_modulus(terms.a1 * terms.a1, terms.a2 * terms.a2, terms.a1 * terms.a2, n)
+def modulus_p6(n):
+    """|phi(L(n,6), ix)|**2 by the one closed form."""
+    return closed_modulus(6, n)
 
 
-def modulus_pt(terms, n):
-    """|phi(L(n,t), ix)|**2 by its closed form, t = terms.t <= n."""
-    b11, b12, b21, b22 = terms.b11, terms.b12, terms.b21, terms.b22
-    return closed_modulus(
-        b11 * b11 + b12 * b12, b21 * b21 + b22 * b22, b11 * b21 + b12 * b22, n
-    )
+def modulus_pt(t, n):
+    """|phi(L(n,t), ix)|**2 by the one closed form, t <= n."""
+    return closed_modulus(t, n)
 
 
-def closed_modulus(c1, c2, cross, n):
-    """c1 z1**2n + c2 z2**2n + (-1)**n 2 cross, the shape of both moduli."""
+def closed_modulus(l, n):
+    """c1 z1**2n + c2 z2**2n + (-1)**n 2 cross with (c1, c2, cross) =
+    ``_modulus_coeffs(l)``: |phi(L(n,l), ix)|**2 for n >= l."""
+    c1, c2, cross = _modulus_coeffs(l)
     return c1 * Z1 ** (2 * n) + c2 * Z2 ** (2 * n) + const(2 * (-1) ** n) * cross
 
 
@@ -220,12 +221,28 @@ def test_growth_coefficients_positive_everywhere():
 
 def test_modulus_closed_form_examples():
     # x = 0 is z = 1: |phi(L(8,6), 0)|^2 = 16 and |phi(L(5,3), 0)|^2 = 4
-    assert value(modulus_p6(lollipop_terms(3), 8), 1) == 16
-    assert value(modulus_pt(lollipop_terms(3), 5), 1) == 4
-    assert_identity(modulus_p6(lollipop_terms(3), 8), ZTerm.from_x(modulus_charpoly(8, 6)))
-    assert_identity(modulus_pt(lollipop_terms(3), 5), ZTerm.from_x(modulus_charpoly(5, 3)))
+    assert value(modulus_p6(8), 1) == 16
+    assert value(modulus_pt(3, 5), 1) == 4
+    assert_identity(modulus_p6(8), ZTerm.from_x(modulus_charpoly(8, 6)))
+    assert_identity(modulus_pt(3, 5), ZTerm.from_x(modulus_charpoly(5, 3)))
     with pytest.raises(ValueError):
         lollipop_terms(4)
+
+
+@pytest.mark.parametrize("l", range(3, 13))
+def test_the_one_closed_form_is_the_modulus_of_every_lollipop(l):
+    # every girth class mod 4, and n = l (the cycle C_l) upward
+    for n in range(l, l + 6):
+        assert_identity(closed_modulus(l, n), ZTerm.from_x(modulus_charpoly(n, l)))
+
+
+def test_the_b_terms_are_the_papers_blocks():
+    for t in (3, 5, 7, 9, 11):
+        s = lollipop_terms(t)
+        assert_identity(s.b11, G1 - Z2 ** (2 * t - 2) * H)
+        assert_identity(s.b12, M1 * Z2 ** (t - 2))
+        assert_identity(s.b21, G2 - Z1 ** (2 * t - 2) * H)
+        assert_identity(s.b22, M2 * Z1 ** (t - 2))
 
 
 def test_modulus_forms_match_exact_charpoly():
@@ -243,11 +260,11 @@ def test_modulus_forms_build_only_the_requested_t(monkeypatch):
     from ucenergy import certify
 
     built, orders = [], []
-    b_terms, exact = certify._b_terms, certify.charpoly
-    monkeypatch.setattr(certify, "_b_terms", lambda t: built.append(t) or b_terms(t))
+    terms, exact = certify._gaussian_terms, certify.charpoly
+    monkeypatch.setattr(certify, "_gaussian_terms", lambda l: built.append(l) or terms(l))
     monkeypatch.setattr(certify, "charpoly", lambda g: orders.append(g.n) or exact(g))
     rows = check_modulus_forms(15, [11, 5])
-    assert built == [5, 11]
+    assert built == [6, 5, 11]
     assert orders == [15, 15, 15]  # L(15,6), L(15,5) and L(15,11)
     monkeypatch.undo()
     assert rows == tuple(
@@ -261,7 +278,7 @@ def test_modulus_forms_build_only_the_requested_t(monkeypatch):
 def test_odd_order_vanishing_at_origin():
     # odd-order bipartite lollipop has a zero eigenvalue: both routes give 0
     assert modulus_charpoly(7, 6)(0) == 0
-    assert value(modulus_p6(lollipop_terms(3), 7), 1) == 0
+    assert value(modulus_p6(7), 1) == 0
 
 
 def test_pq_pairs():
@@ -373,11 +390,11 @@ def test_even_order_limit_behaviour():
         s = lollipop_terms(t)
         a1sq, b1sq = s.a1 * s.a1, s.b11 * s.b11 + s.b12 * s.b12
         gap = {
-            n: b1sq * modulus_p6(s, n) - a1sq * modulus_pt(s, n) for n in range(8, 41, 2)
+            n: b1sq * modulus_p6(n) - a1sq * modulus_pt(t, n) for n in range(8, 41, 2)
         }
         for n in gap:
             certify_sign(gap[n], "(0,inf)", "positive")
-        shrink = gap[20] * modulus_p6(s, 40) - gap[40] * modulus_p6(s, 20)
+        shrink = gap[20] * modulus_p6(40) - gap[40] * modulus_p6(20)
         certify_sign(shrink, "(0,inf)", "positive")
 
 
